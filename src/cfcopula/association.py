@@ -59,23 +59,13 @@ class PolicyEffect:
         return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma, "beta": self.beta}
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Rectangle increments of a copula grid: masses[i, j] is the C-mass of
-    the cell [i/m, (i+1)/m] x [j/m, (j+1)/m]."""
-
-    masses: np.ndarray
-
-    @property
-    def m(self):
-        return self.masses.shape[0]
-
-
 def cell_masses(grid):
-    """Two-dimensional increments of the grid; they telescope to C(1,1)."""
+    """Two-dimensional increments of the grid; they telescope to C(1,1).
+
+    Entry [i, j] is the C-mass of the cell [i/m, (i+1)/m] x [j/m, (j+1)/m].
+    """
     v = grid.values
-    masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
-    return MassMatrix(masses=masses)
+    return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
 
 
 def _corner_average(values):
@@ -105,7 +95,7 @@ def kendall_tau(grid):
     independence grid at exactly zero.
     """
     cbar = _corner_average(grid.values)
-    masses = cell_masses(grid).masses
+    masses = cell_masses(grid)
     return float(4.0 * np.sum(cbar * masses) - 1.0)
 
 

@@ -7,8 +7,9 @@ multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate grid is a
 copula at (1, 1) just like the point estimate.  Kernel weights W are NOT
-recomputed per replicate by default; an opt-in mode resamples rows and
-recomputes them instead.
+recomputed per replicate by default; an opt-in mode rebuilds them on the
+resampled rows and folds them back onto the original rows, so both modes
+read every replicate grid off the ranks of the original sample.
 
 Confidence intervals are symmetric around the point estimate with half-width
 Q/sqrt(n), where Q is the level-quantile of the centered absolute deviations
@@ -25,12 +26,12 @@ import numpy as np
 
 from . import association
 from .copula import (
+    BandwidthTooSmallError,
     CopulaGrid,
-    ObservationSample,
     WeightVector,
+    _grid_values,
     counterfactual_weights,
     margin_ranks,
-    weighted_rank_copula_values,
 )
 from .kernels import bandwidth as _bandwidth
 from .kernels import scale_from_sample
@@ -40,7 +41,7 @@ MEASURES = association.MEASURES
 
 
 class DegenerateReplicateError(RuntimeError):
-    """A replicate kept collapsing onto a single row after the retry cap."""
+    """A replicate kept being degenerate after the retry cap."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,12 @@ class BootstrapRun:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """All scalar bootstrap targets of one run plus shared diagnostics."""
+    """All scalar bootstrap targets of one run plus shared diagnostics.
+
+    ``discarded`` counts redrawn resamples: ones that collapsed onto a
+    single row and, with recomputed weights, ones that left some
+    counterfactual row without a kernel donor.
+    """
 
     runs: dict
     discarded: int
@@ -106,6 +112,14 @@ def centered_quantile(replicates, point, n, level):
     return float(np.sort(centered)[k - 1])
 
 
+def derived_seed(entropy, spawn_key):
+    """A 64-bit integer seed drawn from the SeedSequence (entropy, spawn_key)."""
+    words = np.random.SeedSequence(
+        entropy=entropy, spawn_key=spawn_key
+    ).generate_state(2)
+    return int(words[0]) | (int(words[1]) << 32)
+
+
 def _replicate_seed(seed, b):
     return np.random.SeedSequence(entropy=seed, spawn_key=(b,))
 
@@ -114,107 +128,95 @@ def _is_degenerate(counts):
     return int(counts.max()) == counts.shape[0]
 
 
-def _draw_counts(n, rng, max_retries=10):
-    # redraw degenerate (single-row) resamples up to the retry cap
+def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
+    """Resample counts and the counterfactual multipliers they give.
+
+    Draws that collapse onto a single row, or whose ``cf_multipliers``
+    leave some counterfactual row without a kernel donor, are redrawn up
+    to the retry cap.  Returns (counts, multipliers, redraws).
+    """
     for attempt in range(max_retries + 1):
         counts = multinomial_counts(n, rng)
-        if not _is_degenerate(counts):
-            return counts, attempt
+        if _is_degenerate(counts):
+            continue
+        try:
+            return counts, cf_multipliers(counts), attempt
+        except BandwidthTooSmallError:
+            continue
     raise DegenerateReplicateError(
-        f"replicate collapsed onto a single row {max_retries + 1} times in a row"
+        f"replicate was degenerate {max_retries + 1} times in a row: it "
+        "collapsed onto a single row or left a row without a kernel donor"
     )
 
 
-def _grid_pair_from_multipliers(ranks1, ranks2, counts, w, m, n):
-    v_act = counts.astype(float)
-    u1 = ranks1.pseudo_obs(v_act)
-    u2 = ranks2.pseudo_obs(v_act)
-    act = weighted_rank_copula_values(u1, u2, v_act, m, n)
+def _grid_pair(ranks1, ranks2, counts, v_cf, m):
     # The actual-side mass sum(counts) is exactly n, but the resampled
-    # counterfactual mass sum(counts * w) is not: left unnormalized it
-    # fluctuates with sd of order sqrt(mean(w^2) - 1) / sqrt(n), a noise
-    # component the point estimator (whose weights sum to n by
-    # construction) does not have.  Rescale so every replicate is a copula.
-    v_cf = v_act * w
-    total = v_cf.sum()
-    if total <= 0.0:
+    # counterfactual mass is not: left unnormalized it fluctuates with sd of
+    # order sqrt(mean(w^2) - 1) / sqrt(n), a noise component the point
+    # estimator (whose weights sum to n by construction) does not have.
+    # The builder rescales it so every replicate is a copula.
+    if v_cf.sum() <= 0.0:
         raise DegenerateReplicateError(
             "resampled counterfactual mass is zero: every positive-count row "
             "has zero weight"
         )
-    v_cf *= n / total
-    u1c = ranks1.pseudo_obs(v_cf)
-    u2c = ranks2.pseudo_obs(v_cf)
-    cf = weighted_rank_copula_values(u1c, u2c, v_cf, m, n)
-    return act, cf
+    act = _grid_values(ranks1, ranks2, counts.astype(float), m)
+    return act, _grid_values(ranks1, ranks2, v_cf, m)
 
 
-def _as_grid(values, m):
-    # bootstrap replicate grids skip the validity flags: their margins are
-    # only near-uniform and nothing downstream reads the flags
-    return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=False)
+def _grid_pair_from_multipliers(ranks1, ranks2, counts, w, m, n):
+    """Actual and counterfactual grids under resample counts and fixed weights w.
 
-
-def bootstrap_replicate(sample, counts, w, m=100, kernel=None, h=None,
-                        recompute_weights=False, bandwidth_rule=None):
-    """One bootstrap replicate: actual grid, counterfactual grid, reports.
-
-    With ``recompute_weights`` the counts are expanded into an explicit
-    row resample and the kernel weights are recomputed on it, which requires
-    ``kernel`` and ``h``.  Passing ``bandwidth_rule`` as well rebuilds the
-    bandwidth from the resampled covariate scale, treating it as part of the
-    estimator being bootstrapped.  Otherwise the original weights are reused
-    and the counts enter only as multipliers.
+    The counterfactual multipliers are counts * w; ``n`` is the sample size
+    the ranks were built from.  Unit counts give the point estimates.
     """
-    counts = np.asarray(counts)
-    n = sample.n
-    wv = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    if recompute_weights:
-        rows = np.repeat(np.arange(n), counts)
-        resample = ObservationSample(
-            y1=sample.y1[rows],
-            y2=sample.y2[rows],
-            x=sample.x[rows],
-            xstar=sample.xstar[rows],
-            discrete_mask=sample.discrete_mask,
-        )
-        hb = h
-        if bandwidth_rule is not None:
-            hb = _bandwidth(
-                replace(
-                    bandwidth_rule,
-                    scale=scale_from_sample(resample.x, resample.discrete_mask),
-                ),
-                n,
-            )
-        wb = counterfactual_weights(
-            resample.x, resample.xstar, kernel=kernel, h=hb,
-            discrete_mask=resample.discrete_mask,
-        )
-        r1 = margin_ranks(resample.y1)
-        r2 = margin_ranks(resample.y2)
-        ones = np.ones(n)
-        act = weighted_rank_copula_values(
-            r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m, n
-        )
-        vb = wb.w * (n / wb.w.sum())
-        cf = weighted_rank_copula_values(
-            r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m, n
-        )
-    else:
-        r1 = margin_ranks(sample.y1)
-        r2 = margin_ranks(sample.y2)
-        act, cf = _grid_pair_from_multipliers(r1, r2, counts, wv, m, n)
-    act_grid = _as_grid(act, m)
-    cf_grid = _as_grid(cf, m)
-    reports = {
-        "actual": association.measures_from_grid(act_grid),
-        "counterfactual": association.measures_from_grid(cf_grid),
-    }
-    reports["effect"] = association.policy_effect(
-        reports["counterfactual"], reports["actual"]
+    return _grid_pair(ranks1, ranks2, counts, counts * w, m)
+
+
+def _reports(act, cf, m):
+    # replicate grids skip the validity flags: their margins are only
+    # near-uniform and nothing downstream reads the flags
+    actual = association.measures_from_grid(
+        CopulaGrid(m=m, values=act, two_increasing=True, margins_uniform=False)
     )
-    return act_grid, cf_grid, reports
+    counterfactual = association.measures_from_grid(
+        CopulaGrid(m=m, values=cf, two_increasing=True, margins_uniform=False)
+    )
+    return {
+        "actual": actual,
+        "counterfactual": counterfactual,
+        "effect": association.policy_effect(counterfactual, actual),
+    }
+
+
+def bootstrap_replicate(sample, counts, kernel, h, bandwidth_rule):
+    """Counterfactual multipliers of one recompute-weights replicate.
+
+    The kernel weights are rebuilt on the rows the counts resample, with the
+    bandwidth rebuilt from their covariate scale when ``bandwidth_rule`` is
+    given (else ``h`` is used), and folded back onto the original rows: row
+    i gets the summed weight of its copies.
+
+    Raises
+    ------
+    BandwidthTooSmallError
+        If some resampled counterfactual row has no donor.
+    """
+    rows = np.repeat(np.arange(sample.n), counts)
+    x = sample.x[rows]
+    if bandwidth_rule is not None:
+        h = _bandwidth(
+            replace(
+                bandwidth_rule,
+                scale=scale_from_sample(x, sample.discrete_mask),
+            ),
+            sample.n,
+        )
+    wb = counterfactual_weights(
+        x, sample.xstar[rows], kernel=kernel, h=h,
+        discrete_mask=sample.discrete_mask,
+    )
+    return np.bincount(rows, weights=wb.w, minlength=sample.n)
 
 
 def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
@@ -238,43 +240,27 @@ def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
 
     r1 = margin_ranks(sample.y1)
     r2 = margin_ranks(sample.y2)
-    ones = np.ones(n)
-    act_point, cf_point = _grid_pair_from_multipliers(
-        r1, r2, np.ones(n, dtype=np.int64), wv, m, n
+    point = _reports(
+        *_grid_pair_from_multipliers(r1, r2, np.ones(n, dtype=np.int64), wv, m, n),
+        m,
     )
-    point = {
-        "actual": association.measures_from_grid(_as_grid(act_point, m)),
-        "counterfactual": association.measures_from_grid(_as_grid(cf_point, m)),
-    }
-    point["effect"] = association.policy_effect(
-        point["counterfactual"], point["actual"]
-    )
+
+    if config.recompute_weights:
+        def cf_multipliers(counts):
+            return bootstrap_replicate(sample, counts, kernel, h, bandwidth_rule)
+    else:
+        def cf_multipliers(counts):
+            return counts * wv
 
     stats = {key: np.empty(config.B) for key in _target_keys()}
     discarded = 0
     for b in range(config.B):
         rng = np.random.default_rng(_replicate_seed(config.seed, b))
-        counts, redraws = _draw_counts(n, rng)
+        counts, v_cf, redraws = _draw_replicate(n, rng, cf_multipliers)
         discarded += redraws
-        if config.recompute_weights:
-            _, _, reports = bootstrap_replicate(
-                sample, counts, w, m=m, kernel=kernel, h=h,
-                recompute_weights=True, bandwidth_rule=bandwidth_rule,
-            )
-            for target in TARGETS:
-                rep = reports[target]
-                for measure in MEASURES:
-                    stats[(target, measure)][b] = getattr(rep, measure)
-        else:
-            act, cf = _grid_pair_from_multipliers(r1, r2, counts, wv, m, n)
-            arep = association.measures_from_grid(_as_grid(act, m))
-            crep = association.measures_from_grid(_as_grid(cf, m))
-            for measure in MEASURES:
-                a_val = getattr(arep, measure)
-                c_val = getattr(crep, measure)
-                stats[("actual", measure)][b] = a_val
-                stats[("counterfactual", measure)][b] = c_val
-                stats[("effect", measure)][b] = c_val - a_val
+        reports = _reports(*_grid_pair(r1, r2, counts, v_cf, m), m)
+        for target, measure in _target_keys():
+            stats[(target, measure)][b] = getattr(reports[target], measure)
 
     runs = {}
     for target, measure in _target_keys():
@@ -296,31 +282,3 @@ def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
 
 def _target_keys():
     return [(t, m) for t in TARGETS for m in MEASURES]
-
-
-@dataclass(frozen=True)
-class SupBand:
-    """Uniform confidence band for a copula grid."""
-
-    half_width: float
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def sup_band(replicate_grids, point_grid, n, level):
-    """Uniform band from the sup-norm of centered replicate grid deviations."""
-    point = point_grid.values
-    devs = np.stack(
-        [math.sqrt(n) * (g.values - point) for g in replicate_grids], axis=0
-    )
-    centered = devs - devs.mean(axis=0, keepdims=True)
-    sups = np.max(np.abs(centered), axis=(1, 2))
-    B = sups.shape[0]
-    k = math.ceil(level * B)
-    q = float(np.sort(sups)[k - 1])
-    half = q / math.sqrt(n)
-    return SupBand(
-        half_width=half,
-        lo=np.clip(point - half, 0.0, 1.0),
-        hi=np.clip(point + half, 0.0, 1.0),
-    )

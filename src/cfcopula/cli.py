@@ -23,14 +23,21 @@ import argparse
 import csv
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .association import measures_from_grid, policy_effect
-from .bootstrap import BootstrapConfig, DegenerateReplicateError, run_bootstrap
+from .bootstrap import (
+    MEASURES,
+    TARGETS,
+    BootstrapConfig,
+    DegenerateReplicateError,
+    derived_seed,
+    run_bootstrap,
+)
 from .copula import (
     BandwidthTooSmallError,
     counterfactual_copula,
@@ -59,9 +66,6 @@ from .kernels import (
 )
 from .scenarios import ScenarioError, apply_scenario, parse_scenario
 from .simulation import SimStudyConfig, run_study
-
-MEASURES = ("rho", "tau", "gamma", "beta")
-TARGETS = ("actual", "counterfactual", "effect")
 
 
 class UsageError(Exception):
@@ -165,6 +169,8 @@ class RunConfig:
             raise UsageError(f"grid_m must be even and >= 2, got {self.grid_m}")
         if self.bandwidth_c <= 0:
             raise UsageError(f"bandwidth_c must be positive, got {self.bandwidth_c}")
+        # check the bootstrap options now, before any command starts work
+        self.bootstrap_config(self.seed)
         if bool(self.scenario_text) == bool(self.roles.xstar):
             raise UsageError(
                 "need exactly one source of counterfactual covariates: "
@@ -174,6 +180,17 @@ class RunConfig:
     def kernel(self):
         try:
             return KernelSpec(family=self.kernel_family, order=self.kernel_order)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    def bootstrap_config(self, seed):
+        try:
+            return BootstrapConfig(
+                B=self.boot_b,
+                level=self.level,
+                seed=seed,
+                recompute_weights=self.recompute_weights,
+            )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -397,21 +414,20 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_bootstrap(args):
-    cfg, _ = _resolve_run_config(args)
-    pieces = _estimate(cfg)
-    boot = BootstrapConfig(
-        B=cfg.boot_b,
-        level=cfg.level,
-        seed=cfg.seed,
-        recompute_weights=cfg.recompute_weights,
-    )
+def _bootstrap(cfg, pieces, seed):
     rule = BandwidthRule(constant=cfg.bandwidth_c) if cfg.recompute_weights else None
-    result = run_bootstrap(
-        pieces.sample, boot, w=pieces.w, kernel=pieces.kernel,
+    return run_bootstrap(
+        pieces.sample, cfg.bootstrap_config(seed), w=pieces.w,
+        kernel=pieces.kernel,
         h=pieces.h if pieces.h.size > 1 else float(pieces.h[0]),
         m=cfg.grid_m, bandwidth_rule=rule,
     )
+
+
+def cmd_bootstrap(args):
+    cfg, _ = _resolve_run_config(args)
+    pieces = _estimate(cfg)
+    result = _bootstrap(cfg, pieces, cfg.seed)
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
         f"bootstrap: B={cfg.boot_b}, level={cfg.level}, seed={cfg.seed}, "
@@ -429,16 +445,19 @@ def cmd_bootstrap(args):
 
 def cmd_simulate(args):
     config = read_config(args.config) if args.config else {}
-    study = SimStudyConfig(
-        sizes=_merge(args, config, "sizes", _int_list, (100, 200, 400)),
-        replications=_merge(args, config, "replications", int, 1000),
-        bootstrap_b=_merge(args, config, "boot_b", int, 1000),
-        level=_merge(args, config, "level", float, 0.95),
-        m=_merge(args, config, "grid_m", int, 100),
-        bandwidth_constant=_merge(args, config, "bandwidth_c", float, 5.5),
-        seed=_merge(args, config, "seed", int, 20240801),
-        recompute_weights=_merge(args, config, "recompute_weights", _bool, True),
-    )
+    try:
+        study = SimStudyConfig(
+            sizes=_merge(args, config, "sizes", _int_list, (100, 200, 400)),
+            replications=_merge(args, config, "replications", int, 1000),
+            bootstrap_b=_merge(args, config, "boot_b", int, 1000),
+            level=_merge(args, config, "level", float, 0.95),
+            m=_merge(args, config, "grid_m", int, 100),
+            bandwidth_constant=_merge(args, config, "bandwidth_c", float, 5.5),
+            seed=_merge(args, config, "seed", int, 20240801),
+            recompute_weights=_merge(args, config, "recompute_weights", _bool, True),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(_merge(args, config, "out_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     report = run_study(study)
@@ -459,13 +478,6 @@ def _sweep_values(args, config):
     if not values:
         raise UsageError(f"empty sweep range: from {lo} to {hi}")
     return values
-
-
-def _sweep_seed(seed, index):
-    words = np.random.SeedSequence(
-        entropy=seed, spawn_key=(index,)
-    ).generate_state(2)
-    return int(words[0]) | (int(words[1]) << 32)
 
 
 def cmd_sweep(args):
@@ -490,33 +502,8 @@ def cmd_sweep(args):
             text = f"max_with({column}, {value})"
         else:
             text = f"conditional_max({column}, {trigger}, {value}, floor={int(floor) if floor == int(floor) else floor})"
-        value_cfg = RunConfig(
-            input=cfg.input,
-            out_dir=cfg.out_dir,
-            roles=cfg.roles,
-            scenario_text=text,
-            grid_m=cfg.grid_m,
-            bandwidth_c=cfg.bandwidth_c,
-            kernel_family=cfg.kernel_family,
-            kernel_order=cfg.kernel_order,
-            boot_b=cfg.boot_b,
-            level=cfg.level,
-            seed=cfg.seed,
-            recompute_weights=cfg.recompute_weights,
-        )
-        pieces = _estimate(value_cfg)
-        boot = BootstrapConfig(
-            B=cfg.boot_b,
-            level=cfg.level,
-            seed=_sweep_seed(cfg.seed, index),
-            recompute_weights=cfg.recompute_weights,
-        )
-        rule = BandwidthRule(constant=cfg.bandwidth_c) if cfg.recompute_weights else None
-        result = run_bootstrap(
-            pieces.sample, boot, w=pieces.w, kernel=pieces.kernel,
-            h=pieces.h if pieces.h.size > 1 else float(pieces.h[0]),
-            m=cfg.grid_m, bandwidth_rule=rule,
-        )
+        pieces = _estimate(replace(cfg, scenario_text=text))
+        result = _bootstrap(cfg, pieces, derived_seed(cfg.seed, (index,)))
         for measure in MEASURES:
             for target in TARGETS:
                 run = result.runs[(target, measure)]

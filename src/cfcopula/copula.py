@@ -13,16 +13,11 @@ form used by the bootstrap reuses the same path, which makes the
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelSpec, kernel_1d
-
-RANK_BASED = "rank_based"
-DEHEUVELS = "deheuvels"
-_VARIANTS = (RANK_BASED, DEHEUVELS)
 
 # slack for float dust on cumulative sums of weights
 _EPS = 1e-9
@@ -40,10 +35,6 @@ class BandwidthTooSmallError(ValueError):
             f"kernel denominator is zero for counterfactual rows [{shown}]{more}: "
             f"no donor within bandwidth h={h}; increase the bandwidth constant"
         )
-
-
-class SupportViolationWarning(UserWarning):
-    """Counterfactual covariates fall outside the sampled covariate box."""
 
 
 def _as_matrix(a):
@@ -122,20 +113,6 @@ def support_violations(sample):
     return np.flatnonzero(outside.any(axis=1))
 
 
-def warn_on_support_violations(sample, limit=20):
-    rows = support_violations(sample)
-    if rows.size:
-        shown = ", ".join(str(r) for r in rows[:limit])
-        more = "" if rows.size <= limit else f" (+{rows.size - limit} more)"
-        warnings.warn(
-            f"{rows.size} counterfactual rows lie outside the sampled covariate "
-            f"box: rows [{shown}]{more}; weights extrapolate there",
-            SupportViolationWarning,
-            stacklevel=2,
-        )
-    return rows
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Counterfactual weights with their diagnostics.
@@ -161,85 +138,6 @@ class WeightVector:
 
 def unit_weights(n):
     return WeightVector.from_array(np.ones(n))
-
-
-@dataclass(frozen=True)
-class StepCDF:
-    """Right-continuous step CDF with mass at finitely many support points.
-
-    ``monotone`` is False when negative masses make the cumulative values
-    non-monotone (possible under higher-order kernels).
-    """
-
-    support: np.ndarray
-    cum: np.ndarray
-    monotone: bool
-
-    def evaluate(self, y):
-        y = np.asarray(y, dtype=float)
-        idx = np.searchsorted(self.support, y, side="right") - 1
-        vals = np.where(idx >= 0, self.cum[np.maximum(idx, 0)], 0.0)
-        return float(vals) if vals.ndim == 0 else vals
-
-    def __call__(self, y):
-        return self.evaluate(y)
-
-    @property
-    def total_mass(self):
-        return float(self.cum[-1])
-
-
-def weighted_marginal_cdf(y, w):
-    """Step CDF placing mass w_i/n at y_i (ties accumulate).
-
-    With unit weights this is the empirical CDF.
-    """
-    y = np.asarray(y, dtype=float)
-    wv = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    if y.shape != wv.shape:
-        raise ValueError("y and weights must have the same length")
-    n = y.shape[0]
-    order = np.argsort(y, kind="stable")
-    sy = y[order]
-    cw = np.cumsum(wv[order]) / n
-    last = np.flatnonzero(np.r_[sy[1:] != sy[:-1], True])
-    support = sy[last]
-    cum = cw[last]
-    masses = np.diff(np.r_[0.0, cum])
-    monotone = bool(np.all(masses >= -1e-12))
-    return StepCDF(support=support, cum=cum, monotone=monotone)
-
-
-def empirical_cdf(column):
-    """Empirical CDF with mass 1/n at each observation."""
-    column = np.asarray(column, dtype=float)
-    if column.size == 0:
-        raise ValueError("cannot build an empirical CDF from an empty column")
-    return weighted_marginal_cdf(column, np.ones(column.shape[0]))
-
-
-def generalized_inverse(F, u):
-    """Quantile inf{y : F(y) >= u} of a step CDF, vectorized over u.
-
-    u=0 returns the smallest support point (the literal inf is -inf) and u at
-    the top is clamped to the largest support point.  For non-monotone CDFs
-    the inf is taken against the running maximum of the cumulative values.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)):
-        raise ValueError("quantile argument must lie in [0, 1]")
-    target = np.maximum.accumulate(F.cum) if not F.monotone else F.cum
-    idx = np.searchsorted(target, u, side="left")
-    idx = np.minimum(idx, F.support.shape[0] - 1)
-    vals = F.support[idx]
-    return float(vals) if vals.ndim == 0 else vals
-
-
-def counterfactual_joint_cdf(sample, w, y1, y2):
-    """Weighted joint CDF (1/n) sum_i W_i 1{Y1_i <= y1, Y2_i <= y2}."""
-    wv = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    inside = (sample.y1 <= y1) & (sample.y2 <= y2)
-    return float(wv[inside].sum() / sample.n)
 
 
 # --- counterfactual weights -------------------------------------------------
@@ -426,105 +324,64 @@ def pseudo_observations(sample, w=None):
     return PseudoObservations(u1=u1, u2=u2, w=v)
 
 
+
+
 # --- grid estimators ---------------------------------------------------------
 
-def _rearranged_pseudo_obs(ranks, v):
-    # monotone rearrangement of the weighted CDF values before reading them
-    # off at the data points
-    cw = np.sort(np.cumsum(v[ranks.order]))
-    return cw[ranks.pos] / ranks.n
+def _grid_values(ranks1, ranks2, v, m):
+    """Copula grid of the rank pseudo-observations under row multipliers v.
 
-
-def _deheuvels_indices(F, y, m):
-    # node index a_i = smallest a in 1..m with F^{-1}(a/m) >= y_i; the u=0
-    # threshold is the literal inf (-infinity), so node 0 gets no atom
-    u = np.arange(1, m + 1) / m
-    thresholds = generalized_inverse(F, u)
-    return np.searchsorted(thresholds, y, side="left") + 1
-
-
-def _grid_from_sample(y1, y2, v, m, variant, ranks1=None, ranks2=None,
-                      rearrange=False):
-    n = y1.shape[0]
-    # pin the total mass to exactly n so the grid is a copula at (1, 1);
-    # for unit weights the factor is exactly 1.0 and nothing changes
+    Every copula grid of the package comes from here: the point estimators
+    pass unit or kernel weights, bootstrap replicates pass resample counts
+    or counts times weights, all on the ranks of the original rows.
+    """
+    n = ranks1.n
     total = v.sum()
     if not total > 0.0:
         raise ValueError(f"total weight mass must be positive, got {total}")
+    # pin the total mass to exactly n so the grid is a copula at (1, 1); for
+    # multipliers that already sum to n the factor is exactly 1.0
     v = v * (n / total)
-    r1 = margin_ranks(y1) if ranks1 is None else ranks1
-    r2 = margin_ranks(y2) if ranks2 is None else ranks2
-    if variant == RANK_BASED:
-        if rearrange:
-            u1 = _rearranged_pseudo_obs(r1, v)
-            u2 = _rearranged_pseudo_obs(r2, v)
-        else:
-            u1 = r1.pseudo_obs(v)
-            u2 = r2.pseudo_obs(v)
-        values = weighted_rank_copula_values(u1, u2, v, m, n)
-    else:
-        F1 = weighted_marginal_cdf(y1, v)
-        F2 = weighted_marginal_cdf(y2, v)
-        if rearrange:
-            F1 = StepCDF(F1.support, np.sort(F1.cum), True)
-            F2 = StepCDF(F2.support, np.sort(F2.cum), True)
-        i1 = _deheuvels_indices(F1, y1, m)
-        i2 = _deheuvels_indices(F2, y2, m)
-        cells = np.zeros((m + 2, m + 2))
-        np.add.at(cells, (i1, i2), v)
-        values = np.ascontiguousarray(
-            cells.cumsum(axis=0).cumsum(axis=1)[: m + 1, : m + 1] / n
-        )
-    jump = max(
-        float(np.max(np.abs(v))) * r1.max_tie_run,
-        float(np.max(np.abs(v))) * r2.max_tie_run,
-    ) / n
-    return values, jump
+    return weighted_rank_copula_values(
+        ranks1.pseudo_obs(v), ranks2.pseudo_obs(v), v, m, n
+    )
 
 
-def empirical_copula(sample, m=100, variant=RANK_BASED):
-    """Empirical copula of (y1, y2) on the m-grid.
-
-    The default rank-based variant evaluates
-    C(u1, u2) = (1/n) sum_i 1{F1(y1_i) <= u1, F2(y2_i) <= u2} with empirical
-    marginal CDFs.  The deheuvels variant thresholds the outcomes at marginal
-    quantiles instead; the two differ by at most one rank per margin.
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    v = np.ones(sample.n)
-    values, jump = _grid_from_sample(sample.y1, sample.y2, v, m, variant)
+def _point_grid(sample, v, m, two_increasing):
+    r1 = margin_ranks(sample.y1)
+    r2 = margin_ranks(sample.y2)
+    values = _grid_values(r1, r2, v, m)
+    # the largest marginal atom: the heaviest weight share on the longest
+    # tie run
+    jump = float(np.max(np.abs(v))) / v.sum() * max(r1.max_tie_run, r2.max_tie_run)
     return CopulaGrid(
         m=m,
         values=values,
-        two_increasing=True,
+        two_increasing=two_increasing,
         margins_uniform=_margins_uniform(values, m, jump),
     )
 
 
-def counterfactual_copula(sample, w, m=100, variant=RANK_BASED, rearrange=False):
+def empirical_copula(sample, m=100):
+    """Empirical copula of (y1, y2) on the m-grid.
+
+    C(u1, u2) = (1/n) sum_i 1{F1(y1_i) <= u1, F2(y2_i) <= u2} with empirical
+    marginal CDFs evaluated at the data points (rank pseudo-observations).
+    """
+    return _point_grid(sample, np.ones(sample.n), m, True)
+
+
+def counterfactual_copula(sample, w, m=100):
     """Counterfactual copula of (y1, y2) under the weights w on the m-grid.
 
-    Rank-based variant (default):
     C*(u1, u2) = (1/n) sum_i W_i 1{F*_1(y1_i) <= u1, F*_2(y2_i) <= u2}
     with weighted marginal CDFs F*_j(y) = (1/n) sum_i W_i 1{y_ji <= y}.
     With unit weights this coincides with ``empirical_copula`` exactly.
 
     Negative weights (higher-order kernels) can break monotonicity of the
-    weighted marginals; the default leaves the estimate untouched and clears
-    the two_increasing flag.  ``rearrange=True`` opts into sorting the
-    marginal CDF values into monotone order first.
+    weighted marginals; the estimate is left untouched and the
+    two_increasing flag is cleared.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if not isinstance(w, WeightVector):
         w = WeightVector.from_array(w)
-    values, jump = _grid_from_sample(
-        sample.y1, sample.y2, w.w, m, variant, rearrange=rearrange
-    )
-    return CopulaGrid(
-        m=m,
-        values=values,
-        two_increasing=w.negative_count == 0,
-        margins_uniform=_margins_uniform(values, m, jump),
-    )
+    return _point_grid(sample, w.w, m, w.negative_count == 0)

@@ -7,6 +7,7 @@ kernels over the coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,20 +20,11 @@ _FAMILIES = (EPANECHNIKOV, GAUSSIAN_TRUNCATED, HIGHER_ORDER)
 
 # mass of the standard normal on [-1, 1], used to renormalize the truncated
 # Gaussian kernel so it still integrates to one
-_PHI_NORM = None
+_PHI_NORM = math.erf(1.0 / math.sqrt(2.0))
 
 
 class DegenerateCovariateError(ValueError):
     """A covariate has zero sample variation, so no bandwidth can be formed."""
-
-
-def _truncated_gaussian_norm():
-    global _PHI_NORM
-    if _PHI_NORM is None:
-        from scipy.special import ndtr
-
-        _PHI_NORM = float(ndtr(1.0) - ndtr(-1.0))
-    return _PHI_NORM
 
 
 def _epanechnikov_even_moment(p):
@@ -60,7 +52,7 @@ def higher_order_coefficients(order):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A product kernel: family, moment order and coordinate dimension.
+    """A product kernel: family and moment order.
 
     Parameters
     ----------
@@ -71,13 +63,10 @@ class KernelSpec:
         The first two families have order 2; ``higher_order`` builds a
         polynomial-multiplied Epanechnikov kernel attaining the given order
         (such kernels take negative values for order > 2).
-    dim : int
-        Number of coordinates of the product construction.
     """
 
     family: str = EPANECHNIKOV
     order: int = 2
-    dim: int = 1
     _poly: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -85,8 +74,6 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.order < 2:
             raise ValueError(f"kernel order must be >= 2, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"kernel dim must be >= 1, got {self.dim}")
         if self.family != HIGHER_ORDER and self.order != 2:
             raise ValueError(f"{self.family} kernel has order 2, got {self.order}")
         if self.family == HIGHER_ORDER:
@@ -106,7 +93,7 @@ def kernel_1d(spec, u):
     if spec.family == EPANECHNIKOV:
         vals = 0.75 * (1.0 - u * u)
     elif spec.family == GAUSSIAN_TRUNCATED:
-        vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _truncated_gaussian_norm())
+        vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _PHI_NORM)
     else:
         u2 = u * u
         poly = np.zeros_like(u)
@@ -114,19 +101,6 @@ def kernel_1d(spec, u):
             poly = poly * u2 + a
         vals = poly * (0.75 * (1.0 - u2))
     return np.where(inside, vals, 0.0)
-
-
-def eval_kernel(spec, u):
-    """Product-kernel value at a point ``u`` of dimension ``spec.dim``.
-
-    Returns zero outside [-1, 1]^d.  Raises on non-finite input.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (spec.dim,):
-        raise ValueError(f"expected a vector of length {spec.dim}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("kernel argument must be finite")
-    return float(np.prod(kernel_1d(spec, u)))
 
 
 @dataclass(frozen=True)

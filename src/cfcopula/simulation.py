@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import association
-from .bootstrap import BootstrapConfig, run_bootstrap
+from .bootstrap import BootstrapConfig, derived_seed, run_bootstrap
 from .copula import (
     CopulaGrid,
     ObservationSample,
@@ -105,6 +104,8 @@ def bvn_cdf(a, b, r, tol=1e-10):
     24-point rule with bisection refinement reaches the tolerance quickly.
     ``b`` may be a vector; the integral is shared across its entries.
     """
+    from scipy.special import ndtr
+
     if not -1.0 < r < 1.0:
         raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -127,6 +128,8 @@ def gaussian_copula_grid(r, m=100):
     rows accumulate panel integrals between consecutive normal quantiles so
     each quantile row is produced by one pass.
     """
+    from scipy.special import ndtr, ndtri
+
     if not -1.0 < r < 1.0:
         raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
     u = np.arange(1, m) / m
@@ -221,6 +224,12 @@ class SimStudyConfig:
             raise ValueError("sample sizes must be at least 2")
         if self.bootstrap_b < 0 or self.bootstrap_b == 1:
             raise ValueError("bootstrap_b must be 0 (skip) or at least 2")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"coverage level must lie in (0, 1), got {self.level}")
+        if self.m < 2 or self.m % 2:
+            raise ValueError(f"grid m must be even and >= 2, got {self.m}")
+        if self.bandwidth_constant <= 0:
+            raise ValueError("bandwidth constant must be positive")
 
 
 @dataclass
@@ -267,13 +276,6 @@ class SimReport:
 
 def _replication_seed(master, n, rep):
     return np.random.SeedSequence(entropy=master, spawn_key=(n, rep))
-
-
-def _derived_int_seed(master, n, rep):
-    words = np.random.SeedSequence(
-        entropy=master, spawn_key=(n, rep, 1)
-    ).generate_state(2)
-    return int(words[0]) | (int(words[1]) << 32)
 
 
 def run_study(config):
@@ -353,7 +355,7 @@ def run_study(config):
                     BootstrapConfig(
                         B=config.bootstrap_b,
                         level=config.level,
-                        seed=_derived_int_seed(config.seed, n, rep),
+                        seed=derived_seed(config.seed, (n, rep, 1)),
                         recompute_weights=config.recompute_weights,
                     ),
                     w=weights,

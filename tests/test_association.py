@@ -84,7 +84,7 @@ def test_countermonotone_grid_identities(m):
 
 def test_cell_masses_sum_to_grid_corner():
     grid = empirical_copula(_rand_sample(57, 3), m=10)
-    masses = cell_masses(grid).masses
+    masses = cell_masses(grid)
     assert masses.sum() == pytest.approx(grid.values[10, 10], abs=1e-12)
 
 

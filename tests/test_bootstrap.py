@@ -1,27 +1,31 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfcopula.bootstrap import (
     BootstrapConfig,
     DegenerateReplicateError,
-    _draw_counts,
+    _draw_replicate,
+    _grid_pair,
     _grid_pair_from_multipliers,
     _is_degenerate,
     bootstrap_replicate,
     centered_quantile,
     multinomial_counts,
     run_bootstrap,
-    sup_band,
 )
 from cfcopula.copula import (
+    BandwidthTooSmallError,
     ObservationSample,
     counterfactual_copula,
     counterfactual_weights,
     empirical_copula,
     margin_ranks,
-    unit_weights,
+    weighted_rank_copula_values,
 )
-from cfcopula.kernels import BandwidthRule
+from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, scale_from_sample
+from cfcopula.simulation import dgp_draw
 
 
 def _sample(n, seed, shift=0.25):
@@ -68,8 +72,19 @@ def test_degeneracy_detector():
 
 
 def test_draw_counts_reports_redraws():
-    counts, redraws = _draw_counts(50, np.random.default_rng(1))
+    counts, v_cf, redraws = _draw_replicate(
+        50, np.random.default_rng(1), lambda c: c * 2.0
+    )
     assert counts.sum() == 50 and redraws == 0
+    assert np.array_equal(v_cf, counts * 2.0)
+
+
+def test_replicate_without_donor_hits_the_retry_cap():
+    def no_donor(counts):
+        raise BandwidthTooSmallError([0], 0.1)
+
+    with pytest.raises(DegenerateReplicateError):
+        _draw_replicate(20, np.random.default_rng(0), no_donor, max_retries=3)
 
 
 def test_unit_multipliers_reproduce_point_grids_bitwise():
@@ -167,13 +182,88 @@ def test_recompute_weights_mode_reruns_kernel_per_replicate():
 
 def test_bootstrap_replicate_single_draw():
     sample = _sample(30, 10)
-    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
     counts = multinomial_counts(30, np.random.default_rng(2))
-    act, cf, reports = bootstrap_replicate(sample, counts, w.w, m=10)
-    assert act.values.shape == (11, 11) and cf.values.shape == (11, 11)
-    assert set(reports) == {"actual", "counterfactual", "effect"}
-    assert act.values[10, 10] == pytest.approx(1.0, abs=1e-12)
-    assert cf.values[10, 10] == pytest.approx(1.0, abs=1e-12)
+    v_cf = bootstrap_replicate(sample, counts, KernelSpec(), 3.0, None)
+    # recomputed weights live on the resampled rows only and keep mass n
+    assert v_cf.shape == (30,)
+    assert np.all(v_cf[counts == 0] == 0.0)
+    assert np.all(v_cf[counts > 0] > 0.0)
+    assert v_cf.sum() == pytest.approx(30.0, abs=1e-9)
+    act, cf = _grid_pair(margin_ranks(sample.y1), margin_ranks(sample.y2),
+                         counts, v_cf, 10)
+    assert act.shape == (11, 11) and cf.shape == (11, 11)
+    assert act[10, 10] == pytest.approx(1.0, abs=1e-12)
+    assert cf[10, 10] == pytest.approx(1.0, abs=1e-12)
+
+
+def _resample_and_rerank(sample, counts, kernel, rule, m):
+    # the recompute replicate built literally: expand the counts into a row
+    # resample, rebuild bandwidth and weights on it, and rank it afresh
+    n = sample.n
+    rows = np.repeat(np.arange(n), counts)
+    resample = ObservationSample(
+        y1=sample.y1[rows], y2=sample.y2[rows], x=sample.x[rows],
+        xstar=sample.xstar[rows], discrete_mask=sample.discrete_mask,
+    )
+    h = bandwidth(
+        replace(rule, scale=scale_from_sample(resample.x, resample.discrete_mask)), n
+    )
+    wb = counterfactual_weights(resample.x, resample.xstar, kernel=kernel, h=h,
+                                discrete_mask=resample.discrete_mask)
+    r1 = margin_ranks(resample.y1)
+    r2 = margin_ranks(resample.y2)
+    ones = np.ones(n)
+    act = weighted_rank_copula_values(
+        r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m, n
+    )
+    vb = wb.w * (n / wb.w.sum())
+    cf = weighted_rank_copula_values(r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m, n)
+    return act, cf
+
+
+def test_recompute_replicate_matches_resample_and_rerank():
+    """Folding the recomputed weights onto the original rows and reusing the
+    original ranks reproduces the explicit resample: the actual grid bitwise,
+    the counterfactual grid up to summation order."""
+    rng = np.random.default_rng(21)
+    x = np.column_stack([rng.normal(size=80), rng.integers(0, 3, size=80)])
+    tied = ObservationSample(
+        y1=np.round(x[:, 0] + rng.normal(size=80), 1),
+        y2=np.round(x[:, 1] + rng.normal(size=80), 1),
+        x=x, xstar=x + np.array([0.3, 0.0]),
+        discrete_mask=np.array([False, True]),
+    )
+    cases = [
+        (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(),
+         BandwidthRule(), 100),
+        (tied, KernelSpec(family="higher_order", order=4),
+         BandwidthRule(constant=8.0), 20),
+    ]
+    for sample, kernel, rule, m in cases:
+        r1 = margin_ranks(sample.y1)
+        r2 = margin_ranks(sample.y2)
+        for b in range(30):
+            counts = multinomial_counts(sample.n, np.random.default_rng(b))
+            v_cf = bootstrap_replicate(sample, counts, kernel, None, rule)
+            act, cf = _grid_pair(r1, r2, counts, v_cf, m)
+            act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, rule, m)
+            assert np.array_equal(act, act_ref)
+            assert np.max(np.abs(cf - cf_ref)) <= 1e-12
+
+
+def test_recompute_bootstrap_redraws_a_replicate_without_donor():
+    """At n=12 and a narrow bandwidth some resamples leave a counterfactual
+    row without a kernel donor; they are redrawn, not fatal."""
+    sample = dgp_draw(12, np.random.default_rng(0)).sample
+    rule = BandwidthRule(constant=2.0)
+    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    w = counterfactual_weights(sample.x, sample.xstar, h=h)
+    result = run_bootstrap(
+        sample, BootstrapConfig(B=200, seed=0, recompute_weights=True),
+        w=w, kernel=KernelSpec(), h=h, m=100, bandwidth_rule=rule,
+    )
+    assert result.discarded > 0
+    assert all(np.all(np.isfinite(r.replicates)) for r in result.runs.values())
 
 
 def test_covers_helper():
@@ -184,19 +274,3 @@ def test_covers_helper():
     ]
     assert run.covers(run.point)
     assert not run.covers(run.hi + 1.0)
-
-
-def test_sup_band_contains_point_grid():
-    sample = _sample(40, 13)
-    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    point = counterfactual_copula(sample, w, m=10)
-    grids = []
-    for b in range(20):
-        rng = np.random.default_rng(b)
-        counts = multinomial_counts(40, rng)
-        act, cf, _ = bootstrap_replicate(sample, counts, w.w, m=10)
-        grids.append(cf)
-    band = sup_band(grids, point, n=40, level=0.9)
-    assert np.all(band.lo <= point.values + 1e-12)
-    assert np.all(band.hi >= point.values - 1e-12)
-    assert band.lo.min() >= 0.0 and band.hi.max() <= 1.0

@@ -1,6 +1,10 @@
 """End-to-end command tests driven through main(argv) in process."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,19 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
     assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "5",
                  "--to", "3", "--column", "x", "--out-dir", str(tmp_path)]) == 1
 
+    # bad study and bootstrap options fail before any work or output directory
+    fresh = tmp_path / "never"
+    for bad in (["--grid-m", "7"], ["--grid-m", "0"], ["--sizes", "1"]):
+        assert main(["simulate", *bad, "--replications", "1",
+                     "--out-dir", str(fresh)]) == 1
+    for bad in (["--boot-b", "1"], ["--level", "1.5"]):
+        assert main(["bootstrap", *_roles_args(path), "--xstar", "xs", *bad,
+                     "--out-dir", str(fresh)]) == 1
+    assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
+                 "--to", "1", "--column", "x", "--boot-b", "1",
+                 "--out-dir", str(fresh)]) == 1
+    assert not fresh.exists()
+
 
 def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
@@ -241,3 +258,10 @@ def test_numeric_failures_exit_three(dataset, tmp_path):
                "--scenario", "set_constant(x, 0.123456789)",
                "--bandwidth-c", "1e-8", "--out-dir", str(tmp_path)])
     assert rc == 3
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    code = "import sys, cfcopula.cli; assert 'scipy.special' not in sys.modules"
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -4,24 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from cfcopula.copula import (
     BandwidthTooSmallError,
-    DEHEUVELS,
     ObservationSample,
-    RANK_BASED,
-    StepCDF,
-    SupportViolationWarning,
     counterfactual_copula,
-    counterfactual_joint_cdf,
     counterfactual_weights,
     empirical_copula,
-    empirical_cdf,
     frechet_hoeffding_violation,
-    generalized_inverse,
     margin_ranks,
     pseudo_observations,
     support_violations,
     unit_weights,
-    warn_on_support_violations,
-    weighted_marginal_cdf,
 )
 from cfcopula.kernels import KernelSpec
 
@@ -109,7 +100,7 @@ def test_negative_weights_possible_under_higher_order_kernel():
     assert w.sum == pytest.approx(120.0, abs=1e-9)
 
 
-def test_support_violation_indices_and_warning():
+def test_support_violation_indices():
     sample = _sample(50, 4)
     sample = ObservationSample(
         y1=sample.y1, y2=sample.y2, x=sample.x,
@@ -117,38 +108,6 @@ def test_support_violation_indices_and_warning():
     )
     rows = support_violations(sample)
     assert rows.tolist() == [7]
-    with pytest.warns(SupportViolationWarning):
-        warn_on_support_violations(sample)
-
-
-# --- step CDFs and inverses ----------------------------------------------------
-
-def test_weighted_marginal_cdf_reduces_to_empirical():
-    y = np.array([3.0, 1.0, 2.0, 2.0])
-    F = weighted_marginal_cdf(y, unit_weights(4))
-    G = empirical_cdf(y)
-    grid = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-    np.testing.assert_allclose(F(grid), G(grid))
-    np.testing.assert_allclose(F(grid), [0, 0.25, 0.25, 0.75, 0.75, 1.0, 1.0])
-
-
-def test_generalized_inverse_is_left_continuous_quantile():
-    F = empirical_cdf(np.array([1.0, 2.0, 4.0]))
-    # inf{y : F(y) >= u} over the jump structure
-    assert generalized_inverse(F, 0.2) == 1.0
-    assert generalized_inverse(F, 1.0 / 3.0) == 1.0
-    assert generalized_inverse(F, 0.34) == 2.0
-    assert generalized_inverse(F, 1.0) == 4.0
-
-
-def test_counterfactual_joint_cdf_weighted_indicator_mean():
-    sample = _sample(6, 1)
-    w = unit_weights(6)
-    val = counterfactual_joint_cdf(sample, w, np.median(sample.y1), np.median(sample.y2))
-    direct = np.mean(
-        (sample.y1 <= np.median(sample.y1)) & (sample.y2 <= np.median(sample.y2))
-    )
-    assert val == pytest.approx(direct)
 
 
 # --- copula grids --------------------------------------------------------------
@@ -161,7 +120,7 @@ def test_rank_based_copula_hand_example():
         x=np.zeros(4),
         xstar=np.zeros(4),
     )
-    grid = empirical_copula(sample, m=2, variant=RANK_BASED)
+    grid = empirical_copula(sample, m=2)
     assert grid.at(0.5, 0.5) == 0.25
     assert grid.at(1.0, 1.0) == 1.0
     assert grid.at(0.0, 0.5) == 0.0
@@ -198,11 +157,29 @@ def test_unit_weight_counterfactual_equals_empirical_bitwise():
     assert np.array_equal(cf.values, emp.values)
 
 
+def _quantile_inversion_copula(sample, m):
+    # Deheuvels' construction: C(a/m, b/m) = (1/n) #{i : y1_i <= F1^{-1}(a/m),
+    # y2_i <= F2^{-1}(b/m)} with F^{-1}(u) = inf{y : F(y) >= u} of the
+    # empirical CDF, and F^{-1}(0) = -infinity so node 0 stays empty
+    n = sample.n
+    values = np.zeros((m + 1, m + 1))
+    thresholds = []
+    for y in (sample.y1, sample.y2):
+        sy = np.sort(y)
+        k = np.ceil(np.arange(1, m + 1) / m * n - 1e-9).astype(int)
+        thresholds.append(sy[np.maximum(k, 1) - 1])
+    for a in range(1, m + 1):
+        below1 = sample.y1 <= thresholds[0][a - 1]
+        for b in range(1, m + 1):
+            values[a, b] = np.mean(below1 & (sample.y2 <= thresholds[1][b - 1]))
+    return values
+
+
 def test_variants_agree_within_one_over_n():
     sample = _sample(120, 7)
-    a = empirical_copula(sample, m=30, variant=RANK_BASED)
-    b = empirical_copula(sample, m=30, variant=DEHEUVELS)
-    assert np.max(np.abs(a.values - b.values)) <= 1.0 / 120 + 1e-12
+    rank = empirical_copula(sample, m=30).values
+    inversion = _quantile_inversion_copula(sample, 30)
+    assert np.max(np.abs(rank - inversion)) <= 1.0 / 120 + 1e-12
 
 
 def test_rank_invariance_of_grids_is_exact():
@@ -221,16 +198,6 @@ def test_grid_at_rejects_off_grid_points():
     grid = empirical_copula(_sample(20, 13), m=4)
     with pytest.raises(ValueError):
         grid.at(0.3, 0.5)
-
-
-def test_rearranged_counterfactual_remains_valid():
-    sample = _sample(80, 14, shift=0.5)
-    w = counterfactual_weights(
-        sample.x, sample.xstar,
-        kernel=KernelSpec(family="higher_order", order=4), h=2.0,
-    )
-    grid = counterfactual_copula(sample, w, m=20, rearrange=True)
-    assert frechet_hoeffding_violation(grid) <= 2.0 / 20
 
 
 # --- pseudo-observations -------------------------------------------------------

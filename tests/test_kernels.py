@@ -8,7 +8,6 @@ from cfcopula.kernels import (
     DegenerateCovariateError,
     KernelSpec,
     bandwidth,
-    eval_kernel,
     higher_order_coefficients,
     kernel_1d,
     scale_from_sample,
@@ -75,15 +74,6 @@ def test_higher_order_coefficients_reduce_at_order_two():
     coeffs = higher_order_coefficients(2)
     assert coeffs[0] == pytest.approx(1.0)
     assert all(c == 0 for c in coeffs[1:])
-
-
-def test_eval_kernel_is_coordinate_product():
-    spec = KernelSpec(dim=3)
-    for point in ([0.1, -0.2, 0.3], [0.0, 0.5, 0.9], [0.2, 1.2, 0.0]):
-        expected = float(np.prod(kernel_1d(spec, np.asarray(point))))
-        assert eval_kernel(spec, point) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        eval_kernel(spec, [0.1, 0.2])
 
 
 def test_bandwidth_rule_formula():
