@@ -77,6 +77,14 @@ def _trapezoid_nodes(a, m):
     return (float(np.sum(a)) - 0.5 * (float(a[0]) + float(a[-1]))) / m
 
 
+def _rho(cbar, m):
+    return float(12.0 * cbar.sum() / (m * m) - 3.0)
+
+
+def _tau(cbar, grid):
+    return float(4.0 * np.sum(cbar * cell_masses(grid)) - 1.0)
+
+
 def spearman_rho(grid):
     """12 * int C(u1, u2) du1 du2 - 3 with the bilinear cell rule.
 
@@ -84,8 +92,7 @@ def spearman_rho(grid):
     bilinear interpolant exactly, so the independence grid returns exactly
     zero and the comonotone grid returns 1 - 1/m^2.
     """
-    cbar = _corner_average(grid.values)
-    return float(12.0 * cbar.sum() / (grid.m * grid.m) - 3.0)
+    return _rho(_corner_average(grid.values), grid.m)
 
 
 def kendall_tau(grid):
@@ -94,9 +101,7 @@ def kendall_tau(grid):
     The corner average is the trapezoid value of C on the cell and keeps the
     independence grid at exactly zero.
     """
-    cbar = _corner_average(grid.values)
-    masses = cell_masses(grid)
-    return float(4.0 * np.sum(cbar * masses) - 1.0)
+    return _tau(_corner_average(grid.values), grid)
 
 
 def gini_gamma(grid):
@@ -123,10 +128,14 @@ def blomqvist_beta(grid):
 
 
 def measures_from_grid(grid):
-    """All four measures of one grid as an AssociationReport."""
+    """All four measures of one grid as an AssociationReport.
+
+    rho and tau share one corner average of the grid.
+    """
+    cbar = _corner_average(grid.values)
     return AssociationReport(
-        rho=spearman_rho(grid),
-        tau=kendall_tau(grid),
+        rho=_rho(cbar, grid.m),
+        tau=_tau(cbar, grid),
         gamma=gini_gamma(grid),
         beta=blomqvist_beta(grid),
         method=GRID_STIELTJES,

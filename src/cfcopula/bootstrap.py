@@ -56,6 +56,8 @@ class BootstrapConfig:
             raise ValueError(f"need at least 2 bootstrap replicates, got B={self.B}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"coverage level must lie in (0, 1), got {self.level}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

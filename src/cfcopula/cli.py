@@ -253,8 +253,7 @@ class EstimationPieces:
     support_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
-def _estimate(cfg):
-    table = ingest(cfg.input, roles=cfg.roles)
+def _estimate(cfg, table):
     if cfg.scenario_text:
         spec = parse_scenario(cfg.scenario_text)
         xstar_columns, frac = apply_scenario(table, cfg.roles, spec)
@@ -408,7 +407,7 @@ def _write_estimate_outputs(cfg, pieces, out, intervals=None, boot_note=None,
 
 def cmd_estimate(args):
     cfg, _ = _resolve_run_config(args)
-    pieces = _estimate(cfg)
+    pieces = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
     summary = _write_estimate_outputs(cfg, pieces, Path(cfg.out_dir))
     sys.stdout.write(summary)
     return 0
@@ -426,7 +425,7 @@ def _bootstrap(cfg, pieces, seed):
 
 def cmd_bootstrap(args):
     cfg, _ = _resolve_run_config(args)
-    pieces = _estimate(cfg)
+    pieces = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
     result = _bootstrap(cfg, pieces, cfg.seed)
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
@@ -494,6 +493,7 @@ def cmd_sweep(args):
     floor = _merge(args, config, "floor", float, 16.0)
     values = _sweep_values(args, config)
 
+    table = ingest(cfg.input, roles=cfg.roles)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -502,7 +502,7 @@ def cmd_sweep(args):
             text = f"max_with({column}, {value})"
         else:
             text = f"conditional_max({column}, {trigger}, {value}, floor={int(floor) if floor == int(floor) else floor})"
-        pieces = _estimate(replace(cfg, scenario_text=text))
+        pieces = _estimate(replace(cfg, scenario_text=text), table)
         result = _bootstrap(cfg, pieces, derived_seed(cfg.seed, (index,)))
         for measure in MEASURES:
             for target in TARGETS:
@@ -529,10 +529,13 @@ def cmd_sweep(args):
 
 def cmd_synth_data(args):
     config = read_config(args.config) if args.config else {}
-    synth = SynthConfig(
-        n=_merge(args, config, "n", int, 3895),
-        seed=_merge(args, config, "seed", int, 20240801),
-    )
+    try:
+        synth = SynthConfig(
+            n=_merge(args, config, "n", int, 3895),
+            seed=_merge(args, config, "seed", int, 20240801),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(_merge(args, config, "out_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"

@@ -142,12 +142,48 @@ def unit_weights(n):
 
 # --- counterfactual weights -------------------------------------------------
 
+def _row_keys(a):
+    # one opaque byte string per row, so np.unique groups equal rows without
+    # the cost of its axis=0 path; +0.0 maps -0.0 onto 0.0 first
+    a = np.ascontiguousarray(a + 0.0)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
+def _distinct_rows(a):
+    """Distinct rows of a, the index of each row's distinct row, and counts."""
+    _, first, inverse, counts = np.unique(
+        _row_keys(a), return_index=True, return_inverse=True, return_counts=True
+    )
+    return a[first], inverse.ravel(), counts.astype(float)
+
+
+def _cell_ids(src, tgt):
+    """Exact-match cell of every source and target row over the given columns."""
+    if src.shape[1] == 0:
+        return np.zeros(src.shape[0], dtype=np.intp), np.zeros(tgt.shape[0], dtype=np.intp)
+    _, ids = np.unique(_row_keys(np.concatenate([src, tgt])), return_inverse=True)
+    ids = ids.ravel()
+    src_ids, tgt_ids = ids[: src.shape[0]], ids[src.shape[0]:].copy()
+    # NaN never equals itself, so a target with a NaN in a discrete
+    # coordinate has no donor
+    tgt_ids[np.isnan(tgt).any(axis=1)] = -1
+    return src_ids, tgt_ids
+
+
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
                            chunk=512):
     """Kernel-ratio weights transporting the sample to the manipulated covariates.
 
     W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h).  Each target
     column is normalized by its donor total, so the weights sum to n.
+
+    Equal rows of ``x`` (and of ``xstar``) are collapsed to one distinct
+    row carrying its multiplicity, and rows are grouped into exact-match
+    cells over the discrete coordinates: a product-kernel entry is zero
+    unless source and target share a cell, so each cell only evaluates the
+    kernel of its own distinct sources against its own distinct targets,
+    over the continuous coordinates.  The weights equal the dense n x n
+    computation up to floating-point summation order.
 
     Parameters
     ----------
@@ -160,46 +196,70 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
         ignore it and match exactly.
     discrete_mask : array of bool, shape (d,), optional
     chunk : int
-        Number of target columns processed at a time to bound memory.
+        Most distinct targets of one cell whose kernel block is formed at a
+        time; a block holds at most (distinct sources of the cell) x chunk
+        entries, which bounds memory.
 
     Raises
     ------
     BandwidthTooSmallError
-        If some target column has a zero donor total.
+        If some target column has a zero donor total; its ``columns`` are
+        the offending rows of ``xstar`` in increasing order.
     """
     X = _as_matrix(x)
     Xs = _as_matrix(xstar)
     if Xs.shape != X.shape:
         raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
-    n, d = X.shape
+    d = X.shape[1]
     kernel = KernelSpec() if kernel is None else kernel
     hvec = np.broadcast_to(np.asarray(h, dtype=float), (d,))
     mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask, dtype=bool)
     if np.any(hvec[~mask] <= 0):
         raise ValueError("bandwidth must be positive for continuous coordinates")
 
-    w = np.zeros(n)
-    bad = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        kmat = np.ones((n, stop - start))
-        for c in range(d):
-            block = Xs[start:stop, c][None, :]
-            if mask[c]:
-                kmat *= X[:, c][:, None] == block
-            else:
-                kmat *= kernel_1d(kernel, (X[:, c][:, None] - block) / hvec[c])
-        denom = kmat.sum(axis=0)
-        zero = denom == 0.0
-        if np.any(zero):
-            bad.extend((start + np.flatnonzero(zero)).tolist())
-            kmat = kmat[:, ~zero]
-            denom = denom[~zero]
-        if denom.size:
-            w += (kmat / denom).sum(axis=1)
-    if bad:
-        raise BandwidthTooSmallError(bad, h)
-    return WeightVector.from_array(w)
+    src, src_inv, src_counts = _distinct_rows(X)
+    tgt, tgt_inv, tgt_counts = _distinct_rows(Xs)
+    src_cell, tgt_cell = _cell_ids(src[:, mask], tgt[:, mask])
+    src_cont, tgt_cont, hcont = src[:, ~mask], tgt[:, ~mask], hvec[~mask]
+
+    src_order = np.argsort(src_cell, kind="stable")
+    src_sorted = src_cell[src_order]
+    tgt_order = np.argsort(tgt_cell, kind="stable")
+    cells, tgt_starts = np.unique(tgt_cell[tgt_order], return_index=True)
+    tgt_stops = np.r_[tgt_starts[1:], tgt_order.size]
+    src_starts = np.searchsorted(src_sorted, cells, side="left")
+    src_stops = np.searchsorted(src_sorted, cells, side="right")
+
+    w = np.zeros(src.shape[0])
+    bad = np.zeros(tgt.shape[0], dtype=bool)
+    for t0, t1, s0, s1 in zip(tgt_starts, tgt_stops, src_starts, src_stops):
+        si = src_order[s0:s1]
+        xs = src_cont[si]
+        for start in range(t0, t1, chunk):
+            ti = tgt_order[start:min(start + chunk, t1)]
+            # starting the product at its first factor, not at a block of
+            # ones, saves one sources x targets buffer
+            kmat = None
+            for c in range(hcont.size):
+                kc = kernel_1d(
+                    kernel, (xs[:, c][:, None] - tgt_cont[ti, c][None, :]) / hcont[c]
+                )
+                if kmat is None:
+                    kmat = kc
+                else:
+                    kmat *= kc
+            if kmat is None:
+                kmat = np.ones((si.size, ti.size))
+            denom = src_counts[si] @ kmat
+            zero = denom == 0.0
+            if np.any(zero):
+                # the call fails, so the weights of this block are not needed
+                bad[ti[zero]] = True
+                continue
+            w[si] += kmat @ (tgt_counts[ti] / denom)
+    if np.any(bad):
+        raise BandwidthTooSmallError(np.flatnonzero(bad[tgt_inv]).tolist(), h)
+    return WeightVector.from_array(w[src_inv])
 
 
 # --- rank machinery shared by all grid estimators ----------------------------

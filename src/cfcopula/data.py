@@ -224,6 +224,10 @@ class SynthConfig:
     mobility_intercept: float = 0.30
     mobility_slope: float = 0.025
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 def synth_table(config=None):
     """Draw the synthetic dataset as a Table; deterministic given the seed."""

@@ -230,6 +230,8 @@ class SimStudyConfig:
             raise ValueError(f"grid m must be even and >= 2, got {self.m}")
         if self.bandwidth_constant <= 0:
             raise ValueError("bandwidth constant must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -142,6 +142,17 @@ def test_measures_from_grid_tags_method():
     assert set(report.as_dict()) == {"rho", "tau", "gamma", "beta"}
 
 
+def test_measures_from_grid_equals_single_measures_bitwise():
+    sample = _rand_sample(120, 6)
+    w = counterfactual_weights(sample.x, sample.x + 0.3, h=1.2)
+    for grid in (empirical_copula(sample, m=20), counterfactual_copula(sample, w, m=50)):
+        report = measures_from_grid(grid)
+        assert report.rho == spearman_rho(grid)
+        assert report.tau == kendall_tau(grid)
+        assert report.gamma == gini_gamma(grid)
+        assert report.beta == blomqvist_beta(grid)
+
+
 def test_policy_effect_subtracts_by_measure():
     a = measures_from_grid(empirical_copula(_rand_sample(60, 1), m=10))
     c = measures_from_grid(empirical_copula(_rand_sample(60, 2), m=10))

@@ -118,6 +118,8 @@ def test_bootstrap_config_validation():
         BootstrapConfig(B=1)
     with pytest.raises(ValueError):
         BootstrapConfig(level=1.0)
+    with pytest.raises(ValueError):
+        BootstrapConfig(seed=-1)
 
 
 def test_run_bootstrap_targets_and_interval_shape():

@@ -174,6 +174,24 @@ def test_sweep_table_shape_and_affected_fraction(dataset, tmp_path):
         assert float(r[4]) <= float(r[3]) <= float(r[5])
 
 
+def test_sweep_reads_its_input_once(dataset, tmp_path, monkeypatch):
+    import cfcopula.cli as cli
+
+    path, _ = dataset
+    calls = []
+
+    def counting_ingest(*args, **kwargs):
+        calls.append(args)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest", counting_ingest)
+    rc = main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
+               "--to", "2", "--column", "x", "--bandwidth-c", "20",
+               "--boot-b", "4", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_synth_data_command(tmp_path):
     out = tmp_path / "d"
     assert main(["synth-data", "--n", "250", "--seed", "11",
@@ -236,6 +254,17 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
     assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
                  "--to", "1", "--column", "x", "--boot-b", "1",
                  "--out-dir", str(fresh)]) == 1
+    # a negative seed is a usage error, not a traceback from the RNG
+    assert main(["simulate", "--seed", "-3", "--replications", "1",
+                 "--out-dir", str(fresh)]) == 1
+    assert main(["bootstrap", *_roles_args(path), "--xstar", "xs",
+                 "--seed", "-1", "--out-dir", str(fresh)]) == 1
+    assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
+                 "--to", "1", "--column", "x", "--seed", "-1",
+                 "--out-dir", str(fresh)]) == 1
+    assert main(["synth-data", "--seed", "-2", "--n", "10",
+                 "--out-dir", str(fresh)]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
     assert not fresh.exists()
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfcopula.bootstrap import bootstrap_replicate, multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
@@ -14,7 +15,7 @@ from cfcopula.copula import (
     support_violations,
     unit_weights,
 )
-from cfcopula.kernels import KernelSpec
+from cfcopula.kernels import KernelSpec, kernel_1d
 
 
 def _sample(n, seed, d=2, shift=0.0):
@@ -98,6 +99,138 @@ def test_negative_weights_possible_under_higher_order_kernel():
     )
     assert w.negative_count > 0  # sign-changing kernels leak negative mass
     assert w.sum == pytest.approx(120.0, abs=1e-9)
+
+
+def _dense_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None, chunk=512):
+    # the n x n product kernel built literally, chunk target columns at a
+    # time: the reference for the distinct-row, exact-match-cell engine
+    X = np.asarray(x, dtype=float).reshape(len(x), -1)
+    Xs = np.asarray(xstar, dtype=float).reshape(len(xstar), -1)
+    n, d = X.shape
+    kernel = KernelSpec() if kernel is None else kernel
+    hvec = np.broadcast_to(np.asarray(h, dtype=float), (d,))
+    mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask)
+    w = np.zeros(n)
+    bad = []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        kmat = np.ones((n, stop - start))
+        for c in range(d):
+            block = Xs[start:stop, c][None, :]
+            if mask[c]:
+                kmat *= X[:, c][:, None] == block
+            else:
+                kmat *= kernel_1d(kernel, (X[:, c][:, None] - block) / hvec[c])
+        denom = kmat.sum(axis=0)
+        zero = denom == 0.0
+        if np.any(zero):
+            bad.extend((start + np.flatnonzero(zero)).tolist())
+            kmat = kmat[:, ~zero]
+            denom = denom[~zero]
+        if denom.size:
+            w += (kmat / denom).sum(axis=1)
+    if bad:
+        raise BandwidthTooSmallError(bad, h)
+    return w
+
+
+def _assert_matches_dense(x, xstar, **kwargs):
+    w = counterfactual_weights(x, xstar, **kwargs)
+    ref = _dense_weights(x, xstar, **kwargs)
+    assert np.max(np.abs(w.w - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(w.sum - len(ref)) <= 1e-9
+    return w
+
+
+def _mixed_covariates(n, rng):
+    # binary and three-level discrete columns next to integer-valued
+    # smoothed columns: most rows repeat, most cells are populated
+    return np.column_stack([
+        rng.integers(0, 2, size=n),
+        rng.integers(0, 3, size=n),
+        rng.integers(8, 18, size=n),
+        rng.integers(1950, 1960, size=n),
+    ]).astype(float)
+
+
+def test_weights_match_dense_on_duplicated_mixed_covariates():
+    rng = np.random.default_rng(31)
+    x = _mixed_covariates(600, rng)
+    xstar = x.copy()
+    xstar[:, 2] = np.maximum(xstar[:, 2], 14.0)
+    mask = np.array([True, True, False, False])
+    for chunk in (512, 7):
+        _assert_matches_dense(x, xstar, h=np.array([1.0, 1.0, 3.0, 4.0]),
+                              discrete_mask=mask, chunk=chunk)
+    # every coordinate matched exactly: the kernel is the cell indicator
+    _assert_matches_dense(x, x[::-1], discrete_mask=np.ones(4, dtype=bool))
+
+
+def test_weights_match_dense_on_distinct_continuous_covariates():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(300, 3))
+    _assert_matches_dense(x, x + 0.1 * rng.normal(size=(300, 3)), h=1.4, chunk=64)
+
+
+def test_weights_match_dense_under_higher_order_kernel():
+    rng = np.random.default_rng(33)
+    x = np.column_stack([np.round(rng.normal(size=250), 1), rng.integers(0, 2, size=250)])
+    w = _assert_matches_dense(
+        x, x + np.array([0.4, 0.0]), kernel=KernelSpec(family="higher_order", order=4),
+        h=0.8, discrete_mask=np.array([False, True]),
+    )
+    assert w.negative_count > 0
+
+
+def test_weights_match_dense_with_per_coordinate_bandwidth():
+    rng = np.random.default_rng(34)
+    x = np.column_stack([rng.integers(0, 6, size=200), rng.normal(scale=10.0, size=200)])
+    _assert_matches_dense(x, x * np.array([1.0, 0.9]), h=np.array([2.5, 15.0]),
+                          kernel=KernelSpec(family="gaussian_truncated"))
+
+
+def test_weights_treat_negative_zero_as_zero():
+    x = np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 0.5], [0.0, 2.0], [1.0, -0.0]])
+    xstar = np.array([[-0.0, 0.5], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.5], [1.0, 0.0]])
+    for mask in (np.array([True, False]), None):
+        _assert_matches_dense(x, xstar, h=2.0, discrete_mask=mask)
+
+
+def test_weights_report_the_dense_rows_without_donor():
+    rng = np.random.default_rng(35)
+    x = _mixed_covariates(400, rng)
+    x[:, 1] = np.minimum(x[:, 1], 1.0)
+    xstar = x.copy()
+    # discrete cells (., 2) have no source row; smoothed values far out of range
+    xstar[[380, 5, 212], 1] = 2.0
+    xstar[[17, 300], 3] = 2100.0
+    # NaN never matches, itself included
+    x[9, 0] = xstar[9, 0] = xstar[333, 0] = np.nan
+    kwargs = dict(h=np.array([1.0, 1.0, 3.0, 4.0]),
+                  discrete_mask=np.array([True, True, False, False]), chunk=50)
+    with pytest.raises(BandwidthTooSmallError) as err:
+        counterfactual_weights(x, xstar, **kwargs)
+    with pytest.raises(BandwidthTooSmallError) as ref:
+        _dense_weights(x, xstar, **kwargs)
+    assert err.value.columns == ref.value.columns == [5, 9, 17, 212, 300, 333, 380]
+
+
+def test_recompute_replicate_weights_match_dense():
+    rng = np.random.default_rng(36)
+    x = _mixed_covariates(150, rng)
+    xstar = x.copy()
+    xstar[:, 2] = np.maximum(xstar[:, 2], 13.0)
+    mask = np.array([True, True, False, False])
+    h = np.array([1.0, 1.0, 4.0, 5.0])
+    sample = ObservationSample(y1=rng.normal(size=150), y2=rng.normal(size=150),
+                               x=x, xstar=xstar, discrete_mask=mask)
+    counts = multinomial_counts(150, np.random.default_rng(7))
+    rows = np.repeat(np.arange(150), counts)
+    v_cf = bootstrap_replicate(sample, counts, KernelSpec(), h, None)
+    ref = np.bincount(rows, weights=_dense_weights(x[rows], xstar[rows], h=h,
+                                                   discrete_mask=mask),
+                      minlength=150)
+    assert np.max(np.abs(v_cf - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_support_violation_indices():

@@ -130,6 +130,8 @@ def test_config_validation():
         SimStudyConfig(bootstrap_b=1)
     with pytest.raises(ValueError):
         SimStudyConfig(sizes=(1,))
+    with pytest.raises(ValueError):
+        SimStudyConfig(seed=-1)
 
 
 def test_run_study_error_metrics_only(tmp_path):
