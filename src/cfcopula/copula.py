@@ -294,11 +294,26 @@ def margin_ranks(y):
 
 
 def _atom_indices(u, m):
-    # first grid node k/m >= u_i, comparing floats exactly; m+1 marks atoms
-    # genuinely above 1 (only float dust within 1e-9 is clamped back)
-    nodes = np.arange(m + 1) / m
-    idx = np.searchsorted(nodes, u, side="left")
-    return np.where((idx > m) & (u <= 1.0 + _EPS), m, idx)
+    """Index of the first grid node k/m >= u_i, comparing floats exactly.
+
+    The nodes are the doubles k/m, bitwise the values of
+    ``np.arange(m + 1) / m``, so the answer is what a binary search over
+    them returns, without the search.  ceil(u*m) is within one of it:
+    u*m and every k/m are correctly rounded, each off by at most half an
+    ulp, which is far below 1 for |u*m| < 2**52 (beyond that u is outside
+    [0, 1] and the clip decides).  So one correction step each way
+    suffices: step up if the node k/m is below u, then step down if the
+    node (k-1)/m already reaches u.  At most one of the two fires.
+
+    Index m+1 marks atoms genuinely above 1; float dust within 1e-9 of 1
+    is clamped back to node m.
+    """
+    k = np.ceil(u * m)
+    k += k / m < u
+    k -= (k - 1.0) / m >= u
+    # here u in (1, 1 + 1e-9] has k = m+1, the first node above 1
+    k -= (k > m) & (u <= 1.0 + _EPS)
+    return np.minimum(np.maximum(k, 0), m + 1).astype(np.intp)
 
 
 def weighted_rank_copula_values(u1, u2, v, m, n):
@@ -307,12 +322,15 @@ def weighted_rank_copula_values(u1, u2, v, m, n):
     Atoms with a pseudo-observation above 1 + 1e-9 (possible only under
     negative weights) fall off the grid and are excluded.
     """
-    i1 = _atom_indices(np.asarray(u1, dtype=float), m)
-    i2 = _atom_indices(np.asarray(u2, dtype=float), m)
-    cells = np.zeros((m + 2, m + 2))
-    np.add.at(cells, (i1, i2), v)
-    values = cells.cumsum(axis=0).cumsum(axis=1)[: m + 1, : m + 1] / n
-    return np.ascontiguousarray(values)
+    # one pass over both margins halves the per-call overhead at small n
+    atoms = _atom_indices(np.concatenate((u1, u2), dtype=float), m)
+    i1, i2 = atoms[: len(u1)], atoms[len(u1):]
+    # bincount adds each cell's weights in input order, as an unbuffered
+    # scatter-add would, so the cells are the same doubles
+    cells = np.bincount(
+        i1 * (m + 2) + i2, weights=v, minlength=(m + 2) ** 2
+    ).reshape(m + 2, m + 2)
+    return cells[: m + 1, : m + 1].cumsum(axis=0).cumsum(axis=1) / n
 
 
 @dataclass(frozen=True)

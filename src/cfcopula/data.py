@@ -225,6 +225,9 @@ class SynthConfig:
     mobility_slope: float = 0.025
 
     def __post_init__(self):
+        # DataError is a ValueError, so the CLI reports both as usage errors
+        if self.n < 2:
+            raise DataError(f"need n >= 2 synthetic rows, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -232,8 +235,6 @@ class SynthConfig:
 def synth_table(config=None):
     """Draw the synthetic dataset as a Table; deterministic given the seed."""
     cfg = config if config is not None else SynthConfig()
-    if cfg.n < 2:
-        raise DataError(f"need n >= 2 synthetic rows, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
 

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_copula import _add_at_grid_values
 
+from cfcopula import copula
 from cfcopula.bootstrap import (
     BootstrapConfig,
     DegenerateReplicateError,
@@ -266,6 +268,44 @@ def test_recompute_bootstrap_redraws_a_replicate_without_donor():
     )
     assert result.discarded > 0
     assert all(np.all(np.isfinite(r.replicates)) for r in result.runs.values())
+
+
+def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
+    """Both modes give the same doubles with the binary-search, add.at grid."""
+    sample = _sample(48, 14)
+    # coarse outcomes tie, and the order-4 kernel leaks negative mass
+    sample = replace(sample, y1=np.round(sample.y1), y2=np.round(sample.y2, 1))
+    kernel = KernelSpec(family="higher_order", order=4)
+    w = counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=0.8)
+    assert w.negative_count > 0
+
+    def runs():
+        return [
+            run_bootstrap(
+                sample, BootstrapConfig(B=30, seed=8, recompute_weights=redo),
+                w=w, kernel=kernel, h=0.8, m=10,
+                bandwidth_rule=BandwidthRule(constant=2.0),
+            )
+            for redo in (False, True)
+        ]
+
+    new = runs()
+    calls = []
+
+    def oracle(*args):
+        calls.append(1)
+        return _add_at_grid_values(*args)
+
+    monkeypatch.setattr(copula, "weighted_rank_copula_values", oracle)
+    old = runs()
+    assert len(calls) == 2 * 2 * (1 + 30)
+    for a, b in zip(new, old):
+        assert a.discarded == b.discarded
+        for key, run in a.runs.items():
+            ref = b.runs[key]
+            assert run.replicates.tobytes() == ref.replicates.tobytes()
+            fields = np.array([run.point, run.q, run.lo, run.hi])
+            assert fields.tobytes() == np.array([ref.point, ref.q, ref.lo, ref.hi]).tobytes()
 
 
 def test_covers_helper():

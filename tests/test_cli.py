@@ -265,6 +265,9 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
     assert main(["synth-data", "--seed", "-2", "--n", "10",
                  "--out-dir", str(fresh)]) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
+    # too few synthetic rows is a bad option, not a data error after mkdir
+    assert main(["synth-data", "--n", "1", "--out-dir", str(fresh)]) == 1
+    assert "need n >= 2" in capsys.readouterr().err
     assert not fresh.exists()
 
 

@@ -6,6 +6,7 @@ from cfcopula.bootstrap import bootstrap_replicate, multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
+    _atom_indices,
     counterfactual_copula,
     counterfactual_weights,
     empirical_copula,
@@ -14,6 +15,7 @@ from cfcopula.copula import (
     pseudo_observations,
     support_violations,
     unit_weights,
+    weighted_rank_copula_values,
 )
 from cfcopula.kernels import KernelSpec, kernel_1d
 
@@ -331,6 +333,105 @@ def test_grid_at_rejects_off_grid_points():
     grid = empirical_copula(_sample(20, 13), m=4)
     with pytest.raises(ValueError):
         grid.at(0.3, 0.5)
+
+
+# --- grid layer against the binary-search oracle ------------------------------
+
+def _searchsorted_atoms(u, m):
+    # first node k/m >= u by binary search over the nodes; m+1 above the grid
+    # except for float dust within 1e-9 of 1
+    nodes = np.arange(m + 1) / m
+    idx = np.searchsorted(nodes, u, side="left")
+    return np.where((idx > m) & (u <= 1.0 + 1e-9), m, idx)
+
+
+def _add_at_grid_values(u1, u2, v, m, n):
+    """The grid layer by binary-search atoms and an ``np.add.at`` scatter."""
+    i1 = _searchsorted_atoms(np.asarray(u1, dtype=float), m)
+    i2 = _searchsorted_atoms(np.asarray(u2, dtype=float), m)
+    cells = np.zeros((m + 2, m + 2))
+    np.add.at(cells, (i1, i2), v)
+    values = cells.cumsum(axis=0).cumsum(axis=1)[: m + 1, : m + 1] / n
+    return np.ascontiguousarray(values)
+
+
+_ORACLE_M = (2, 7, 100, 1000)
+
+
+def _adversarial_u(m, rng):
+    """Every node, two ulps either side of it, values off [0, 1], noise."""
+    nodes = np.arange(m + 2) / m
+    near = [nodes]
+    up = down = nodes
+    for _ in range(2):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, -np.inf)
+        near += [up, down]
+    off_grid = np.array([
+        -0.0, -5e-324, -1e-12, -0.3, -1.0, -1e300, -np.inf,
+        1.0 + 5e-10, 1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 2.0), 1.0 + 2e-9,
+        1.5, 1e300, np.inf,
+    ])
+    dust = 1.0 + rng.uniform(0.0, 1e-9, size=16)
+    noise = rng.uniform(-0.1, 1.1, size=200)
+    return rng.permutation(np.concatenate(near + [off_grid, dust, noise]))
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
+def test_atom_indices_match_binary_search_on_adversarial_values(m):
+    u = _adversarial_u(m, np.random.default_rng(m))
+    assert np.any(u < 0.0) and np.any((u > 1.0) & (u <= 1.0 + 1e-9))
+    assert np.any(u > 1.0 + 1e-9)
+    assert np.array_equal(_atom_indices(u, m), _searchsorted_atoms(u, m))
+
+
+@given(
+    st.integers(min_value=2, max_value=4096),
+    st.lists(st.tuples(st.integers(-3, 4100), st.integers(-3, 3)), max_size=40),
+    # |u| <= 1e300 keeps u*m finite; the infinities are in the values above
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_atom_indices_match_binary_search_near_any_node(m, offsets, floats):
+    # k/m moved by a few ulps, for nodes on, below and above the grid
+    near = []
+    for k, ulps in offsets:
+        x = k / m
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+        near.append(x)
+    u = np.array(near + floats, dtype=float)
+    assert np.array_equal(_atom_indices(u, m), _searchsorted_atoms(u, m))
+
+
+def _higher_order_pseudo_obs(seed, n=120):
+    # order-4 kernel weights leak negative mass, which pushes weighted
+    # pseudo-observations below 0 and above 1; y2 carries ties
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y1 = x + rng.normal(size=n)
+    y2 = np.round(x - rng.normal(size=n))
+    w = counterfactual_weights(
+        x, x + 0.5, kernel=KernelSpec(family="higher_order", order=4), h=0.65
+    )
+    return margin_ranks(y1).pseudo_obs(w.w), margin_ranks(y2).pseudo_obs(w.w), w.w
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
+def test_grid_matches_add_at_oracle_bitwise(m):
+    rng = np.random.default_rng(100 + m)
+    u1 = _adversarial_u(m, rng)
+    u2 = _adversarial_u(m, rng)
+    cases = [(u1, u2, rng.normal(size=u1.size))]
+    cases += [_higher_order_pseudo_obs(seed) for seed in (13, 14)]
+    weighted = np.concatenate([np.r_[p1, p2] for p1, p2, _ in cases[1:]])
+    assert np.any(weighted < 0.0) and np.any(weighted > 1.0 + 1e-9)
+    assert all(np.any(w < 0.0) for _, _, w in cases)
+    for a1, a2, w in cases:
+        got = weighted_rank_copula_values(a1, a2, w, m, w.size)
+        want = _add_at_grid_values(a1, a2, w, m, w.size)
+        assert got.shape == want.shape == (m + 1, m + 1)
+        assert got.tobytes() == want.tobytes()
 
 
 # --- pseudo-observations -------------------------------------------------------
