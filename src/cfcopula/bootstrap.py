@@ -7,9 +7,12 @@ multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate grid is a
 copula at (1, 1) just like the point estimate.  Kernel weights W are NOT
-recomputed per replicate by default; an opt-in mode rebuilds them on the
-resampled rows and folds them back onto the original rows, so both modes
-read every replicate grid off the ranks of the original sample.
+recomputed per replicate by default.  An opt-in mode rebuilds them for
+every resample: the resample is its counts on the original rows, so its
+weights are evaluated on a kernel plan of the sample's distinct rows and
+exact-match cells, built once per run, with the counts as multiplicities,
+and folded back onto the original rows.  Both modes read every replicate
+grid off the ranks of the original sample.
 
 Confidence intervals are symmetric around the point estimate with half-width
 Q/sqrt(n), where Q is the level-quantile of the centered absolute deviations
@@ -31,6 +34,8 @@ from .copula import (
     WeightVector,
     _grid_values,
     counterfactual_weights,
+    kernel_plan,
+    kernel_weights,
     margin_ranks,
 )
 from .kernels import bandwidth as _bandwidth
@@ -172,6 +177,8 @@ def _grid_pair_from_multipliers(ranks1, ranks2, counts, w, m, n):
     The counterfactual multipliers are counts * w; ``n`` is the sample size
     the ranks were built from.  Unit counts give the point estimates.
     """
+    if n != ranks1.n:
+        raise ValueError(f"ranks were built from {ranks1.n} rows, not n={n}")
     return _grid_pair(ranks1, ranks2, counts, counts * w, m)
 
 
@@ -191,34 +198,46 @@ def _reports(act, cf, m):
     }
 
 
-def bootstrap_replicate(sample, counts, kernel, h, bandwidth_rule):
+def bootstrap_replicate(sample, plan, counts, kernel, h, bandwidth_rule):
     """Counterfactual multipliers of one recompute-weights replicate.
 
-    The kernel weights are rebuilt on the rows the counts resample, with the
-    bandwidth rebuilt from their covariate scale when ``bandwidth_rule`` is
-    given (else ``h`` is used), and folded back onto the original rows: row
-    i gets the summed weight of its copies.
+    A row resample is its counts on the original rows, so the kernel
+    weights of the resample are evaluated on ``plan``, the ``kernel_plan``
+    of the sample, with the counts as the multiplicities of its distinct
+    rows.  The bandwidth is rebuilt from the covariate scale of the
+    resampled rows when ``bandwidth_rule`` is given (else ``h`` is used).
+    The weights are folded back onto the original rows: row i gets the
+    summed weight of its copies.  The multipliers are bitwise those of
+    ``counterfactual_weights`` on the resampled rows, folded the same way.
 
     Raises
     ------
     BandwidthTooSmallError
-        If some resampled counterfactual row has no donor.
+        If some resampled counterfactual row has no donor; its ``columns``
+        are original rows of the sample.
     """
     rows = np.repeat(np.arange(sample.n), counts)
-    x = sample.x[rows]
     if bandwidth_rule is not None:
         h = _bandwidth(
             replace(
                 bandwidth_rule,
-                scale=scale_from_sample(x, sample.discrete_mask),
+                scale=scale_from_sample(sample.x[rows], sample.discrete_mask),
             ),
             sample.n,
         )
-    wb = counterfactual_weights(
-        x, sample.xstar[rows], kernel=kernel, h=h,
-        discrete_mask=sample.discrete_mask,
-    )
-    return np.bincount(rows, weights=wb.w, minlength=sample.n)
+    try:
+        w = kernel_weights(
+            plan, kernel, h,
+            np.bincount(plan.src_inv, weights=counts, minlength=plan.src.shape[0]),
+            np.bincount(plan.tgt_inv, weights=counts, minlength=plan.tgt.shape[0]),
+        )
+    except BandwidthTooSmallError as err:
+        # name the resampled rows only: a row left out of the resample can
+        # share its target with one that has no donor
+        raise BandwidthTooSmallError(
+            [j for j in err.columns if counts[j] > 0], h
+        ) from None
+    return np.bincount(rows, weights=w[plan.src_inv[rows]], minlength=sample.n)
 
 
 def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
@@ -248,8 +267,12 @@ def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
     )
 
     if config.recompute_weights:
+        plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+
         def cf_multipliers(counts):
-            return bootstrap_replicate(sample, counts, kernel, h, bandwidth_rule)
+            return bootstrap_replicate(
+                sample, plan, counts, kernel, h, bandwidth_rule
+            )
     else:
         def cf_multipliers(counts):
             return counts * wv

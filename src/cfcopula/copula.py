@@ -29,11 +29,13 @@ class BandwidthTooSmallError(ValueError):
     def __init__(self, columns, h):
         self.columns = list(columns)
         self.h = h
+        # a one-coordinate bandwidth vector reads as the scalar it is
+        h_shown = float(np.ravel(h)[0]) if np.ndim(h) and np.size(h) == 1 else h
         shown = ", ".join(str(j) for j in self.columns[:10])
         more = "" if len(self.columns) <= 10 else f" (+{len(self.columns) - 10} more)"
         super().__init__(
             f"kernel denominator is zero for counterfactual rows [{shown}]{more}: "
-            f"no donor within bandwidth h={h}; increase the bandwidth constant"
+            f"no donor within bandwidth h={h_shown}; increase the bandwidth constant"
         )
 
 
@@ -170,6 +172,126 @@ def _cell_ids(src, tgt):
     return src_ids, tgt_ids
 
 
+@dataclass(frozen=True)
+class KernelPlan:
+    """Distinct rows and exact-match cells of one (x, xstar, discrete_mask).
+
+    Built once and evaluated under any kernel, bandwidth and row
+    multiplicities by ``kernel_weights``.  Distinct rows are in byte-key
+    order, cells in key order of their discrete coordinates, and the rows
+    of a cell in distinct-row order.
+
+    Attributes
+    ----------
+    src, tgt : array, shape (distinct rows, continuous coordinates)
+        Distinct rows of ``x`` and of ``xstar``, continuous coordinates only.
+    src_inv, tgt_inv : array of int, shape (n,)
+        Distinct row of every row of ``x`` and of ``xstar``.
+    src_counts, tgt_counts : array, shape (distinct rows,)
+        Multiplicities of the distinct rows in ``x`` and in ``xstar``.
+    cells : tuple of (array of int, array of int)
+        Distinct source rows and distinct target rows of every exact-match
+        cell that holds a target; targets with a NaN in a discrete
+        coordinate form a cell of their own, without sources.
+    discrete_mask : array of bool, shape (d,)
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    src_inv: np.ndarray
+    tgt_inv: np.ndarray
+    src_counts: np.ndarray
+    tgt_counts: np.ndarray
+    cells: tuple
+    discrete_mask: np.ndarray
+
+
+def kernel_plan(x, xstar, discrete_mask=None):
+    """The ``KernelPlan`` of covariates ``x`` and manipulated covariates ``xstar``."""
+    X = _as_matrix(x)
+    Xs = _as_matrix(xstar)
+    if Xs.shape != X.shape:
+        raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
+    d = X.shape[1]
+    mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask, dtype=bool)
+
+    src, src_inv, src_counts = _distinct_rows(X)
+    tgt, tgt_inv, tgt_counts = _distinct_rows(Xs)
+    src_cell, tgt_cell = _cell_ids(src[:, mask], tgt[:, mask])
+
+    src_order = np.argsort(src_cell, kind="stable")
+    src_sorted = src_cell[src_order]
+    tgt_order = np.argsort(tgt_cell, kind="stable")
+    cells, tgt_starts = np.unique(tgt_cell[tgt_order], return_index=True)
+    tgt_stops = np.r_[tgt_starts[1:], tgt_order.size]
+    src_starts = np.searchsorted(src_sorted, cells, side="left")
+    src_stops = np.searchsorted(src_sorted, cells, side="right")
+    return KernelPlan(
+        src=src[:, ~mask], tgt=tgt[:, ~mask], src_inv=src_inv, tgt_inv=tgt_inv,
+        src_counts=src_counts, tgt_counts=tgt_counts,
+        cells=tuple(
+            (src_order[s0:s1], tgt_order[t0:t1])
+            for t0, t1, s0, s1 in zip(tgt_starts, tgt_stops, src_starts, src_stops)
+        ),
+        discrete_mask=mask,
+    )
+
+
+def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
+    """Kernel-ratio weights of the distinct source rows of ``plan``.
+
+    Source and target rows enter with the given multiplicities, one per
+    distinct row; rows of multiplicity zero are left out, and their weight
+    is zero.  Each cell forms the product kernel over the continuous
+    coordinates for blocks of at most ``chunk`` of its targets of positive
+    multiplicity, against its sources of positive multiplicity.
+
+    Raises
+    ------
+    BandwidthTooSmallError
+        If some target of positive multiplicity has a zero donor total;
+        its ``columns`` are the rows of ``xstar`` whose distinct row it is.
+    """
+    kernel = KernelSpec() if kernel is None else kernel
+    mask = plan.discrete_mask
+    hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
+    if np.any(hvec[~mask] <= 0):
+        raise ValueError("bandwidth must be positive for continuous coordinates")
+    hcont = hvec[~mask]
+
+    w = np.zeros(plan.src.shape[0])
+    bad = np.zeros(plan.tgt.shape[0], dtype=bool)
+    for cell_src, cell_tgt in plan.cells:
+        si = cell_src[src_counts[cell_src] > 0]
+        present = cell_tgt[tgt_counts[cell_tgt] > 0]
+        xs = plan.src[si]
+        for start in range(0, present.size, chunk):
+            ti = present[start:start + chunk]
+            # starting the product at its first factor, not at a block of
+            # ones, saves one sources x targets buffer
+            kmat = None
+            for c in range(hcont.size):
+                kc = kernel_1d(
+                    kernel, (xs[:, c][:, None] - plan.tgt[ti, c][None, :]) / hcont[c]
+                )
+                if kmat is None:
+                    kmat = kc
+                else:
+                    kmat *= kc
+            if kmat is None:
+                kmat = np.ones((si.size, ti.size))
+            denom = src_counts[si] @ kmat
+            zero = denom == 0.0
+            if np.any(zero):
+                # the call fails, so the weights of this block are not needed
+                bad[ti[zero]] = True
+                continue
+            w[si] += kmat @ (tgt_counts[ti] / denom)
+    if np.any(bad):
+        raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
+    return w
+
+
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
                            chunk=512):
     """Kernel-ratio weights transporting the sample to the manipulated covariates.
@@ -177,13 +299,15 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
     W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h).  Each target
     column is normalized by its donor total, so the weights sum to n.
 
-    Equal rows of ``x`` (and of ``xstar``) are collapsed to one distinct
-    row carrying its multiplicity, and rows are grouped into exact-match
-    cells over the discrete coordinates: a product-kernel entry is zero
-    unless source and target share a cell, so each cell only evaluates the
-    kernel of its own distinct sources against its own distinct targets,
-    over the continuous coordinates.  The weights equal the dense n x n
-    computation up to floating-point summation order.
+    This is ``kernel_weights`` on ``kernel_plan(x, xstar, discrete_mask)``
+    with the plan's own multiplicities.  The plan collapses equal rows of
+    ``x`` (and of ``xstar``) to one distinct row carrying its multiplicity
+    and groups the distinct rows into exact-match cells over the discrete
+    coordinates: a product-kernel entry is zero unless source and target
+    share a cell, so each cell only evaluates the kernel of its own
+    distinct sources against its own distinct targets, over the continuous
+    coordinates.  The weights equal the dense n x n computation up to
+    floating-point summation order.
 
     Parameters
     ----------
@@ -206,60 +330,9 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
         If some target column has a zero donor total; its ``columns`` are
         the offending rows of ``xstar`` in increasing order.
     """
-    X = _as_matrix(x)
-    Xs = _as_matrix(xstar)
-    if Xs.shape != X.shape:
-        raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
-    d = X.shape[1]
-    kernel = KernelSpec() if kernel is None else kernel
-    hvec = np.broadcast_to(np.asarray(h, dtype=float), (d,))
-    mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask, dtype=bool)
-    if np.any(hvec[~mask] <= 0):
-        raise ValueError("bandwidth must be positive for continuous coordinates")
-
-    src, src_inv, src_counts = _distinct_rows(X)
-    tgt, tgt_inv, tgt_counts = _distinct_rows(Xs)
-    src_cell, tgt_cell = _cell_ids(src[:, mask], tgt[:, mask])
-    src_cont, tgt_cont, hcont = src[:, ~mask], tgt[:, ~mask], hvec[~mask]
-
-    src_order = np.argsort(src_cell, kind="stable")
-    src_sorted = src_cell[src_order]
-    tgt_order = np.argsort(tgt_cell, kind="stable")
-    cells, tgt_starts = np.unique(tgt_cell[tgt_order], return_index=True)
-    tgt_stops = np.r_[tgt_starts[1:], tgt_order.size]
-    src_starts = np.searchsorted(src_sorted, cells, side="left")
-    src_stops = np.searchsorted(src_sorted, cells, side="right")
-
-    w = np.zeros(src.shape[0])
-    bad = np.zeros(tgt.shape[0], dtype=bool)
-    for t0, t1, s0, s1 in zip(tgt_starts, tgt_stops, src_starts, src_stops):
-        si = src_order[s0:s1]
-        xs = src_cont[si]
-        for start in range(t0, t1, chunk):
-            ti = tgt_order[start:min(start + chunk, t1)]
-            # starting the product at its first factor, not at a block of
-            # ones, saves one sources x targets buffer
-            kmat = None
-            for c in range(hcont.size):
-                kc = kernel_1d(
-                    kernel, (xs[:, c][:, None] - tgt_cont[ti, c][None, :]) / hcont[c]
-                )
-                if kmat is None:
-                    kmat = kc
-                else:
-                    kmat *= kc
-            if kmat is None:
-                kmat = np.ones((si.size, ti.size))
-            denom = src_counts[si] @ kmat
-            zero = denom == 0.0
-            if np.any(zero):
-                # the call fails, so the weights of this block are not needed
-                bad[ti[zero]] = True
-                continue
-            w[si] += kmat @ (tgt_counts[ti] / denom)
-    if np.any(bad):
-        raise BandwidthTooSmallError(np.flatnonzero(bad[tgt_inv]).tolist(), h)
-    return WeightVector.from_array(w[src_inv])
+    plan = kernel_plan(x, xstar, discrete_mask)
+    w = kernel_weights(plan, kernel, h, plan.src_counts, plan.tgt_counts, chunk)
+    return WeightVector.from_array(w[plan.src_inv])
 
 
 # --- rank machinery shared by all grid estimators ----------------------------

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_copula import _add_at_grid_values
+from test_copula import _add_at_grid_values, _mixed_covariates
 
-from cfcopula import copula
+from cfcopula import bootstrap, copula
 from cfcopula.bootstrap import (
     BootstrapConfig,
     DegenerateReplicateError,
@@ -23,6 +23,7 @@ from cfcopula.copula import (
     counterfactual_copula,
     counterfactual_weights,
     empirical_copula,
+    kernel_plan,
     margin_ranks,
     weighted_rank_copula_values,
 )
@@ -115,6 +116,14 @@ def test_zero_counterfactual_mass_raises():
         _grid_pair_from_multipliers(r1, r2, counts, w, 4, 8)
 
 
+def test_grid_pair_from_multipliers_checks_n_against_the_ranks():
+    sample = _sample(8, 3)
+    r1 = margin_ranks(sample.y1)
+    r2 = margin_ranks(sample.y2)
+    with pytest.raises(ValueError, match="n=9"):
+        _grid_pair_from_multipliers(r1, r2, np.ones(8, dtype=np.int64), np.ones(8), 4, 9)
+
+
 def test_bootstrap_config_validation():
     with pytest.raises(ValueError):
         BootstrapConfig(B=1)
@@ -187,7 +196,8 @@ def test_recompute_weights_mode_reruns_kernel_per_replicate():
 def test_bootstrap_replicate_single_draw():
     sample = _sample(30, 10)
     counts = multinomial_counts(30, np.random.default_rng(2))
-    v_cf = bootstrap_replicate(sample, counts, KernelSpec(), 3.0, None)
+    plan = kernel_plan(sample.x, sample.xstar)
+    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 3.0, None)
     # recomputed weights live on the resampled rows only and keep mass n
     assert v_cf.shape == (30,)
     assert np.all(v_cf[counts == 0] == 0.0)
@@ -246,13 +256,136 @@ def test_recompute_replicate_matches_resample_and_rerank():
     for sample, kernel, rule, m in cases:
         r1 = margin_ranks(sample.y1)
         r2 = margin_ranks(sample.y2)
+        plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         for b in range(30):
             counts = multinomial_counts(sample.n, np.random.default_rng(b))
-            v_cf = bootstrap_replicate(sample, counts, kernel, None, rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, None, rule)
             act, cf = _grid_pair(r1, r2, counts, v_cf, m)
             act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, rule, m)
             assert np.array_equal(act, act_ref)
             assert np.max(np.abs(cf - cf_ref)) <= 1e-12
+
+
+def _resampled_multipliers(sample, plan, counts, kernel, h, bandwidth_rule):
+    # the recompute replicate built on the resampled rows: kernel weights
+    # of x[rows] against xstar[rows], folded onto the original rows; the
+    # reference for the count form on the kernel plan, which it ignores
+    rows = np.repeat(np.arange(sample.n), counts)
+    if bandwidth_rule is not None:
+        h = bandwidth(
+            replace(bandwidth_rule,
+                    scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
+            sample.n,
+        )
+    wb = counterfactual_weights(sample.x[rows], sample.xstar[rows], kernel=kernel,
+                                h=h, discrete_mask=sample.discrete_mask)
+    return np.bincount(rows, weights=wb.w, minlength=sample.n)
+
+
+def test_count_form_replicates_are_bitwise_those_of_the_resample():
+    rng = np.random.default_rng(41)
+    x = _mixed_covariates(300, rng)
+    xstar = x.copy()
+    xstar[:, 2] = np.maximum(xstar[:, 2], 13.0)
+    mixed = ObservationSample(y1=rng.normal(size=300), y2=rng.normal(size=300), x=x,
+                              xstar=xstar, discrete_mask=np.array([True, True, False, False]))
+    wide = _sample(1500, 42, shift=0.3)
+    cases = [
+        (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(), None,
+         BandwidthRule(), 25),
+        (mixed, KernelSpec(), np.array([1.0, 1.0, 4.0, 5.0]), None, 25),
+        (mixed, KernelSpec(family="higher_order", order=4), None,
+         BandwidthRule(constant=10.0), 25),
+        (mixed, KernelSpec(family="gaussian_truncated"), None,
+         BandwidthRule(constant=10.0), 25),
+        # more than `chunk` = 512 distinct targets in every resample
+        (wide, KernelSpec(family="gaussian_truncated"), np.array([0.8, 1.1]), None, 4),
+    ]
+    negative = False
+    for sample, kernel, h, rule, reps in cases:
+        plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+        for b in range(reps):
+            counts = multinomial_counts(sample.n, np.random.default_rng(100 + b))
+            if sample is wide:
+                assert np.count_nonzero(counts) > 512
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, h, rule)
+            ref = _resampled_multipliers(sample, plan, counts, kernel, h, rule)
+            assert v_cf.tobytes() == ref.tobytes()
+            negative |= bool(np.any(v_cf < 0))
+    assert negative  # the order-4 kernel case reached negative weights
+
+
+def test_count_form_replicates_without_donor_fail_on_the_same_rows():
+    rng = np.random.default_rng(43)
+    x = np.column_stack([np.round(rng.normal(size=80), 1), rng.integers(0, 2, size=80)])
+    sample = ObservationSample(
+        y1=rng.normal(size=80), y2=rng.normal(size=80), x=x,
+        xstar=x + np.array([0.4, 0.0]), discrete_mask=np.array([False, True]),
+    )
+    plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+    failed = passed = 0
+    for b in range(40):
+        counts = multinomial_counts(80, np.random.default_rng(200 + b))
+        rows = np.repeat(np.arange(80), counts)
+        try:
+            ref = _resampled_multipliers(sample, plan, counts, KernelSpec(), 0.4, None)
+        except BandwidthTooSmallError as err:
+            with pytest.raises(BandwidthTooSmallError) as mine:
+                bootstrap_replicate(sample, plan, counts, KernelSpec(), 0.4, None)
+            assert mine.value.columns == sorted(set(rows[err.columns].tolist()))
+            failed += 1
+        else:
+            v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 0.4, None)
+            assert v_cf.tobytes() == ref.tobytes()
+            passed += 1
+    assert failed > 0 and passed > 0
+
+
+def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
+    """A whole recompute run, redraws included, with the resample as oracle."""
+    sample = dgp_draw(12, np.random.default_rng(0)).sample
+    rule = BandwidthRule(constant=2.0)
+    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    w = counterfactual_weights(sample.x, sample.xstar, h=h)
+
+    def run():
+        return run_bootstrap(
+            sample, BootstrapConfig(B=60, seed=3, recompute_weights=True),
+            w=w, kernel=KernelSpec(), h=h, m=20, bandwidth_rule=rule,
+        )
+
+    new = run()
+    calls = []
+
+    def oracle(*args):
+        calls.append(1)
+        return _resampled_multipliers(*args)
+
+    monkeypatch.setattr(bootstrap, "bootstrap_replicate", oracle)
+    old = run()
+    assert len(calls) == 60 + old.discarded
+    assert new.discarded == old.discarded > 0
+    for key, r in new.runs.items():
+        ref = old.runs[key]
+        assert r.replicates.tobytes() == ref.replicates.tobytes()
+        fields = np.array([r.point, r.q, r.lo, r.hi])
+        assert fields.tobytes() == np.array([ref.point, ref.q, ref.lo, ref.hi]).tobytes()
+
+
+def test_replicate_without_donor_names_original_rows_and_a_scalar_h():
+    x = np.arange(10.0)
+    xstar = x.copy()
+    xstar[[1, 7]] = 100.0
+    sample = ObservationSample(y1=x, y2=-x, x=x, xstar=xstar)
+    # rows 2..9 sit at resample positions 0..9; row 7 at positions 6 and 7,
+    # row 1, with the same target, is not resampled
+    counts = np.array([0, 0, 2, 1, 1, 1, 1, 2, 1, 1])
+    plan = kernel_plan(sample.x, sample.xstar)
+    with pytest.raises(BandwidthTooSmallError) as err:
+        bootstrap_replicate(sample, plan, counts, KernelSpec(), np.array([1.5]), None)
+    assert err.value.columns == [7]
+    assert "rows [7]" in str(err.value)
+    assert "h=1.5;" in str(err.value)
 
 
 def test_recompute_bootstrap_redraws_a_replicate_without_donor():

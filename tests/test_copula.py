@@ -11,6 +11,7 @@ from cfcopula.copula import (
     counterfactual_weights,
     empirical_copula,
     frechet_hoeffding_violation,
+    kernel_plan,
     margin_ranks,
     pseudo_observations,
     support_violations,
@@ -228,7 +229,8 @@ def test_recompute_replicate_weights_match_dense():
                                x=x, xstar=xstar, discrete_mask=mask)
     counts = multinomial_counts(150, np.random.default_rng(7))
     rows = np.repeat(np.arange(150), counts)
-    v_cf = bootstrap_replicate(sample, counts, KernelSpec(), h, None)
+    plan = kernel_plan(x, xstar, mask)
+    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), h, None)
     ref = np.bincount(rows, weights=_dense_weights(x[rows], xstar[rows], h=h,
                                                    discrete_mask=mask),
                       minlength=150)
