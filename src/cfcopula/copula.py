@@ -248,6 +248,9 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
 
     Raises
     ------
+    ValueError
+        If the bandwidth of some continuous coordinate is not positive and
+        finite.
     BandwidthTooSmallError
         If some target of positive multiplicity has a zero donor total;
         its ``columns`` are the rows of ``xstar`` whose distinct row it is.
@@ -255,9 +258,12 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     kernel = KernelSpec() if kernel is None else kernel
     mask = plan.discrete_mask
     hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
-    if np.any(hvec[~mask] <= 0):
-        raise ValueError("bandwidth must be positive for continuous coordinates")
     hcont = hvec[~mask]
+    # written so that a NaN bandwidth (h=None reads as NaN) fails as well
+    if not np.all((hcont > 0) & np.isfinite(hcont)):
+        raise ValueError(
+            "bandwidth must be positive and finite for continuous coordinates"
+        )
 
     w = np.zeros(plan.src.shape[0])
     bad = np.zeros(plan.tgt.shape[0], dtype=bool)

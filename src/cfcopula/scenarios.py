@@ -68,9 +68,6 @@ class ScenarioSpec:
             return "identity"
         return "; ".join(t.describe() for t in self.transforms)
 
-    def columns_touched(self):
-        return tuple(dict.fromkeys(t.column for t in self.transforms))
-
 
 def _fmt(v):
     return str(int(v)) if v == int(v) else repr(v)

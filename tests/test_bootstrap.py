@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,20 @@ from cfcopula.copula import (
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, scale_from_sample
 from cfcopula.simulation import dgp_draw
+
+
+def _pin_workers(monkeypatch, k):
+    """Make run_bootstrap see k usable cores."""
+    monkeypatch.setattr(bootstrap, "_worker_count", lambda: k)
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.discarded == b.discarded
+    for key, run in a.runs.items():
+        ref = b.runs[key]
+        assert run.replicates.tobytes() == ref.replicates.tobytes()
+        fields = np.array([run.point, run.q, run.lo, run.hi])
+        assert fields.tobytes() == np.array([ref.point, ref.q, ref.lo, ref.hi]).tobytes()
 
 
 def _sample(n, seed, shift=0.25):
@@ -354,7 +372,12 @@ def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
             w=w, kernel=KernelSpec(), h=h, m=20, bandwidth_rule=rule,
         )
 
+    _pin_workers(monkeypatch, 2)
+    forked = run()
+    # the oracle counts its calls in this process, so every replicate runs here
+    _pin_workers(monkeypatch, 1)
     new = run()
+    _assert_bitwise_equal(forked, new)
     calls = []
 
     def oracle(*args):
@@ -365,11 +388,7 @@ def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
     old = run()
     assert len(calls) == 60 + old.discarded
     assert new.discarded == old.discarded > 0
-    for key, r in new.runs.items():
-        ref = old.runs[key]
-        assert r.replicates.tobytes() == ref.replicates.tobytes()
-        fields = np.array([r.point, r.q, r.lo, r.hi])
-        assert fields.tobytes() == np.array([ref.point, ref.q, ref.lo, ref.hi]).tobytes()
+    _assert_bitwise_equal(new, old)
 
 
 def test_replicate_without_donor_names_original_rows_and_a_scalar_h():
@@ -422,7 +441,13 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
             for redo in (False, True)
         ]
 
+    _pin_workers(monkeypatch, 2)
+    forked = runs()
+    # the oracle counts its calls in this process, so every replicate runs here
+    _pin_workers(monkeypatch, 1)
     new = runs()
+    for a, b in zip(forked, new):
+        _assert_bitwise_equal(a, b)
     calls = []
 
     def oracle(*args):
@@ -433,12 +458,123 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
     old = runs()
     assert len(calls) == 2 * 2 * (1 + 30)
     for a, b in zip(new, old):
-        assert a.discarded == b.discarded
-        for key, run in a.runs.items():
-            ref = b.runs[key]
-            assert run.replicates.tobytes() == ref.replicates.tobytes()
-            fields = np.array([run.point, run.q, run.lo, run.hi])
-            assert fields.tobytes() == np.array([ref.point, ref.q, ref.lo, ref.hi]).tobytes()
+        _assert_bitwise_equal(a, b)
+
+
+def _frozen_case(B):
+    sample = _sample(60, 21)
+    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
+    return dict(sample=sample, config=BootstrapConfig(B=B, seed=2), w=w, m=20)
+
+
+def _recompute_case_with_redraws():
+    sample = dgp_draw(12, np.random.default_rng(0)).sample
+    rule = BandwidthRule(constant=1.0)
+    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    return dict(
+        sample=sample, config=BootstrapConfig(B=7, seed=4, recompute_weights=True),
+        w=counterfactual_weights(sample.x, sample.xstar, h=h), kernel=KernelSpec(),
+        h=h, m=20, bandwidth_rule=rule,
+    )
+
+
+def _higher_order_case():
+    sample = _sample(48, 14)
+    sample = replace(sample, y1=np.round(sample.y1), y2=np.round(sample.y2, 1))
+    kernel = KernelSpec(family="higher_order", order=4)
+    return dict(
+        sample=sample, config=BootstrapConfig(B=7, seed=8),
+        w=counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=0.8),
+        kernel=kernel, h=0.8, m=10,
+    )
+
+
+_WORKER_CASES = {
+    "frozen": lambda: _frozen_case(7),
+    "recompute-with-redraws": _recompute_case_with_redraws,
+    "higher-order-kernel": _higher_order_case,
+    "two-replicates": lambda: _frozen_case(2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORKER_CASES))
+def test_runs_are_bitwise_the_same_on_any_number_of_cores(monkeypatch, case):
+    """B=7 splits unevenly over 2 and 3 blocks; B=2 caps 3 cores at 2 blocks."""
+    kwargs = _WORKER_CASES[case]()
+    results = []
+    for k in (1, 2, 3):
+        _pin_workers(monkeypatch, k)
+        results.append(run_bootstrap(**kwargs))
+    if case == "recompute-with-redraws":
+        assert results[0].discarded > 0
+    if case == "higher-order-kernel":
+        assert kwargs["w"].negative_count > 0
+    for other in results[1:]:
+        _assert_bitwise_equal(other, results[0])
+
+
+def _fail_replicates(monkeypatch, failing):
+    """Make the replicates in ``failing`` raise, naming themselves and their process."""
+    seed_of = bootstrap._replicate_seed
+
+    def seed(entropy, b):
+        if b in failing:
+            raise DegenerateReplicateError(f"replicate {b} in process {os.getpid()}")
+        return seed_of(entropy, b)
+
+    monkeypatch.setattr(bootstrap, "_replicate_seed", seed)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_the_first_failing_replicate_decides_the_error_on_any_number_of_cores(
+    monkeypatch,
+):
+    sample = _sample(30, 5)
+    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
+    # B=7 in 2 blocks is 0..2 | 3..6, in 3 blocks 0..1 | 2..3 | 4..6: block 0
+    # never fails, and with 3 blocks the later block fails as well
+    _fail_replicates(monkeypatch, {3, 5, 6})
+    for k in (1, 2, 3):
+        _pin_workers(monkeypatch, k)
+        with pytest.raises(DegenerateReplicateError, match="replicate 3 in") as err:
+            run_bootstrap(sample, BootstrapConfig(B=7, seed=1), w=w, m=10)
+        ran_here = f"process {os.getpid()}" in str(err.value)
+        assert ran_here == (k == 1)
+
+
+def test_missing_bandwidth_fails_before_any_draw(monkeypatch):
+    """h=None once read as a NaN bandwidth: every recompute replicate had no
+    donor, and the run ended in DegenerateReplicateError after 11 draws."""
+    sample = dgp_draw(50, np.random.default_rng(0)).sample
+    w = counterfactual_weights(sample.x, sample.xstar, h=1.0)
+    draws = []
+    monkeypatch.setattr(bootstrap, "multinomial_counts", lambda *args: draws.append(1))
+    with pytest.raises(ValueError, match="needs the bandwidth h"):
+        run_bootstrap(sample, BootstrapConfig(B=5, recompute_weights=True), w=w, m=10)
+    with pytest.raises(ValueError, match="needs the bandwidth h"):
+        run_bootstrap(sample, BootstrapConfig(B=5), m=10)
+    assert draws == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_one_core_run_starts_no_process():
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import numpy as np\n"
+        "from cfcopula.bootstrap import BootstrapConfig, run_bootstrap\n"
+        "from cfcopula.copula import ObservationSample, counterfactual_weights\n"
+        "x, e = np.random.default_rng(0).normal(size=(2, 40, 1))\n"
+        "s = ObservationSample(y1=x[:, 0] + e[:, 0], y2=e[:, 0] - x[:, 0], x=x,"
+        " xstar=x + 0.1)\n"
+        "w = counterfactual_weights(s.x, s.xstar, h=2.0)\n"
+        "run_bootstrap(s, BootstrapConfig(B=8), w=w, m=10)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_covers_helper():

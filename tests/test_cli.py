@@ -292,6 +292,36 @@ def test_numeric_failures_exit_three(dataset, tmp_path):
     assert rc == 3
 
 
+def test_replicate_failure_in_a_worker_exits_three(dataset, tmp_path, monkeypatch,
+                                                   capsys):
+    from cfcopula import bootstrap
+
+    seed_of = bootstrap._replicate_seed
+
+    def seed(entropy, b):
+        if b >= 6:
+            raise bootstrap.DegenerateReplicateError(f"replicate {b} failed")
+        return seed_of(entropy, b)
+
+    monkeypatch.setattr(bootstrap, "_replicate_seed", seed)
+    # two blocks: 0..5 here, 6..11 in a forked worker
+    monkeypatch.setattr(bootstrap, "_worker_count", lambda: 2)
+    path, _ = dataset
+    rc = main(["bootstrap", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
+               "--boot-b", "12", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "replicate 6 failed" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_process_machinery_unloaded():
+    code = ("import sys, cfcopula.cli; "
+            "assert 'multiprocessing' not in sys.modules; "
+            "assert 'concurrent.futures' not in sys.modules")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     code = "import sys, cfcopula.cli; assert 'scipy.special' not in sys.modules"
     src = Path(__file__).resolve().parents[1] / "src"

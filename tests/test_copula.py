@@ -94,6 +94,19 @@ def test_empty_denominator_reports_offending_rows():
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "h", [None, np.nan, np.inf, 0.0, -1.0, np.array([1.0, np.nan])],
+    ids=["none", "nan", "inf", "zero", "negative", "nan-coordinate"],
+)
+def test_weights_reject_a_bandwidth_not_positive_and_finite(h):
+    # None reads as NaN, which once slipped past the positivity check and
+    # surfaced as a missing donor for every row
+    x = np.random.default_rng(4).normal(size=(20, 2))
+    with pytest.raises(ValueError, match="positive and finite") as err:
+        counterfactual_weights(x, x + 0.1, h=h)
+    assert not isinstance(err.value, BandwidthTooSmallError)
+
+
 def test_negative_weights_possible_under_higher_order_kernel():
     rng = np.random.default_rng(12)
     x = rng.normal(size=120)
