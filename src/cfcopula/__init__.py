@@ -18,7 +18,14 @@ from .association import (
     measures_from_pseudo_obs,
     policy_effect,
 )
-from .bootstrap import BootstrapConfig, BootstrapResult, BootstrapRun, run_bootstrap
+from .bootstrap import (
+    BootstrapConfig,
+    BootstrapResult,
+    BootstrapRun,
+    Estimate,
+    estimate,
+    run_bootstrap,
+)
 from .copula import (
     CopulaGrid,
     ObservationSample,

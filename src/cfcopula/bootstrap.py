@@ -1,4 +1,11 @@
-"""Multinomial bootstrap for copula estimates, measures and policy effects.
+"""The estimator and its multinomial bootstrap.
+
+``estimate`` runs the estimator once: the bandwidth rule at the covariate
+scale of the sample gives h, then come the kernel-ratio weights, the actual
+and counterfactual copula grids, their association measures and the policy
+effect.  ``Estimate.bootstrap`` hands the weights, kernel and rule to
+``run_bootstrap``, so the point estimate and every replicate share one
+bandwidth rule.
 
 Each replicate draws multinomial counts M with equal cell probabilities and
 multiplies them into the estimators: the actual-copula replicate weights
@@ -8,7 +15,8 @@ weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate grid is a
 copula at (1, 1) just like the point estimate.  Kernel weights W are NOT
 recomputed per replicate by default.  An opt-in mode rebuilds them for
-every resample: the resample is its counts on the original rows, so its
+every resample, with the bandwidth rule at the covariate scale of the
+resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on a kernel plan of the sample's distinct rows and
 exact-match cells, built once per run, with the counts as multiplicities,
 and folded back onto the original rows.  Both modes read every replicate
@@ -42,15 +50,18 @@ from . import association
 from .copula import (
     BandwidthTooSmallError,
     CopulaGrid,
+    ObservationSample,
     WeightVector,
     _grid_values,
+    counterfactual_copula,
     counterfactual_weights,
+    empirical_copula,
     kernel_plan,
     kernel_weights,
     margin_ranks,
 )
+from .kernels import BandwidthRule, KernelSpec, scale_from_sample
 from .kernels import bandwidth as _bandwidth
-from .kernels import scale_from_sample
 
 TARGETS = ("actual", "counterfactual", "effect")
 MEASURES = association.MEASURES
@@ -209,16 +220,16 @@ def _reports(act, cf, m):
     }
 
 
-def bootstrap_replicate(sample, plan, counts, kernel, h, bandwidth_rule):
+def bootstrap_replicate(sample, plan, counts, kernel, rule):
     """Counterfactual multipliers of one recompute-weights replicate.
 
     A row resample is its counts on the original rows, so the kernel
     weights of the resample are evaluated on ``plan``, the ``kernel_plan``
     of the sample, with the counts as the multiplicities of its distinct
-    rows.  The bandwidth is rebuilt from the covariate scale of the
-    resampled rows when ``bandwidth_rule`` is given (else ``h`` is used).
-    The weights are folded back onto the original rows: row i gets the
-    summed weight of its copies.  The multipliers are bitwise those of
+    rows.  The bandwidth is ``rule`` at the covariate scale of the
+    resampled rows, as the point bandwidth is ``rule`` at the scale of the
+    sample.  The weights are folded back onto the original rows: row i gets
+    the summed weight of its copies.  The multipliers are bitwise those of
     ``counterfactual_weights`` on the resampled rows, folded the same way.
 
     Raises
@@ -228,14 +239,10 @@ def bootstrap_replicate(sample, plan, counts, kernel, h, bandwidth_rule):
         are original rows of the sample.
     """
     rows = np.repeat(np.arange(sample.n), counts)
-    if bandwidth_rule is not None:
-        h = _bandwidth(
-            replace(
-                bandwidth_rule,
-                scale=scale_from_sample(sample.x[rows], sample.discrete_mask),
-            ),
-            sample.n,
-        )
+    h = _bandwidth(
+        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
+        sample.n,
+    )
     try:
         w = kernel_weights(
             plan, kernel, h,
@@ -323,32 +330,25 @@ def _run_blocks(block, B):
     return np.concatenate(stats), sum(discarded)
 
 
-def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
-                  bandwidth_rule=None):
+def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
     """Bootstrap intervals for every measure of {actual, counterfactual, effect}.
 
-    The point estimates are the rank-based copula grids of the sample; the
-    returned result holds one BootstrapRun per (target, measure) pair.  The
-    whole run is a pure function of (sample, config, weights, m).
-    ``bandwidth_rule`` only matters under ``config.recompute_weights``, where
-    it makes each replicate rebuild its bandwidth from the resampled
-    covariates.  ``h`` is required when ``w`` is None and when weights are
-    recomputed without a ``bandwidth_rule``; a missing one raises
-    ValueError before any replicate is drawn.
+    The point estimates are the rank-based copula grids of the sample under
+    the weights ``w``; the returned result holds one BootstrapRun per
+    (target, measure) pair.  The whole run is a pure function of (sample,
+    config, weights, kernel, m, bandwidth_rule).  Under
+    ``config.recompute_weights`` each replicate rebuilds its weights with
+    ``kernel`` and its bandwidth from ``bandwidth_rule`` at the covariate
+    scale of the resample; without a rule that mode raises ValueError
+    before any replicate is drawn.  ``Estimate.bootstrap`` passes the
+    estimate's own weights, kernel and rule.
     """
-    if h is None and (
-        w is None or (config.recompute_weights and bandwidth_rule is None)
-    ):
+    if config.recompute_weights and bandwidth_rule is None:
         raise ValueError(
-            "run_bootstrap needs the bandwidth h to compute the weights (w is "
-            "None) or to recompute them without a bandwidth_rule"
+            "run_bootstrap needs a bandwidth_rule to recompute the weights "
+            "of each replicate"
         )
     n = sample.n
-    if w is None:
-        w = counterfactual_weights(
-            sample.x, sample.xstar, kernel=kernel, h=h,
-            discrete_mask=sample.discrete_mask,
-        )
     wv = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
 
     r1 = margin_ranks(sample.y1)
@@ -362,9 +362,7 @@ def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
 
         def cf_multipliers(counts):
-            return bootstrap_replicate(
-                sample, plan, counts, kernel, h, bandwidth_rule
-            )
+            return bootstrap_replicate(sample, plan, counts, kernel, bandwidth_rule)
     else:
         def cf_multipliers(counts):
             return counts * wv
@@ -398,3 +396,55 @@ def run_bootstrap(sample, config, w=None, kernel=None, h=None, m=100,
 
 def _target_keys():
     return [(t, m) for t in TARGETS for m in MEASURES]
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One pass of the estimator over a sample.
+
+    ``rule`` holds the covariate scale of the sample and ``h`` is its
+    bandwidth.  ``grids`` (actual, counterfactual) and ``reports`` (actual,
+    counterfactual, effect) are keyed by target.
+    """
+
+    sample: ObservationSample
+    kernel: KernelSpec
+    rule: BandwidthRule
+    h: np.ndarray
+    w: WeightVector
+    grids: dict
+    reports: dict
+
+    def bootstrap(self, config):
+        """``run_bootstrap`` around this estimate, with its weights, kernel and rule."""
+        return run_bootstrap(
+            self.sample, config, self.w, kernel=self.kernel,
+            m=self.grids["actual"].m, bandwidth_rule=self.rule,
+        )
+
+
+def estimate(sample, kernel, rule, m):
+    """Weights, copula grids on the m-grid, measures and policy effect.
+
+    The bandwidth is ``rule`` at ``scale_from_sample(sample.x,
+    sample.discrete_mask)``: one per coordinate, the sample standard
+    deviation of a smoothed coordinate and 1 at a discrete one.
+    """
+    rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
+    h = _bandwidth(rule, sample.n)
+    w = counterfactual_weights(
+        sample.x, sample.xstar, kernel=kernel, h=h,
+        discrete_mask=sample.discrete_mask,
+    )
+    grids = {
+        "actual": empirical_copula(sample, m=m),
+        "counterfactual": counterfactual_copula(sample, w, m=m),
+    }
+    reports = {
+        target: association.measures_from_grid(grid) for target, grid in grids.items()
+    }
+    reports["effect"] = association.policy_effect(
+        reports["counterfactual"], reports["actual"]
+    )
+    return Estimate(sample=sample, kernel=kernel, rule=rule, h=h, w=w,
+                    grids=grids, reports=reports)

@@ -23,28 +23,21 @@ import argparse
 import csv
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .association import measures_from_grid, policy_effect
 from .bootstrap import (
     MEASURES,
     TARGETS,
     BootstrapConfig,
     DegenerateReplicateError,
     derived_seed,
-    run_bootstrap,
+    estimate,
 )
-from .copula import (
-    BandwidthTooSmallError,
-    counterfactual_copula,
-    counterfactual_weights,
-    empirical_copula,
-    support_violations,
-)
+from .copula import BandwidthTooSmallError, support_violations
 from .data import (
     ColumnRoles,
     DataError,
@@ -56,14 +49,7 @@ from .data import (
     write_grid_csv,
     write_table,
 )
-from .kernels import (
-    BandwidthRule,
-    DegenerateCovariateError,
-    KernelSpec,
-    bandwidth,
-    scale_from_sample,
-    validate_order,
-)
+from .kernels import BandwidthRule, DegenerateCovariateError, KernelSpec, validate_order
 from .scenarios import ScenarioError, apply_scenario, parse_scenario
 from .simulation import SimStudyConfig, run_study
 
@@ -237,23 +223,8 @@ def _resolve_run_config(args, need_input=True, default_scenario=None):
 
 # --- shared estimation plumbing ------------------------------------------------
 
-@dataclass
-class EstimationPieces:
-    """Everything the report writers need from one estimation pass."""
-
-    sample: object
-    w: object
-    h: np.ndarray
-    kernel: KernelSpec
-    affected_fraction: float
-    scenario_label: str
-    grids: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict)
-    order_check: object = None
-    support_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-
 def _estimate(cfg, table):
+    """Scenario label, affected fraction and the estimate of one pass."""
     if cfg.scenario_text:
         spec = parse_scenario(cfg.scenario_text)
         xstar_columns, frac = apply_scenario(table, cfg.roles, spec)
@@ -264,40 +235,17 @@ def _estimate(cfg, table):
         changed = np.any(sample.xstar != sample.x, axis=1)
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
-    kernel = cfg.kernel()
-    d_continuous = int((~sample.discrete_mask).sum())
-    rule = BandwidthRule(
-        constant=cfg.bandwidth_c,
-        scale=scale_from_sample(sample.x, sample.discrete_mask),
+    est = estimate(
+        sample, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
     )
-    h = bandwidth(rule, sample.n)
-    w = counterfactual_weights(
-        sample.x, sample.xstar, kernel=kernel, h=h,
-        discrete_mask=sample.discrete_mask,
-    )
-    pieces = EstimationPieces(
-        sample=sample,
-        w=w,
-        h=np.atleast_1d(np.asarray(h, dtype=float)),
-        kernel=kernel,
-        affected_fraction=frac,
-        scenario_label=label,
-        order_check=validate_order(kernel, d_continuous),
-        support_rows=support_violations(sample),
-    )
-    pieces.grids["actual"] = empirical_copula(sample, m=cfg.grid_m)
-    pieces.grids["counterfactual"] = counterfactual_copula(sample, w, m=cfg.grid_m)
-    pieces.reports["actual"] = measures_from_grid(pieces.grids["actual"])
-    pieces.reports["counterfactual"] = measures_from_grid(
-        pieces.grids["counterfactual"]
-    )
-    pieces.reports["effect"] = policy_effect(
-        pieces.reports["counterfactual"], pieces.reports["actual"]
-    )
-    return pieces
+    return label, frac, est
 
 
-def _write_measures(path, pieces, intervals=None):
+def _order_check(est):
+    return validate_order(est.kernel, int((~est.sample.discrete_mask).sum()))
+
+
+def _write_measures(path, est, intervals=None):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["target", "measure", "value"]
@@ -305,7 +253,7 @@ def _write_measures(path, pieces, intervals=None):
             header += ["lo", "hi"]
         writer.writerow(header)
         for target in TARGETS:
-            values = pieces.reports[target].as_dict()
+            values = est.reports[target].as_dict()
             for measure in MEASURES:
                 row = [target, measure, repr(values[measure])]
                 if intervals is not None:
@@ -314,24 +262,25 @@ def _write_measures(path, pieces, intervals=None):
                 writer.writerow(row)
 
 
-def _write_diagnostics(path, cfg, pieces, extra=None):
-    wv = pieces.w
+def _write_diagnostics(path, cfg, label, frac, est, extra=None):
+    wv = est.w
+    support_rows = support_violations(est.sample)
     rows = [
         ("version", __version__),
-        ("n", pieces.sample.n),
+        ("n", est.sample.n),
         ("grid_m", cfg.grid_m),
-        ("kernel", f"{pieces.kernel.family}:{pieces.kernel.order}"),
+        ("kernel", f"{est.kernel.family}:{est.kernel.order}"),
         ("bandwidth_c", cfg.bandwidth_c),
-        ("bandwidth", ";".join(repr(float(v)) for v in pieces.h)),
-        ("scenario", pieces.scenario_label),
-        ("affected_fraction", repr(pieces.affected_fraction)),
+        ("bandwidth", ";".join(repr(float(v)) for v in est.h)),
+        ("scenario", label),
+        ("affected_fraction", repr(frac)),
         ("weight_sum", repr(float(wv.sum))),
         ("weight_min", repr(float(wv.w.min()))),
         ("weight_max", repr(float(wv.w.max()))),
         ("negative_count", wv.negative_count),
-        ("support_violations", pieces.support_rows.size),
-        ("support_rows", ";".join(str(r) for r in pieces.support_rows[:50])),
-        ("kernel_order_check", "pass" if pieces.order_check.passed else "warn"),
+        ("support_violations", support_rows.size),
+        ("support_rows", ";".join(str(r) for r in support_rows[:50])),
+        ("kernel_order_check", "pass" if _order_check(est).passed else "warn"),
     ]
     if extra:
         rows.extend(extra)
@@ -341,39 +290,41 @@ def _write_diagnostics(path, cfg, pieces, extra=None):
         writer.writerows(rows)
 
 
-def _summary_lines(cfg, pieces, intervals=None, boot_note=None):
-    wv = pieces.w
+def _summary_lines(cfg, label, frac, est, intervals=None, boot_note=None):
+    wv = est.w
+    support_rows = support_violations(est.sample)
+    order_check = _order_check(est)
     lines = [
         f"counterfactual copula report (cfcopula {__version__})",
         "",
-        f"input: {cfg.input} (n={pieces.sample.n})",
+        f"input: {cfg.input} (n={est.sample.n})",
         f"outcomes: {cfg.roles.y1}, {cfg.roles.y2}",
         f"covariates: {', '.join(cfg.roles.x)}"
         + (f" (discrete: {', '.join(cfg.roles.discrete)})" if cfg.roles.discrete else ""),
-        f"scenario: {pieces.scenario_label}",
-        f"affected rows: {pieces.affected_fraction:.2%}",
-        f"kernel: {pieces.kernel.family} (order {pieces.kernel.order}), "
+        f"scenario: {label}",
+        f"affected rows: {frac:.2%}",
+        f"kernel: {est.kernel.family} (order {est.kernel.order}), "
         f"bandwidth c={cfg.bandwidth_c}, grid m={cfg.grid_m}",
         "",
         f"weights: sum={wv.sum:.6f}, range [{wv.w.min():.4f}, {wv.w.max():.4f}], "
         f"negative={wv.negative_count}",
     ]
-    if pieces.support_rows.size:
-        shown = ", ".join(str(r) for r in pieces.support_rows[:10])
-        more = "" if pieces.support_rows.size <= 10 else " ..."
+    if support_rows.size:
+        shown = ", ".join(str(r) for r in support_rows[:10])
+        more = "" if support_rows.size <= 10 else " ..."
         lines.append(
-            f"warning: {pieces.support_rows.size} manipulated rows fall outside "
+            f"warning: {support_rows.size} manipulated rows fall outside "
             f"the sampled covariate box (rows {shown}{more}); weights extrapolate"
         )
-    if not pieces.order_check.passed:
-        lines.append(f"warning: {pieces.order_check.message}")
+    if not order_check.passed:
+        lines.append(f"warning: {order_check.message}")
     if boot_note:
         lines.append(boot_note)
     lines.append("")
     if intervals is None:
         lines.append(f"{'target':16s}{'measure':9s}{'value':>10s}")
         for target in TARGETS:
-            values = pieces.reports[target].as_dict()
+            values = est.reports[target].as_dict()
             for measure in MEASURES:
                 lines.append(f"{target:16s}{measure:9s}{values[measure]:>10.4f}")
     else:
@@ -381,7 +332,7 @@ def _summary_lines(cfg, pieces, intervals=None, boot_note=None):
             f"{'target':16s}{'measure':9s}{'value':>10s}{'lo':>10s}{'hi':>10s}"
         )
         for target in TARGETS:
-            values = pieces.reports[target].as_dict()
+            values = est.reports[target].as_dict()
             for measure in MEASURES:
                 lo, hi = intervals[(target, measure)]
                 lines.append(
@@ -391,14 +342,14 @@ def _summary_lines(cfg, pieces, intervals=None, boot_note=None):
     return lines
 
 
-def _write_estimate_outputs(cfg, pieces, out, intervals=None, boot_note=None,
-                            extra_diag=None):
+def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
+                            boot_note=None, extra_diag=None):
     out.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(pieces.grids["actual"], out / "grid_actual.csv")
-    write_grid_csv(pieces.grids["counterfactual"], out / "grid_counterfactual.csv")
-    _write_measures(out / "measures.csv", pieces, intervals=intervals)
-    _write_diagnostics(out / "diagnostics.csv", cfg, pieces, extra=extra_diag)
-    summary = "\n".join(_summary_lines(cfg, pieces, intervals, boot_note)) + "\n"
+    write_grid_csv(est.grids["actual"], out / "grid_actual.csv")
+    write_grid_csv(est.grids["counterfactual"], out / "grid_counterfactual.csv")
+    _write_measures(out / "measures.csv", est, intervals=intervals)
+    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, extra=extra_diag)
+    summary = "\n".join(_summary_lines(cfg, label, frac, est, intervals, boot_note)) + "\n"
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     return summary
 
@@ -407,26 +358,16 @@ def _write_estimate_outputs(cfg, pieces, out, intervals=None, boot_note=None,
 
 def cmd_estimate(args):
     cfg, _ = _resolve_run_config(args)
-    pieces = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
-    summary = _write_estimate_outputs(cfg, pieces, Path(cfg.out_dir))
+    label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
+    summary = _write_estimate_outputs(cfg, label, frac, est, Path(cfg.out_dir))
     sys.stdout.write(summary)
     return 0
 
 
-def _bootstrap(cfg, pieces, seed):
-    rule = BandwidthRule(constant=cfg.bandwidth_c) if cfg.recompute_weights else None
-    return run_bootstrap(
-        pieces.sample, cfg.bootstrap_config(seed), w=pieces.w,
-        kernel=pieces.kernel,
-        h=pieces.h if pieces.h.size > 1 else float(pieces.h[0]),
-        m=cfg.grid_m, bandwidth_rule=rule,
-    )
-
-
 def cmd_bootstrap(args):
     cfg, _ = _resolve_run_config(args)
-    pieces = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
-    result = _bootstrap(cfg, pieces, cfg.seed)
+    label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
+    result = est.bootstrap(cfg.bootstrap_config(cfg.seed))
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
         f"bootstrap: B={cfg.boot_b}, level={cfg.level}, seed={cfg.seed}, "
@@ -434,7 +375,7 @@ def cmd_bootstrap(args):
         f"degenerate redraws={result.discarded}"
     )
     summary = _write_estimate_outputs(
-        cfg, pieces, Path(cfg.out_dir), intervals=intervals, boot_note=note,
+        cfg, label, frac, est, Path(cfg.out_dir), intervals=intervals, boot_note=note,
         extra_diag=[("bootstrap_b", cfg.boot_b), ("level", cfg.level),
                     ("seed", cfg.seed)],
     )
@@ -502,17 +443,16 @@ def cmd_sweep(args):
             text = f"max_with({column}, {value})"
         else:
             text = f"conditional_max({column}, {trigger}, {value}, floor={int(floor) if floor == int(floor) else floor})"
-        pieces = _estimate(replace(cfg, scenario_text=text), table)
-        result = _bootstrap(cfg, pieces, derived_seed(cfg.seed, (index,)))
+        _, frac, est = _estimate(replace(cfg, scenario_text=text), table)
+        result = est.bootstrap(cfg.bootstrap_config(derived_seed(cfg.seed, (index,))))
         for measure in MEASURES:
             for target in TARGETS:
                 run = result.runs[(target, measure)]
                 rows.append(
-                    (value, measure, target, run.point, run.lo, run.hi,
-                     pieces.affected_fraction)
+                    (value, measure, target, run.point, run.lo, run.hi, frac)
                 )
         sys.stdout.write(
-            f"{param}={value}: affected {pieces.affected_fraction:.2%}, "
+            f"{param}={value}: affected {frac:.2%}, "
             f"effect tau {result.runs[('effect', 'tau')].point:+.4f}\n"
         )
     path = out / "sweep.csv"
@@ -610,8 +550,6 @@ def build_parser():
     p_sim.add_argument("--level", type=float)
     p_sim.add_argument("--grid-m", dest="grid_m", type=int)
     p_sim.add_argument("--bandwidth-c", dest="bandwidth_c", type=float)
-    p_sim.add_argument("--recompute-weights", dest="recompute_weights",
-                       action="store_const", const=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="scenario-family sweep table")

@@ -431,16 +431,6 @@ class CopulaGrid:
     def nodes(self):
         return np.arange(self.m + 1) / self.m
 
-    def at(self, u1, u2):
-        """Value at a grid node given by coordinates (u1, u2)."""
-        i = int(round(u1 * self.m))
-        j = int(round(u2 * self.m))
-        if not (0 <= i <= self.m and 0 <= j <= self.m) or not (
-            np.isclose(i / self.m, u1) and np.isclose(j / self.m, u2)
-        ):
-            raise ValueError(f"({u1}, {u2}) is not a node of the m={self.m} grid")
-        return float(self.values[i, j])
-
 
 def _margins_uniform(values, m, jump_bound):
     nodes = np.arange(m + 1) / m

@@ -183,25 +183,6 @@ def write_grid_csv(grid, path):
                 fh.write(f"{i / m!r},{j / m!r},{float(grid.values[i, j])!r}\n")
 
 
-def read_grid_csv(path):
-    """Rebuild (m, values) from a long-format grid CSV."""
-    us, vals = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["u1", "u2", "value"]:
-            raise DataError(f"unexpected grid header {header} in {path}")
-        for cells in reader:
-            us.append(float(cells[0]))
-            vals.append(float(cells[2]))
-    count = len(vals)
-    m = int(round(count ** 0.5)) - 1
-    if (m + 1) * (m + 1) != count:
-        raise DataError(f"grid file {path} has {count} rows, not a full grid")
-    values = np.asarray(vals, dtype=float).reshape(m + 1, m + 1)
-    return m, values
-
-
 # --- synthetic generator ------------------------------------------------------
 
 @dataclass(frozen=True)

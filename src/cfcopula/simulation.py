@@ -19,25 +19,21 @@ truth grid for integrated estimation errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import association
-from .bootstrap import BootstrapConfig, derived_seed, run_bootstrap
-from .copula import (
-    CopulaGrid,
-    ObservationSample,
-    counterfactual_copula,
-    counterfactual_weights,
-    empirical_copula,
-)
-from .kernels import BandwidthRule, KernelSpec, bandwidth
+from .bootstrap import BootstrapConfig, derived_seed, estimate
+from .copula import CopulaGrid, ObservationSample, empirical_copula
+from .kernels import BandwidthRule, KernelSpec
 
 R_ACTUAL = math.sqrt(65.0) / 13.0
 R_COUNTERFACTUAL = math.sqrt(2.0) / 10.0
 
 ESTIMATORS = ("empirical", "proposed", "oracle")
+
+_KERNEL = KernelSpec()
 
 _DGP_MEAN = np.zeros(3)
 _DGP_COV = np.array([
@@ -195,7 +191,9 @@ class SimStudyConfig:
     """Full factorial Monte Carlo study over sample sizes.
 
     ``bootstrap_b=0`` skips interval construction (grid-error metrics only);
-    that is the cheap mode for estimator-error tables.
+    that is the cheap mode for estimator-error tables.  Every replication
+    estimates with the Epanechnikov kernel and the bandwidth rule
+    ``bandwidth_constant * sd(x) * n**(-1/3)``.
 
     ``recompute_weights`` controls the bootstrap flavor used for coverage.
     True (default) resamples rows and recomputes both the kernel weights and
@@ -211,9 +209,7 @@ class SimStudyConfig:
     bootstrap_b: int = 1000
     level: float = 0.95
     m: int = 100
-    kernel: KernelSpec = field(default_factory=KernelSpec)
     bandwidth_constant: float = 5.5
-    bandwidth_exponent: float = -1.0 / 3.0
     seed: int = 20240801
     recompute_weights: bool = True
 
@@ -265,9 +261,9 @@ class SimReport:
             f"bootstrap_b={cfg.bootstrap_b}",
             f"level={cfg.level}",
             f"m={cfg.m}",
-            f"kernel={cfg.kernel.family}:{cfg.kernel.order}",
+            f"kernel={_KERNEL.family}:{_KERNEL.order}",
             f"bandwidth_constant={cfg.bandwidth_constant}",
-            f"bandwidth_exponent={cfg.bandwidth_exponent!r}",
+            f"bandwidth_exponent={BandwidthRule().exponent!r}",
             f"recompute_weights={cfg.recompute_weights}",
         ]
         if extra:
@@ -314,22 +310,13 @@ def run_study(config):
             draw = dgp_draw(n, rng)
             sample = draw.sample
 
-            s_x = float(np.std(sample.x[:, 0], ddof=1))
-            h = bandwidth(
-                BandwidthRule(
-                    constant=config.bandwidth_constant,
-                    exponent=config.bandwidth_exponent,
-                    scale=s_x,
-                ),
-                n,
+            point = estimate(
+                sample, _KERNEL, BandwidthRule(constant=config.bandwidth_constant),
+                config.m,
             )
-            weights = counterfactual_weights(
-                sample.x, sample.xstar, kernel=config.kernel, h=h
-            )
-
             grids = {
-                "empirical": empirical_copula(sample, m=config.m),
-                "proposed": counterfactual_copula(sample, weights, m=config.m),
+                "empirical": point.grids["actual"],
+                "proposed": point.grids["counterfactual"],
                 "oracle": oracle_estimator(draw.y1_star, draw.y2_star, m=config.m),
             }
             for est in ESTIMATORS:
@@ -337,37 +324,17 @@ def run_study(config):
                 abs_err[est].append(miae(grids[est], truth))
                 sq_err[est].append(integrated_squared_error(grids[est], truth))
 
-            reports = {
-                "actual": association.measures_from_grid(grids["empirical"]),
-                "counterfactual": association.measures_from_grid(grids["proposed"]),
-            }
-            effects = association.policy_effect(
-                reports["counterfactual"], reports["actual"]
-            )
-            for mm in association.MEASURES:
-                meas_err[("actual", mm)].append(getattr(reports["actual"], mm) - truths["actual"][mm])
-                meas_err[("counterfactual", mm)].append(
-                    getattr(reports["counterfactual"], mm) - truths["counterfactual"][mm]
-                )
-                meas_err[("effect", mm)].append(getattr(effects, mm) - truths["effect"][mm])
+            for (target, mm), errs in meas_err.items():
+                errs.append(getattr(point.reports[target], mm) - truths[target][mm])
 
             if config.bootstrap_b >= 2:
-                boot = run_bootstrap(
-                    sample,
+                boot = point.bootstrap(
                     BootstrapConfig(
                         B=config.bootstrap_b,
                         level=config.level,
                         seed=derived_seed(config.seed, (n, rep, 1)),
                         recompute_weights=config.recompute_weights,
-                    ),
-                    w=weights,
-                    kernel=config.kernel,
-                    h=h,
-                    m=config.m,
-                    bandwidth_rule=BandwidthRule(
-                        constant=config.bandwidth_constant,
-                        exponent=config.bandwidth_exponent,
-                    ),
+                    )
                 )
                 for (target, mm), run in boot.runs.items():
                     if run.covers(truths[target][mm]):

@@ -18,9 +18,11 @@ from cfcopula.bootstrap import (
     _is_degenerate,
     bootstrap_replicate,
     centered_quantile,
+    estimate,
     multinomial_counts,
     run_bootstrap,
 )
+from cfcopula.association import measures_from_grid, policy_effect
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
@@ -196,12 +198,10 @@ def test_effect_replicates_are_coupled_differences():
 def test_recompute_weights_mode_reruns_kernel_per_replicate():
     sample = _sample(40, 8)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    fixed = run_bootstrap(
-        sample, BootstrapConfig(B=12, seed=9), w=w, h=1.5, m=10
-    )
+    fixed = run_bootstrap(sample, BootstrapConfig(B=12, seed=9), w=w, m=10)
     redone = run_bootstrap(
         sample, BootstrapConfig(B=12, seed=9, recompute_weights=True),
-        w=w, h=1.5, m=10, bandwidth_rule=BandwidthRule(constant=3.0),
+        w=w, m=10, bandwidth_rule=BandwidthRule(constant=3.0),
     )
     assert all(np.all(np.isfinite(r.replicates)) for r in redone.runs.values())
     key = ("counterfactual", "tau")
@@ -215,7 +215,9 @@ def test_bootstrap_replicate_single_draw():
     sample = _sample(30, 10)
     counts = multinomial_counts(30, np.random.default_rng(2))
     plan = kernel_plan(sample.x, sample.xstar)
-    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 3.0, None)
+    v_cf = bootstrap_replicate(
+        sample, plan, counts, KernelSpec(), BandwidthRule(constant=9.0)
+    )
     # recomputed weights live on the resampled rows only and keep mass n
     assert v_cf.shape == (30,)
     assert np.all(v_cf[counts == 0] == 0.0)
@@ -277,24 +279,22 @@ def test_recompute_replicate_matches_resample_and_rerank():
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         for b in range(30):
             counts = multinomial_counts(sample.n, np.random.default_rng(b))
-            v_cf = bootstrap_replicate(sample, plan, counts, kernel, None, rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
             act, cf = _grid_pair(r1, r2, counts, v_cf, m)
             act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, rule, m)
             assert np.array_equal(act, act_ref)
             assert np.max(np.abs(cf - cf_ref)) <= 1e-12
 
 
-def _resampled_multipliers(sample, plan, counts, kernel, h, bandwidth_rule):
+def _resampled_multipliers(sample, plan, counts, kernel, rule):
     # the recompute replicate built on the resampled rows: kernel weights
     # of x[rows] against xstar[rows], folded onto the original rows; the
     # reference for the count form on the kernel plan, which it ignores
     rows = np.repeat(np.arange(sample.n), counts)
-    if bandwidth_rule is not None:
-        h = bandwidth(
-            replace(bandwidth_rule,
-                    scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
-            sample.n,
-        )
+    h = bandwidth(
+        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
+        sample.n,
+    )
     wb = counterfactual_weights(sample.x[rows], sample.xstar[rows], kernel=kernel,
                                 h=h, discrete_mask=sample.discrete_mask)
     return np.bincount(rows, weights=wb.w, minlength=sample.n)
@@ -309,25 +309,25 @@ def test_count_form_replicates_are_bitwise_those_of_the_resample():
                               xstar=xstar, discrete_mask=np.array([True, True, False, False]))
     wide = _sample(1500, 42, shift=0.3)
     cases = [
-        (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(), None,
+        (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(),
          BandwidthRule(), 25),
-        (mixed, KernelSpec(), np.array([1.0, 1.0, 4.0, 5.0]), None, 25),
-        (mixed, KernelSpec(family="higher_order", order=4), None,
+        (mixed, KernelSpec(), BandwidthRule(constant=10.0), 25),
+        (mixed, KernelSpec(family="higher_order", order=4),
          BandwidthRule(constant=10.0), 25),
-        (mixed, KernelSpec(family="gaussian_truncated"), None,
+        (mixed, KernelSpec(family="gaussian_truncated"),
          BandwidthRule(constant=10.0), 25),
         # more than `chunk` = 512 distinct targets in every resample
-        (wide, KernelSpec(family="gaussian_truncated"), np.array([0.8, 1.1]), None, 4),
+        (wide, KernelSpec(family="gaussian_truncated"), BandwidthRule(constant=10.0), 4),
     ]
     negative = False
-    for sample, kernel, h, rule, reps in cases:
+    for sample, kernel, rule, reps in cases:
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         for b in range(reps):
             counts = multinomial_counts(sample.n, np.random.default_rng(100 + b))
             if sample is wide:
                 assert np.count_nonzero(counts) > 512
-            v_cf = bootstrap_replicate(sample, plan, counts, kernel, h, rule)
-            ref = _resampled_multipliers(sample, plan, counts, kernel, h, rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
+            ref = _resampled_multipliers(sample, plan, counts, kernel, rule)
             assert v_cf.tobytes() == ref.tobytes()
             negative |= bool(np.any(v_cf < 0))
     assert negative  # the order-4 kernel case reached negative weights
@@ -341,19 +341,20 @@ def test_count_form_replicates_without_donor_fail_on_the_same_rows():
         xstar=x + np.array([0.4, 0.0]), discrete_mask=np.array([False, True]),
     )
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+    rule = BandwidthRule(constant=1.7)
     failed = passed = 0
     for b in range(40):
         counts = multinomial_counts(80, np.random.default_rng(200 + b))
         rows = np.repeat(np.arange(80), counts)
         try:
-            ref = _resampled_multipliers(sample, plan, counts, KernelSpec(), 0.4, None)
+            ref = _resampled_multipliers(sample, plan, counts, KernelSpec(), rule)
         except BandwidthTooSmallError as err:
             with pytest.raises(BandwidthTooSmallError) as mine:
-                bootstrap_replicate(sample, plan, counts, KernelSpec(), 0.4, None)
+                bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
             assert mine.value.columns == sorted(set(rows[err.columns].tolist()))
             failed += 1
         else:
-            v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 0.4, None)
+            v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
             assert v_cf.tobytes() == ref.tobytes()
             passed += 1
     assert failed > 0 and passed > 0
@@ -369,7 +370,7 @@ def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
     def run():
         return run_bootstrap(
             sample, BootstrapConfig(B=60, seed=3, recompute_weights=True),
-            w=w, kernel=KernelSpec(), h=h, m=20, bandwidth_rule=rule,
+            w=w, kernel=KernelSpec(), m=20, bandwidth_rule=rule,
         )
 
     _pin_workers(monkeypatch, 2)
@@ -400,11 +401,16 @@ def test_replicate_without_donor_names_original_rows_and_a_scalar_h():
     # row 1, with the same target, is not resampled
     counts = np.array([0, 0, 2, 1, 1, 1, 1, 2, 1, 1])
     plan = kernel_plan(sample.x, sample.xstar)
+    rule = BandwidthRule(constant=1.5)
     with pytest.raises(BandwidthTooSmallError) as err:
-        bootstrap_replicate(sample, plan, counts, KernelSpec(), np.array([1.5]), None)
+        bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
     assert err.value.columns == [7]
     assert "rows [7]" in str(err.value)
-    assert "h=1.5;" in str(err.value)
+    # the one-coordinate bandwidth of the resample reads as a scalar
+    rows = np.repeat(np.arange(10), counts)
+    h = bandwidth(replace(rule, scale=scale_from_sample(sample.x[rows])), 10)
+    assert h.shape == (1,)
+    assert f"h={float(h[0])};" in str(err.value)
 
 
 def test_recompute_bootstrap_redraws_a_replicate_without_donor():
@@ -416,7 +422,7 @@ def test_recompute_bootstrap_redraws_a_replicate_without_donor():
     w = counterfactual_weights(sample.x, sample.xstar, h=h)
     result = run_bootstrap(
         sample, BootstrapConfig(B=200, seed=0, recompute_weights=True),
-        w=w, kernel=KernelSpec(), h=h, m=100, bandwidth_rule=rule,
+        w=w, kernel=KernelSpec(), m=100, bandwidth_rule=rule,
     )
     assert result.discarded > 0
     assert all(np.all(np.isfinite(r.replicates)) for r in result.runs.values())
@@ -435,8 +441,7 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
         return [
             run_bootstrap(
                 sample, BootstrapConfig(B=30, seed=8, recompute_weights=redo),
-                w=w, kernel=kernel, h=0.8, m=10,
-                bandwidth_rule=BandwidthRule(constant=2.0),
+                w=w, kernel=kernel, m=10, bandwidth_rule=BandwidthRule(constant=2.0),
             )
             for redo in (False, True)
         ]
@@ -474,7 +479,7 @@ def _recompute_case_with_redraws():
     return dict(
         sample=sample, config=BootstrapConfig(B=7, seed=4, recompute_weights=True),
         w=counterfactual_weights(sample.x, sample.xstar, h=h), kernel=KernelSpec(),
-        h=h, m=20, bandwidth_rule=rule,
+        m=20, bandwidth_rule=rule,
     )
 
 
@@ -485,7 +490,7 @@ def _higher_order_case():
     return dict(
         sample=sample, config=BootstrapConfig(B=7, seed=8),
         w=counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=0.8),
-        kernel=kernel, h=0.8, m=10,
+        kernel=kernel, m=10,
     )
 
 
@@ -543,16 +548,15 @@ def test_the_first_failing_replicate_decides_the_error_on_any_number_of_cores(
 
 
 def test_missing_bandwidth_fails_before_any_draw(monkeypatch):
-    """h=None once read as a NaN bandwidth: every recompute replicate had no
-    donor, and the run ended in DegenerateReplicateError after 11 draws."""
+    """Recomputing the weights without a bandwidth rule is a ValueError
+    before any draw, not a run of replicates without a bandwidth."""
     sample = dgp_draw(50, np.random.default_rng(0)).sample
     w = counterfactual_weights(sample.x, sample.xstar, h=1.0)
     draws = []
     monkeypatch.setattr(bootstrap, "multinomial_counts", lambda *args: draws.append(1))
-    with pytest.raises(ValueError, match="needs the bandwidth h"):
-        run_bootstrap(sample, BootstrapConfig(B=5, recompute_weights=True), w=w, m=10)
-    with pytest.raises(ValueError, match="needs the bandwidth h"):
-        run_bootstrap(sample, BootstrapConfig(B=5), m=10)
+    with pytest.raises(ValueError, match="needs a bandwidth_rule"):
+        run_bootstrap(sample, BootstrapConfig(B=5, recompute_weights=True), w=w,
+                      kernel=KernelSpec(), m=10)
     assert draws == []
 
 
@@ -585,3 +589,56 @@ def test_covers_helper():
     ]
     assert run.covers(run.point)
     assert not run.covers(run.hi + 1.0)
+
+
+def test_estimate_is_the_chain_at_its_bandwidth_bitwise():
+    rng = np.random.default_rng(51)
+    x = _mixed_covariates(200, rng)
+    xstar = x.copy()
+    xstar[:, 2] = np.maximum(xstar[:, 2], 13.0)
+    mask = np.array([True, True, False, False])
+    sample = ObservationSample(y1=x[:, 2] + rng.normal(size=200),
+                               y2=x[:, 3] + rng.normal(size=200), x=x, xstar=xstar,
+                               discrete_mask=mask)
+    kernel = KernelSpec(family="higher_order", order=4)
+    rule = BandwidthRule(constant=10.0)
+    est = estimate(sample, kernel, rule, 20)
+
+    scale = scale_from_sample(x, mask)
+    h = bandwidth(replace(rule, scale=scale), 200)
+    assert est.rule.scale.tobytes() == scale.tobytes()
+    assert est.h.tobytes() == h.tobytes()
+    w = counterfactual_weights(x, xstar, kernel=kernel, h=h, discrete_mask=mask)
+    assert w.negative_count > 0
+    assert est.w.w.tobytes() == w.w.tobytes()
+    grids = {"actual": empirical_copula(sample, m=20),
+             "counterfactual": counterfactual_copula(sample, w, m=20)}
+    assert set(est.grids) == set(grids)
+    for target, grid in grids.items():
+        mine = est.grids[target]
+        assert mine.values.tobytes() == grid.values.tobytes()
+        assert (mine.m, mine.two_increasing, mine.margins_uniform) == (
+            grid.m, grid.two_increasing, grid.margins_uniform)
+    reports = {target: measures_from_grid(grid) for target, grid in grids.items()}
+    reports["effect"] = policy_effect(reports["counterfactual"], reports["actual"])
+    assert est.reports == reports
+
+
+@pytest.mark.parametrize("family, order, recompute", [
+    ("epanechnikov", 2, False),
+    ("epanechnikov", 2, True),
+    ("higher_order", 4, True),
+])
+def test_bootstrap_points_are_the_estimate_reports_bitwise(family, order, recompute):
+    """measures.csv takes its values from ``est.reports`` and its intervals
+    from the bootstrap runs, so the two points must be the same doubles."""
+    sample = _sample(60, 52)
+    est = estimate(sample, KernelSpec(family=family, order=order),
+                   BandwidthRule(constant=8.0), 20)
+    if order > 2:
+        assert est.w.negative_count > 0
+    result = est.bootstrap(BootstrapConfig(B=6, seed=3, recompute_weights=recompute))
+    assert len(result.runs) == 12
+    for (target, measure), run in result.runs.items():
+        point = getattr(est.reports[target], measure)
+        assert np.float64(run.point).tobytes() == np.float64(point).tobytes()

@@ -11,7 +11,18 @@ import pytest
 
 from cfcopula.cli import main
 from cfcopula.copula import ObservationSample, empirical_copula
-from cfcopula.data import ingest, read_grid_csv, write_table, Table
+from cfcopula.data import ingest, write_table, Table
+from cfcopula.simulation import run_study
+
+
+def read_grid_csv(path):
+    """(m, values) of a long-format grid CSV written by ``write_grid_csv``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["u1", "u2", "value"]
+    m = round((len(rows) - 1) ** 0.5) - 1
+    values = np.array([float(r[2]) for r in rows[1:]]).reshape(m + 1, m + 1)
+    return m, values
 
 
 @pytest.fixture()
@@ -141,6 +152,28 @@ def test_config_file_with_flag_override(dataset, tmp_path):
     diag = {r[0]: r[1] for r in _read_rows(out / "diagnostics.csv")}
     assert float(diag["bandwidth_c"]) == 3.5  # flag beats config
     assert int(diag["grid_m"]) == 10          # config beats default
+
+
+def test_simulate_config_can_freeze_the_weights(tmp_path, monkeypatch):
+    import cfcopula.cli as cli
+
+    studies = []
+
+    def spy(config):
+        studies.append(config)
+        return run_study(config)
+
+    monkeypatch.setattr(cli, "run_study", spy)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("recompute_weights = false\n", encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--sizes", "30",
+                 "--replications", "1", "--boot-b", "4", "--grid-m", "10",
+                 "--out-dir", str(out)]) == 0
+    assert [study.recompute_weights for study in studies] == [False]
+    assert "recompute_weights=False\n" in (out / "manifest.txt").read_text()
+    # recomputing is the default; there is no flag for it
+    assert main(["simulate", "--recompute-weights", "--out-dir", str(out)]) == 1
 
 
 def test_sweep_table_shape_and_affected_fraction(dataset, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from cfcopula.copula import (
     unit_weights,
     weighted_rank_copula_values,
 )
-from cfcopula.kernels import KernelSpec, kernel_1d
+from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
 
 
 def _sample(n, seed, d=2, shift=0.0):
@@ -237,13 +239,14 @@ def test_recompute_replicate_weights_match_dense():
     xstar = x.copy()
     xstar[:, 2] = np.maximum(xstar[:, 2], 13.0)
     mask = np.array([True, True, False, False])
-    h = np.array([1.0, 1.0, 4.0, 5.0])
+    rule = BandwidthRule(constant=10.0)
     sample = ObservationSample(y1=rng.normal(size=150), y2=rng.normal(size=150),
                                x=x, xstar=xstar, discrete_mask=mask)
     counts = multinomial_counts(150, np.random.default_rng(7))
     rows = np.repeat(np.arange(150), counts)
     plan = kernel_plan(x, xstar, mask)
-    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), h, None)
+    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
+    h = bandwidth(replace(rule, scale=scale_from_sample(x[rows], mask)), 150)
     ref = np.bincount(rows, weights=_dense_weights(x[rows], xstar[rows], h=h,
                                                    discrete_mask=mask),
                       minlength=150)
@@ -271,9 +274,9 @@ def test_rank_based_copula_hand_example():
         xstar=np.zeros(4),
     )
     grid = empirical_copula(sample, m=2)
-    assert grid.at(0.5, 0.5) == 0.25
-    assert grid.at(1.0, 1.0) == 1.0
-    assert grid.at(0.0, 0.5) == 0.0
+    assert grid.values[1, 1] == 0.25
+    assert grid.values[2, 2] == 1.0
+    assert grid.values[0, 1] == 0.0
 
 
 def test_copula_grid_boundary_semantics():
@@ -342,12 +345,6 @@ def test_rank_invariance_of_grids_is_exact():
         xstar=sample.xstar,
     )
     assert np.array_equal(empirical_copula(warped, m=18).values, base.values)
-
-
-def test_grid_at_rejects_off_grid_points():
-    grid = empirical_copula(_sample(20, 13), m=4)
-    with pytest.raises(ValueError):
-        grid.at(0.3, 0.5)
 
 
 # --- grid layer against the binary-search oracle ------------------------------

