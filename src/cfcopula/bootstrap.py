@@ -5,7 +5,9 @@ scale of the sample gives h, then come the kernel-ratio weights, the actual
 and counterfactual copula grids, their association measures and the policy
 effect.  ``Estimate.bootstrap`` hands the weights, kernel and rule to
 ``run_bootstrap``, so the point estimate and every replicate share one
-bandwidth rule.
+bandwidth rule.  ``estimates`` runs it for every value of a scenario
+family: one kernel pass gives the weights of all values, and each value
+goes through the same grids, measures and effect as ``estimate``.
 
 Each replicate draws multinomial counts M with equal cell probabilities and
 multiplies them into the estimators: the actual-copula replicate weights
@@ -423,19 +425,14 @@ class Estimate:
         )
 
 
-def estimate(sample, kernel, rule, m):
-    """Weights, copula grids on the m-grid, measures and policy effect.
-
-    The bandwidth is ``rule`` at ``scale_from_sample(sample.x,
-    sample.discrete_mask)``: one per coordinate, the sample standard
-    deviation of a smoothed coordinate and 1 at a discrete one.
-    """
+def _scaled(rule, sample):
+    """``rule`` at the covariate scale of ``sample``, and its bandwidth."""
     rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
-    h = _bandwidth(rule, sample.n)
-    w = counterfactual_weights(
-        sample.x, sample.xstar, kernel=kernel, h=h,
-        discrete_mask=sample.discrete_mask,
-    )
+    return rule, _bandwidth(rule, sample.n)
+
+
+def _finish(sample, kernel, rule, h, w, m):
+    """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect."""
     grids = {
         "actual": empirical_copula(sample, m=m),
         "counterfactual": counterfactual_copula(sample, w, m=m),
@@ -448,3 +445,58 @@ def estimate(sample, kernel, rule, m):
     )
     return Estimate(sample=sample, kernel=kernel, rule=rule, h=h, w=w,
                     grids=grids, reports=reports)
+
+
+def estimate(sample, kernel, rule, m):
+    """Weights, copula grids on the m-grid, measures and policy effect.
+
+    The bandwidth is ``rule`` at ``scale_from_sample(sample.x,
+    sample.discrete_mask)``: one per coordinate, the sample standard
+    deviation of a smoothed coordinate and 1 at a discrete one.
+    """
+    rule, h = _scaled(rule, sample)
+    w = counterfactual_weights(
+        sample.x, sample.xstar, kernel=kernel, h=h,
+        discrete_mask=sample.discrete_mask,
+    )
+    return _finish(sample, kernel, rule, h, w, m)
+
+
+def estimates(sample, xstars, kernel, rule, m):
+    """The ``estimate`` of ``sample`` with its xstar replaced by each of ``xstars``.
+
+    ``xstars`` has shape (V, n, d), one manipulation of the covariates per
+    value of a scenario family.  The values share the sample's x, discrete
+    mask, kernel and bandwidth, so the weights of all V come from one
+    ``kernel_plan`` on x and the stacked xstars, evaluated once with a
+    (distinct targets x V) multiplicity matrix.  Each value's weights then
+    go through the same finishing step as in ``estimate``.  The weights are
+    built by this call; the returned iterator builds the V estimates one
+    at a time, in order.
+
+    Raises
+    ------
+    BandwidthTooSmallError
+        If some value leaves a row without a donor; its ``columns`` are
+        rows of the xstar of the first such value.
+    """
+    rule, h = _scaled(rule, sample)
+    V, n = xstars.shape[0], sample.n
+    plan = kernel_plan(sample.x, xstars.reshape(V * n, -1), sample.discrete_mask)
+    t = plan.tgt.shape[0]
+    # the multiplicity of distinct target k in value v sits at [k, v]
+    counts = np.bincount(
+        plan.tgt_inv + t * np.repeat(np.arange(V), n), minlength=V * t
+    ).reshape(V, t).T
+    try:
+        w = kernel_weights(plan, kernel, h, plan.src_counts, counts)
+    except BandwidthTooSmallError as err:
+        first = err.columns[0] // n
+        raise BandwidthTooSmallError(
+            [j - first * n for j in err.columns if j // n == first], h
+        ) from None
+    return (
+        _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
+                WeightVector.from_array(w[plan.src_inv, v]), m)
+        for v in range(V)
+    )

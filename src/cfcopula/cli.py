@@ -36,6 +36,7 @@ from .bootstrap import (
     DegenerateReplicateError,
     derived_seed,
     estimate,
+    estimates,
 )
 from .copula import BandwidthTooSmallError, support_violations
 from .data import (
@@ -223,8 +224,8 @@ def _resolve_run_config(args, need_input=True, default_scenario=None):
 
 # --- shared estimation plumbing ------------------------------------------------
 
-def _estimate(cfg, table):
-    """Scenario label, affected fraction and the estimate of one pass."""
+def _scenario_sample(cfg, table):
+    """Scenario label, affected fraction and the sample of one pass."""
     if cfg.scenario_text:
         spec = parse_scenario(cfg.scenario_text)
         xstar_columns, frac = apply_scenario(table, cfg.roles, spec)
@@ -235,10 +236,15 @@ def _estimate(cfg, table):
         changed = np.any(sample.xstar != sample.x, axis=1)
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
-    est = estimate(
+    return label, frac, sample
+
+
+def _estimate(cfg, table):
+    """Scenario label, affected fraction and the estimate of one pass."""
+    label, frac, sample = _scenario_sample(cfg, table)
+    return label, frac, estimate(
         sample, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
     )
-    return label, frac, est
 
 
 def _order_check(est):
@@ -437,13 +443,24 @@ def cmd_sweep(args):
     table = ingest(cfg.input, roles=cfg.roles)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    # the manipulated covariates of every value, for one kernel pass
+    xstars, fracs = None, []
     for index, value in enumerate(values):
         if param == "s":
             text = f"max_with({column}, {value})"
         else:
             text = f"conditional_max({column}, {trigger}, {value}, floor={int(floor) if floor == int(floor) else floor})"
-        _, frac, est = _estimate(replace(cfg, scenario_text=text), table)
+        _, frac, sample = _scenario_sample(replace(cfg, scenario_text=text), table)
+        if xstars is None:
+            xstars = np.empty((len(values),) + sample.xstar.shape)
+        xstars[index] = sample.xstar
+        fracs.append(frac)
+    family = estimates(
+        sample, xstars, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c),
+        cfg.grid_m,
+    )
+    rows = []
+    for index, (value, frac, est) in enumerate(zip(values, fracs, family)):
         result = est.bootstrap(cfg.bootstrap_config(derived_seed(cfg.seed, (index,))))
         for measure in MEASURES:
             for target in TARGETS:
@@ -582,10 +599,14 @@ def main(argv=None):
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        with warnings.catch_warnings():
-            # support-box warnings are already reported in the summary file
-            warnings.simplefilter("ignore")
-            return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.category.__name__}: {warning.message}",
+                          file=sys.stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

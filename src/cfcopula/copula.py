@@ -185,7 +185,7 @@ class KernelPlan:
     ----------
     src, tgt : array, shape (distinct rows, continuous coordinates)
         Distinct rows of ``x`` and of ``xstar``, continuous coordinates only.
-    src_inv, tgt_inv : array of int, shape (n,)
+    src_inv, tgt_inv : array of int, shape (rows of x,), (rows of xstar,)
         Distinct row of every row of ``x`` and of ``xstar``.
     src_counts, tgt_counts : array, shape (distinct rows,)
         Multiplicities of the distinct rows in ``x`` and in ``xstar``.
@@ -207,10 +207,17 @@ class KernelPlan:
 
 
 def kernel_plan(x, xstar, discrete_mask=None):
-    """The ``KernelPlan`` of covariates ``x`` and manipulated covariates ``xstar``."""
+    """The ``KernelPlan`` of covariates ``x`` and manipulated covariates ``xstar``.
+
+    ``xstar`` needs the columns of ``x`` but not its rows: a stack of the
+    manipulated covariates of several scenarios (V blocks of n rows) gives
+    one plan whose distinct targets cover every scenario, and the
+    multiplicities of each scenario's rows are one column of the target
+    multiplicities ``kernel_weights`` takes.
+    """
     X = _as_matrix(x)
     Xs = _as_matrix(xstar)
-    if Xs.shape != X.shape:
+    if Xs.shape[1] != X.shape[1]:
         raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
     d = X.shape[1]
     mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask, dtype=bool)
@@ -246,14 +253,23 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     coordinates for blocks of at most ``chunk`` of its targets of positive
     multiplicity, against its sources of positive multiplicity.
 
+    ``tgt_counts`` of shape (targets,) gives weights of shape (sources,).
+    Of shape (targets, V) it holds V sets of target multiplicities, one per
+    column, sharing the source multiplicities, and gives weights of shape
+    (sources, V), column j those of column j of ``tgt_counts``.  A target's
+    denominator depends only on its row and the source multiplicities, so
+    every kernel block is formed once for all V columns and enters each
+    column that holds one of its targets by one matrix-vector product.
+
     Raises
     ------
     ValueError
         If the bandwidth of some continuous coordinate is not positive and
         finite.
     BandwidthTooSmallError
-        If some target of positive multiplicity has a zero donor total;
-        its ``columns`` are the rows of ``xstar`` whose distinct row it is.
+        If some target of positive multiplicity (in any column) has a zero
+        donor total; its ``columns`` are the rows of ``xstar`` whose
+        distinct row it is.
     """
     kernel = KernelSpec() if kernel is None else kernel
     mask = plan.discrete_mask
@@ -265,11 +281,13 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
             "bandwidth must be positive and finite for continuous coordinates"
         )
 
-    w = np.zeros(plan.src.shape[0])
+    # one row of weights per column of tgt_counts, transposed on return
+    w = np.zeros(tgt_counts.shape[1:] + (plan.src.shape[0],))
     bad = np.zeros(plan.tgt.shape[0], dtype=bool)
     for cell_src, cell_tgt in plan.cells:
         si = cell_src[src_counts[cell_src] > 0]
-        present = cell_tgt[tgt_counts[cell_tgt] > 0]
+        positive = tgt_counts[cell_tgt] > 0
+        present = cell_tgt[positive if w.ndim == 1 else positive.any(axis=1)]
         xs = plan.src[si]
         for start in range(0, present.size, chunk):
             ti = present[start:start + chunk]
@@ -292,10 +310,18 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
                 # the call fails, so the weights of this block are not needed
                 bad[ti[zero]] = True
                 continue
-            w[si] += kmat @ (tgt_counts[ti] / denom)
+            counts = tgt_counts[ti]
+            if w.ndim == 1:
+                w[si] += kmat @ (counts / denom)
+                continue
+            # a matrix-vector product per column the block enters: one
+            # matrix product over all columns raises peak memory by the
+            # buffers of the BLAS threads it wakes
+            for j in np.flatnonzero(counts.any(axis=0)):
+                w[j, si] += kmat @ (counts[:, j] / denom)
     if np.any(bad):
         raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
-    return w
+    return w.T
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
@@ -336,7 +362,10 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
         If some target column has a zero donor total; its ``columns`` are
         the offending rows of ``xstar`` in increasing order.
     """
-    plan = kernel_plan(x, xstar, discrete_mask)
+    X, Xs = _as_matrix(x), _as_matrix(xstar)
+    if Xs.shape != X.shape:
+        raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
+    plan = kernel_plan(X, Xs, discrete_mask)
     w = kernel_weights(plan, kernel, h, plan.src_counts, plan.tgt_counts, chunk)
     return WeightVector.from_array(w[plan.src_inv])
 

@@ -19,6 +19,7 @@ from cfcopula.bootstrap import (
     bootstrap_replicate,
     centered_quantile,
     estimate,
+    estimates,
     multinomial_counts,
     run_bootstrap,
 )
@@ -642,3 +643,21 @@ def test_bootstrap_points_are_the_estimate_reports_bitwise(family, order, recomp
     for (target, measure), run in result.runs.items():
         point = getattr(est.reports[target], measure)
         assert np.float64(run.point).tobytes() == np.float64(point).tobytes()
+
+
+def test_estimates_name_the_rows_of_the_first_value_without_donor():
+    rng = np.random.default_rng(54)
+    x = _mixed_covariates(200, rng)
+    sample = ObservationSample(y1=rng.normal(size=200), y2=rng.normal(size=200),
+                               x=x, xstar=x,
+                               discrete_mask=np.array([True, True, False, False]))
+    xstars = np.stack([x] * 4)
+    xstars[1, [7, 90], 3] = 2100.0
+    xstars[3, 5, 3] = 2100.0
+    rule = BandwidthRule(constant=10.0)
+    with pytest.raises(BandwidthTooSmallError) as err:
+        estimates(sample, xstars, KernelSpec(), rule, 20)
+    with pytest.raises(BandwidthTooSmallError) as ref:
+        estimate(replace(sample, xstar=xstars[1]), KernelSpec(), rule, 20)
+    assert err.value.columns == ref.value.columns == [7, 90]
+    assert str(err.value) == str(ref.value)

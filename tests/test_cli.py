@@ -4,14 +4,21 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfcopula.bootstrap import Estimate, estimate
 from cfcopula.cli import main
 from cfcopula.copula import ObservationSample, empirical_copula
-from cfcopula.data import ingest, write_table, Table
+from cfcopula.data import (
+    DataError, SynthConfig, Table, build_sample, default_synth_roles, ingest,
+    synth_table, write_table,
+)
+from cfcopula.kernels import BandwidthRule, KernelSpec
+from cfcopula.scenarios import apply_scenario, parse_scenario
 from cfcopula.simulation import run_study
 
 
@@ -223,6 +230,104 @@ def test_sweep_reads_its_input_once(dataset, tmp_path, monkeypatch):
                "--boot-b", "4", "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def synth_600(tmp_path_factory):
+    path = tmp_path_factory.mktemp("synth") / "synth.csv"
+    write_table(synth_table(SynthConfig(n=600)), path)
+    return path
+
+
+@pytest.mark.parametrize("param,first,last", [("s", 14, 16), ("sprime", 8, 10)])
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
+                                            param, first, last, recompute):
+    seen = []
+    bootstrap_of = Estimate.bootstrap
+
+    def recording(est, config):
+        seen.append((est, config))
+        return bootstrap_of(est, config)
+
+    monkeypatch.setattr(Estimate, "bootstrap", recording)
+    out = tmp_path / "out"
+    argv = ["sweep", "--input", str(synth_600), "--param", param,
+            "--from", str(first), "--to", str(last), "--bandwidth-c", "30",
+            "--grid-m", "20", "--boot-b", "8", "--seed", "3", "--out-dir", str(out)]
+    assert main(argv + (["--recompute-weights"] if recompute else [])) == 0
+    rows = _read_rows(out / "sweep.csv")[1:]
+    monkeypatch.setattr(Estimate, "bootstrap", bootstrap_of)
+
+    table = ingest(synth_600)
+    roles = default_synth_roles()
+    values = range(first, last + 1)
+    assert len(seen) == len(values)
+    for value, (est, config) in zip(values, seen):
+        text = (f"max_with(cedu, {value})" if param == "s"
+                else f"conditional_max(cedu, pedu, {value}, floor=16)")
+        xstar_columns, frac = apply_scenario(table, roles, parse_scenario(text))
+        ref = estimate(build_sample(table, roles, xstar_columns=xstar_columns),
+                       KernelSpec(), BandwidthRule(constant=30.0), 20)
+        assert est.h.tobytes() == ref.h.tobytes()
+        assert est.sample.xstar.tobytes() == ref.sample.xstar.tobytes()
+        for target, grid in ref.grids.items():
+            assert np.max(np.abs(est.grids[target].values - grid.values)) <= 1e-12
+        ref_result = ref.bootstrap(config)
+        mine = [r for r in rows if r[0] == str(value)]
+        assert len(mine) == 12
+        for _, measure, target, point, lo, hi, affected in mine:
+            assert affected == repr(frac)
+            assert abs(getattr(est.reports[target], measure)
+                       - getattr(ref.reports[target], measure)) <= 1e-12
+            run = ref_result.runs[(target, measure)]
+            assert abs(float(point) - run.point) <= 1e-12
+            assert abs(float(lo) - run.lo) <= 1e-12
+            assert abs(float(hi) - run.hi) <= 1e-12
+
+
+def test_sweep_without_donor_exits_three_before_any_value(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert main(["synth-data", "--seed", "0", "--n", "3895",
+                 "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["sweep", "--input", str(data / "synth.csv"), "--param", "s",
+               "--from", "13", "--to", "16", "--bandwidth-c", "30",
+               "--out-dir", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    # s=16 is the first value without a donor; the row is one of its xstar
+    assert captured.err == (
+        "numeric failure: kernel denominator is zero for counterfactual rows "
+        "[478]: no donor within bandwidth h=[ 1.90671347  1.90671347  5.05514415"
+        "  1.90671347 19.19599531  3.70986999]; increase the bandwidth constant\n"
+    )
+    # the weights of every value come before any value's output
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+
+
+def test_warnings_are_reported_on_stderr(monkeypatch, capsys):
+    import cfcopula.cli as cli
+
+    def noisy(args):
+        for _ in range(2):
+            warnings.warn("weights look odd", RuntimeWarning)
+        return 0
+
+    def failing(args):
+        warnings.warn("cell is sparse", UserWarning)
+        raise DataError("broken row")
+
+    monkeypatch.setattr(cli, "cmd_synth_data", noisy)
+    assert main(["synth-data"]) == 0
+    assert capsys.readouterr().err == "warning: RuntimeWarning: weights look odd\n" * 2
+    monkeypatch.setattr(cli, "cmd_synth_data", failing)
+    assert main(["synth-data"]) == 2
+    assert capsys.readouterr().err == (
+        "warning: UserWarning: cell is sparse\ndata error: broken row\n"
+    )
 
 
 def test_synth_data_command(tmp_path):

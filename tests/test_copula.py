@@ -14,6 +14,7 @@ from cfcopula.copula import (
     empirical_copula,
     frechet_hoeffding_violation,
     kernel_plan,
+    kernel_weights,
     margin_ranks,
     pseudo_observations,
     support_violations,
@@ -251,6 +252,80 @@ def test_recompute_replicate_weights_match_dense():
                                                    discrete_mask=mask),
                       minlength=150)
     assert np.max(np.abs(v_cf - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _stacked_weights(x, xstars, kernel=None, h=1.0, discrete_mask=None, chunk=512):
+    # one plan on x and the stacked xstars, evaluated once with a (distinct
+    # targets x values) multiplicity matrix; (n, V) weights on the rows of x
+    n = len(x)
+    plan = kernel_plan(x, np.concatenate(xstars), discrete_mask)
+    counts = np.column_stack([
+        np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=plan.tgt.shape[0])
+        for v in range(len(xstars))
+    ]).astype(float)
+    w = kernel_weights(plan, kernel, h, plan.src_counts, counts, chunk)
+    assert w.shape == (plan.src.shape[0], len(xstars))
+    return w[plan.src_inv]
+
+
+def _assert_stack_matches(x, xstars, **kwargs):
+    w = _stacked_weights(x, xstars, **kwargs)
+    for v, xstar in enumerate(xstars):
+        ref = _dense_weights(x, xstar, **kwargs)
+        alone = counterfactual_weights(x, xstar, **kwargs).w
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(w[:, v] - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(w[:, v] - alone)) <= 1e-12 * np.max(np.abs(alone))
+        assert abs(w[:, v].sum() - len(x)) <= 1e-9
+    return w
+
+
+def test_stacked_weights_match_dense_per_value_on_mixed_covariates():
+    rng = np.random.default_rng(41)
+    x = _mixed_covariates(500, rng)
+    xstars = []
+    for s in (12.0, 14.0, 16.0):
+        xstar = x.copy()
+        xstar[:, 2] = np.maximum(xstar[:, 2], s)
+        xstars.append(xstar)
+    # the identity manipulation is a value like any other
+    xstars.append(x.copy())
+    mask = np.array([True, True, False, False])
+    for chunk in (512, 7):
+        _assert_stack_matches(x, xstars, h=np.array([1.0, 1.0, 3.0, 4.0]),
+                              discrete_mask=mask, chunk=chunk)
+    # every coordinate matched exactly: the kernel is the cell indicator
+    _assert_stack_matches(x, [x[::-1], x, np.roll(x, 3, axis=0)],
+                          discrete_mask=np.ones(4, dtype=bool))
+
+
+def test_stacked_weights_match_dense_under_higher_order_kernel():
+    rng = np.random.default_rng(33)
+    x = np.column_stack([np.round(rng.normal(size=250), 1), rng.integers(0, 2, size=250)])
+    w = _assert_stack_matches(
+        x, [x + np.array([shift, 0.0]) for shift in (0.0, 0.2, 0.4, 0.6)],
+        kernel=KernelSpec(family="higher_order", order=4), h=0.8,
+        discrete_mask=np.array([False, True]), chunk=64,
+    )
+    assert np.array_equal((w < 0).any(axis=0), [False, False, True, True])
+
+
+def test_stacked_weights_name_the_stacked_rows_without_donor():
+    rng = np.random.default_rng(44)
+    x = _mixed_covariates(200, rng)
+    mask = np.array([True, True, False, False])
+    kwargs = dict(h=np.array([1.0, 1.0, 3.0, 4.0]), discrete_mask=mask, chunk=50)
+    xstars = [x.copy() for _ in range(3)]
+    # a NaN discrete target forms a cell of its own, without sources
+    xstars[1][[3, 150], 0] = np.nan
+    xstars[2][40, 3] = 2100.0
+    with pytest.raises(BandwidthTooSmallError) as err:
+        _stacked_weights(x, xstars, **kwargs)
+    for v in (1, 2):
+        with pytest.raises(BandwidthTooSmallError) as ref:
+            _dense_weights(x, xstars[v], **kwargs)
+        assert [j - v * 200 for j in err.value.columns if j // 200 == v] == ref.value.columns
+    assert err.value.columns == [203, 350, 440]
 
 
 def test_support_violation_indices():
