@@ -8,7 +8,10 @@ and as the truth values of the simulation study.
 
 On grids, rho and gamma are integrals of the copula itself (a bilinear cell
 rule and diagonal trapezoids), tau is a Stieltjes sum against the grid's
-cell masses, and beta is a node read.  The value-based forms matter for
+cell masses, and beta is a node read.  One function evaluates them from
+the node values and the cell masses: ``measures_from_cells`` takes both
+from an atom histogram (the point estimate and every bootstrap replicate),
+``measures_from_grid`` from a grid.  The value-based forms matter for
 weighted estimates: a weighted sample's pseudo-observation margins are only
 approximately uniform, and position-weighted mass sums for rho and gamma
 pick up a bias of order sum(w^2)/n^2 that the value integrals do not.
@@ -59,87 +62,70 @@ class PolicyEffect:
         return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma, "beta": self.beta}
 
 
-def cell_masses(grid):
-    """Two-dimensional increments of the grid; they telescope to C(1,1).
+def _measures(V, masses, m, n):
+    """The four measures from the node values n * C(a/m, b/m) and cell masses.
 
-    Entry [i, j] is the C-mass of the cell [i/m, (i+1)/m] x [j/m, (j+1)/m].
+    ``V`` is (m+1) x (m+1); ``masses`` is m x m, entry [a-1, b-1] the
+    n-scaled C-mass of the cell [(a-1)/m, a/m] x [(b-1)/m, b/m].
     """
-    v = grid.values
-    return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
-
-
-def _corner_average(values):
-    # bilinear cell integral: the average of the four corner node values
-    return 0.25 * (values[1:, 1:] + values[1:, :-1] + values[:-1, 1:] + values[:-1, :-1])
-
-
-def _trapezoid_nodes(a, m):
-    return (float(np.sum(a)) - 0.5 * (float(a[0]) + float(a[-1]))) / m
-
-
-def _rho(cbar, m):
-    return float(12.0 * cbar.sum() / (m * m) - 3.0)
-
-
-def _tau(cbar, grid):
-    return float(4.0 * np.sum(cbar * cell_masses(grid)) - 1.0)
-
-
-def spearman_rho(grid):
-    """12 * int C(u1, u2) du1 du2 - 3 with the bilinear cell rule.
-
-    Each cell contributes its corner average; the rule integrates the
-    bilinear interpolant exactly, so the independence grid returns exactly
-    zero and the comonotone grid returns 1 - 1/m^2.
-    """
-    return _rho(_corner_average(grid.values), grid.m)
-
-
-def kendall_tau(grid):
-    """4 * int C dC - 1 with C averaged over the four corners of each cell.
-
-    The corner average is the trapezoid value of C on the cell and keeps the
-    independence grid at exactly zero.
-    """
-    return _tau(_corner_average(grid.values), grid)
-
-
-def gini_gamma(grid):
-    """4 * (int C(u, u) du + int C(u, 1-u) du) - 2, diagonal trapezoids.
-
-    Both diagonals pass through grid nodes, so no interpolation is needed;
-    the trapezoid corrections cancel exactly on the independence grid.
-    """
-    m = grid.m
-    idx = np.arange(m + 1)
-    diag = grid.values[idx, idx]
-    anti = grid.values[idx, m - idx]
-    return float(4.0 * (_trapezoid_nodes(diag, m) + _trapezoid_nodes(anti, m)) - 2.0)
-
-
-def blomqvist_beta(grid):
-    """4 * C(1/2, 1/2) - 1, read off the grid node (no quadrature)."""
-    if grid.m % 2 != 0:
+    if m % 2 != 0:
         raise GridResolutionError(
-            f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={grid.m} is odd"
+            f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={m} is odd"
         )
-    half = grid.m // 2
-    return float(4.0 * grid.values[half, half] - 1.0)
+    # trapezoid node weights
+    t = np.ones(m + 1)
+    t[0] = t[m] = 0.5
+    idx = np.arange(m + 1)
+    # each cell's mass against the sum of C at its four corners (four times
+    # its trapezoid value); einsum reads the column-shifted views of the
+    # row-pair sums without copying them
+    rows = V[1:] + V[:-1]
+    tau = (np.einsum("ij,ij->", masses, rows[:, :-1])
+           + np.einsum("ij,ij->", masses, rows[:, 1:]))
+    return AssociationReport(
+        rho=float(12.0 * (t @ (V @ t)) / (n * m * m) - 3.0),
+        tau=float(tau / (n * n) - 1.0),
+        gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
+        beta=float(4.0 * V[m // 2, m // 2] / n - 1.0),
+        method=GRID_STIELTJES,
+    )
+
+
+def measures_from_cells(cells, m, n):
+    """All four measures of the copula of an atom histogram.
+
+    ``cells`` is the (m+2) x (m+2) histogram of a weighted rank sample with
+    total mass n: entry [a, b] holds the weight of the atoms in the cell
+    ((a-1)/m, a/m] x ((b-1)/m, b/m], index 0 holding atoms at or below 0
+    and index m+1 atoms above 1.  Its prefix sum V over [:m+1, :m+1] is
+    n times the copula grid, so with t the trapezoid node weights (1/2 at
+    both ends, 1 elsewhere):
+
+    * rho = 12 t'Vt / (n m^2) - 3, the bilinear cell rule;
+    * tau = sum_{a,b=1..m} cells[a, b] (V[a-1, b-1] + V[a, b-1] + V[a-1, b]
+      + V[a, b]) / n^2 - 1, C averaged over the corners of each cell against
+      the cell's own mass; atoms at index 0 or m+1 carry no cell mass;
+    * gamma integrates both diagonals of V by the trapezoid rule;
+    * beta reads V[m/2, m/2].
+
+    These are the grid functionals of ``measures_from_grid`` without
+    forming, normalising or differencing the grid.
+    """
+    V = cells[: m + 1, : m + 1].cumsum(axis=0)
+    np.cumsum(V, axis=1, out=V)
+    return _measures(V, cells[1 : m + 1, 1 : m + 1], m, n)
 
 
 def measures_from_grid(grid):
     """All four measures of one grid as an AssociationReport.
 
-    rho and tau share one corner average of the grid.
+    rho and gamma integrate C over the unit square and its diagonals, tau
+    is a Stieltjes sum of C against the grid's cell masses, and beta is a
+    node read; see ``measures_from_cells``.
     """
-    cbar = _corner_average(grid.values)
-    return AssociationReport(
-        rho=_rho(cbar, grid.m),
-        tau=_tau(cbar, grid),
-        gamma=gini_gamma(grid),
-        beta=blomqvist_beta(grid),
-        method=GRID_STIELTJES,
-    )
+    v = grid.values
+    masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+    return _measures(v, masses, grid.m, 1.0)
 
 
 def _copula_at_points(u1, u2, w, p1, p2, chunk=256):

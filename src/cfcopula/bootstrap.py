@@ -1,28 +1,30 @@
 """The estimator and its multinomial bootstrap.
 
 ``estimate`` runs the estimator once: the bandwidth rule at the covariate
-scale of the sample gives h, then come the kernel-ratio weights, the actual
-and counterfactual copula grids, their association measures and the policy
-effect.  ``Estimate.bootstrap`` hands the weights, kernel and rule to
-``run_bootstrap``, so the point estimate and every replicate share one
-bandwidth rule.  ``estimates`` runs it for every value of a scenario
-family: one kernel pass gives the weights of all values, and each value
-goes through the same grids, measures and effect as ``estimate``.
+scale of the sample gives h, then come the kernel-ratio weights, the atom
+histograms of the actual and counterfactual copulas, their grids and
+association measures, and the policy effect.  ``Estimate.bootstrap`` hands
+the weights, kernel and rule to ``run_bootstrap``, so the point estimate
+and every replicate share one bandwidth rule.  ``estimates`` runs it for
+every value of a scenario family: one kernel pass gives the weights of all
+values, and each value goes through the same grids, measures and effect as
+``estimate``.
 
 Each replicate draws multinomial counts M with equal cell probabilities and
 multiplies them into the estimators: the actual-copula replicate weights
 observation i by M_i, the counterfactual replicate by M_i W_i, and the same
 multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
-where the counts sum to n by construction), so every replicate grid is a
-copula at (1, 1) just like the point estimate.  Kernel weights W are NOT
-recomputed per replicate by default.  An opt-in mode rebuilds them for
-every resample, with the bandwidth rule at the covariate scale of the
-resampled rows: the resample is its counts on the original rows, so its
+where the counts sum to n by construction), so every replicate is a
+copula at (1, 1) just like the point estimate.  A replicate takes its
+measures from its two atom histograms and builds no grid.  Kernel weights
+W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
+them for every resample, with the bandwidth rule at the covariate scale of
+the resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on a kernel plan of the sample's distinct rows and
 exact-match cells, built once per run, with the counts as multiplicities,
-and folded back onto the original rows.  Both modes read every replicate
-grid off the ranks of the original sample.
+and folded back onto the original rows.  Both modes place every replicate's
+atoms by the ranks of the original sample.
 
 Replicates run in contiguous blocks of replicate indices, one block per
 usable core (the process's CPU affinity; at most B blocks).  The parent runs
@@ -31,7 +33,10 @@ sample, weights, ranks and kernel plan from the forked memory.  Replicate b
 is seeded by (seed, b) alone, so the results are bitwise identical for any
 core count.  On one core (``taskset -c 0``), or on a platform without fork,
 the single block runs in-process and no process starts.  The workers'
-memory does not show in the parent's resident set size.
+memory does not show in the parent's resident set size.  ``_run_blocks``
+is the package's one block runner: the simulation study runs its
+replications through it too, and a bootstrap run inside a block runs
+in-process.
 
 Confidence intervals are symmetric around the point estimate with half-width
 Q/sqrt(n), where Q is the level-quantile of the centered absolute deviations
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -51,13 +57,11 @@ import numpy as np
 from . import association
 from .copula import (
     BandwidthTooSmallError,
-    CopulaGrid,
     ObservationSample,
     WeightVector,
-    _grid_values,
-    counterfactual_copula,
+    _point,
+    _rank_atoms,
     counterfactual_weights,
-    empirical_copula,
     kernel_plan,
     kernel_weights,
     margin_ranks,
@@ -180,40 +184,30 @@ def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
     )
 
 
-def _grid_pair(ranks1, ranks2, counts, v_cf, m):
+def _reports(ranks1, ranks2, counts, v_cf, m):
+    """Measures of both copulas under resample counts and counterfactual
+    multipliers ``v_cf``, and their effect.
+
+    Each side's measures come from its atom histogram; no grid is built.
+    Unit counts with the kernel weights as ``v_cf`` give the point estimate
+    bitwise, since ``estimate`` takes its reports from the same histograms.
+    """
     # The actual-side mass sum(counts) is exactly n, but the resampled
     # counterfactual mass is not: left unnormalized it fluctuates with sd of
     # order sqrt(mean(w^2) - 1) / sqrt(n), a noise component the point
     # estimator (whose weights sum to n by construction) does not have.
-    # The builder rescales it so every replicate is a copula.
+    # The histogram pins it to n so every replicate is a copula.
     if v_cf.sum() <= 0.0:
         raise DegenerateReplicateError(
             "resampled counterfactual mass is zero: every positive-count row "
             "has zero weight"
         )
-    act = _grid_values(ranks1, ranks2, counts.astype(float), m)
-    return act, _grid_values(ranks1, ranks2, v_cf, m)
-
-
-def _grid_pair_from_multipliers(ranks1, ranks2, counts, w, m, n):
-    """Actual and counterfactual grids under resample counts and fixed weights w.
-
-    The counterfactual multipliers are counts * w; ``n`` is the sample size
-    the ranks were built from.  Unit counts give the point estimates.
-    """
-    if n != ranks1.n:
-        raise ValueError(f"ranks were built from {ranks1.n} rows, not n={n}")
-    return _grid_pair(ranks1, ranks2, counts, counts * w, m)
-
-
-def _reports(act, cf, m):
-    # replicate grids skip the validity flags: their margins are only
-    # near-uniform and nothing downstream reads the flags
-    actual = association.measures_from_grid(
-        CopulaGrid(m=m, values=act, two_increasing=True, margins_uniform=False)
+    n = ranks1.n
+    actual = association.measures_from_cells(
+        _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
     )
-    counterfactual = association.measures_from_grid(
-        CopulaGrid(m=m, values=cf, two_increasing=True, margins_uniform=False)
+    counterfactual = association.measures_from_cells(
+        _rank_atoms(ranks1, ranks2, v_cf, m), m, n
     )
     return {
         "actual": actual,
@@ -273,7 +267,7 @@ def _replicate_block(lo, hi, *, seed, n, r1, r2, m, cf_multipliers):
         rng = np.random.default_rng(_replicate_seed(seed, b))
         counts, v_cf, redraws = _draw_replicate(n, rng, cf_multipliers)
         discarded += redraws
-        reports = _reports(*_grid_pair(r1, r2, counts, v_cf, m), m)
+        reports = _reports(r1, r2, counts, v_cf, m)
         stats[b - lo] = [
             getattr(reports[target], measure) for target, measure in _target_keys()
         ]
@@ -287,37 +281,52 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
+# True while this process runs a block of ``_run_blocks``: in the parent's
+# own block, and for good in a forked worker
+_in_block = False
+
 # the block a forked worker runs; set in the worker only, by _install_block
 _block = None
 
 
 def _install_block(block):
-    global _block
+    global _block, _in_block
     _block = block
+    _in_block = True
 
 
 def _run_installed_block(lo, hi):
-    return _block(lo, hi)
+    """The installed block's result or error, and the warnings it raised."""
+    result = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = _block(lo, hi)
+        except Exception as exc:
+            error = exc
+    return result, error, [warning.message for warning in caught]
 
 
-def _run_blocks(block, B):
-    """``block(lo, hi)`` over contiguous blocks of replicates 0..B-1.
+def _run_blocks(block, count):
+    """``block(lo, hi)`` over contiguous blocks of the tasks 0..count-1.
 
-    There are min(usable cores, B) blocks.  One block, or a platform
-    without fork, runs in-process.  Otherwise the parent runs the first
-    block and forked workers run the rest: they see ``block`` and its data
-    through the fork, so only (lo, hi) and a block's result are pickled.
-    Returns the blocks' rows in replicate order and their summed redraws;
-    a failing block re-raises in block order, so the first failing
-    replicate decides the error, as in one loop.
+    There are min(usable cores, count) blocks.  One block, a platform
+    without fork, or a call made while a block runs (in the parent's block
+    or in a worker) runs in-process, so a bootstrap inside a study block
+    forks nothing.  Otherwise the parent runs the first block and forked
+    workers run the rest: they see ``block`` and its data through the
+    fork, so only (lo, hi) and a block's result are pickled.  Returns the
+    blocks' results in order.  A worker's warnings are re-issued here and
+    a failing block re-raises, both in block order, so the first failing
+    task decides the error, as in one loop.
     """
-    k = min(_worker_count(), B)
-    if k == 1 or not hasattr(os, "fork"):
-        return block(0, B)
+    global _in_block
+    k = min(_worker_count(), count)
+    if k == 1 or _in_block or not hasattr(os, "fork"):
+        return [block(0, count)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    edges = [B * i // k for i in range(k + 1)]
+    edges = [count * i // k for i in range(k + 1)]
     with ProcessPoolExecutor(
         k - 1, mp_context=multiprocessing.get_context("fork"),
         initializer=_install_block, initargs=(block,),
@@ -326,10 +335,19 @@ def _run_blocks(block, B):
             pool.submit(_run_installed_block, lo, hi)
             for lo, hi in zip(edges[1:-1], edges[2:])
         ]
-        parts = [block(edges[0], edges[1])]
-        parts += [future.result() for future in futures]
-    stats, discarded = zip(*parts)
-    return np.concatenate(stats), sum(discarded)
+        _in_block = True
+        try:
+            results = [block(edges[0], edges[1])]
+        finally:
+            _in_block = False
+        for future in futures:
+            result, error, caught = future.result()
+            for message in caught:
+                warnings.warn(message, stacklevel=2)
+            if error is not None:
+                raise error
+            results.append(result)
+    return results
 
 
 def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
@@ -355,10 +373,7 @@ def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
 
     r1 = margin_ranks(sample.y1)
     r2 = margin_ranks(sample.y2)
-    point = _reports(
-        *_grid_pair_from_multipliers(r1, r2, np.ones(n, dtype=np.int64), wv, m, n),
-        m,
-    )
+    point = _reports(r1, r2, np.ones(n, dtype=np.int64), wv, m)
 
     if config.recompute_weights:
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
@@ -369,15 +384,16 @@ def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
         def cf_multipliers(counts):
             return counts * wv
 
-    stats, discarded = _run_blocks(
+    blocks = _run_blocks(
         partial(
             _replicate_block, seed=config.seed, n=n, r1=r1, r2=r2, m=m,
             cf_multipliers=cf_multipliers,
         ),
         config.B,
     )
+    discarded = sum(redraws for _, redraws in blocks)
     # one contiguous row of B replicates per (target, measure)
-    stats = np.ascontiguousarray(stats.T)
+    stats = np.ascontiguousarray(np.concatenate([rows for rows, _ in blocks]).T)
 
     runs = {}
     for (target, measure), reps in zip(_target_keys(), stats):
@@ -432,14 +448,20 @@ def _scaled(rule, sample):
 
 
 def _finish(sample, kernel, rule, h, w, m):
-    """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect."""
-    grids = {
-        "actual": empirical_copula(sample, m=m),
-        "counterfactual": counterfactual_copula(sample, w, m=m),
-    }
-    reports = {
-        target: association.measures_from_grid(grid) for target, grid in grids.items()
-    }
+    """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
+
+    Each copula's grid and measures come from one atom histogram, as a
+    bootstrap replicate's measures do.
+    """
+    r1 = margin_ranks(sample.y1)
+    r2 = margin_ranks(sample.y2)
+    grids, reports = {}, {}
+    for target, v, two_increasing in (
+        ("actual", np.ones(sample.n), True),
+        ("counterfactual", w.w, w.negative_count == 0),
+    ):
+        cells, grids[target] = _point(r1, r2, v, m, two_increasing)
+        reports[target] = association.measures_from_cells(cells, m, sample.n)
     reports["effect"] = association.policy_effect(
         reports["counterfactual"], reports["actual"]
     )
@@ -478,7 +500,8 @@ def estimates(sample, xstars, kernel, rule, m):
     ------
     BandwidthTooSmallError
         If some value leaves a row without a donor; its ``columns`` are
-        rows of the xstar of the first such value.
+        rows of the xstar of the first such value, and its ``value`` is
+        that value's index.
     """
     rule, h = _scaled(rule, sample)
     V, n = xstars.shape[0], sample.n
@@ -492,9 +515,11 @@ def estimates(sample, xstars, kernel, rule, m):
         w = kernel_weights(plan, kernel, h, plan.src_counts, counts)
     except BandwidthTooSmallError as err:
         first = err.columns[0] // n
-        raise BandwidthTooSmallError(
+        error = BandwidthTooSmallError(
             [j - first * n for j in err.columns if j // n == first], h
-        ) from None
+        )
+        error.value = first
+        raise error from None
     return (
         _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
                 WeightVector.from_array(w[plan.src_inv, v]), m)

@@ -455,10 +455,15 @@ def cmd_sweep(args):
             xstars = np.empty((len(values),) + sample.xstar.shape)
         xstars[index] = sample.xstar
         fracs.append(frac)
-    family = estimates(
-        sample, xstars, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c),
-        cfg.grid_m,
-    )
+    try:
+        family = estimates(
+            sample, xstars, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c),
+            cfg.grid_m,
+        )
+    except BandwidthTooSmallError as err:
+        raise BandwidthTooSmallError(
+            err.columns, err.h, where=f"{param}={values[err.value]}"
+        ) from None
     rows = []
     for index, (value, frac, est) in enumerate(zip(values, fracs, family)):
         result = est.bootstrap(cfg.bootstrap_config(derived_seed(cfg.seed, (index,))))

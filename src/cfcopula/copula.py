@@ -5,10 +5,12 @@ counterfactual copula reweights observations by kernel-ratio weights that
 transport the sample covariates to their manipulated values, then applies
 the same rank construction with weighted marginal CDFs.
 
-Both estimators share one weighted grid-evaluation path, so the unweighted
-case is literally the weighted case with unit weights.  The multiplier
-form used by the bootstrap reuses the same path, which makes the
-"multipliers all one" reduction exact at the bit level.
+Both estimators share one weighted path from ranks and row multipliers to
+an atom histogram on the m-grid, so the unweighted case is literally the
+weighted case with unit weights.  The point estimators build the copula
+grid from the histogram by a prefix sum; bootstrap replicates take their
+measures from the histogram and build no grid.  Both run the same path,
+which makes the "multipliers all one" reduction exact at the bit level.
 """
 
 from __future__ import annotations
@@ -24,19 +26,29 @@ _EPS = 1e-9
 
 
 class BandwidthTooSmallError(ValueError):
-    """Some counterfactual target has no sample donor within bandwidth."""
+    """Some counterfactual target has no sample donor within bandwidth.
 
-    def __init__(self, columns, h):
+    ``where``, when given, names the failing case ahead of the message.
+    """
+
+    def __init__(self, columns, h, where=None):
         self.columns = list(columns)
         self.h = h
+        self.where = where
         # a one-coordinate bandwidth vector reads as the scalar it is
         h_shown = float(np.ravel(h)[0]) if np.ndim(h) and np.size(h) == 1 else h
         shown = ", ".join(str(j) for j in self.columns[:10])
         more = "" if len(self.columns) <= 10 else f" (+{len(self.columns) - 10} more)"
+        prefix = "" if where is None else f"{where}: "
         super().__init__(
-            f"kernel denominator is zero for counterfactual rows [{shown}]{more}: "
-            f"no donor within bandwidth h={h_shown}; increase the bandwidth constant"
+            f"{prefix}kernel denominator is zero for counterfactual rows "
+            f"[{shown}]{more}: no donor within bandwidth h={h_shown}; "
+            "increase the bandwidth constant"
         )
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so it crosses a process boundary
+        return type(self), (self.columns, self.h, self.where)
 
 
 def _as_matrix(a):
@@ -424,21 +436,40 @@ def _atom_indices(u, m):
     return np.minimum(np.maximum(k, 0), m + 1).astype(np.intp)
 
 
-def weighted_rank_copula_values(u1, u2, v, m, n):
-    """Grid values (1/n) sum_i v_i 1{u1_i <= a/m} 1{u2_i <= b/m}.
+def weighted_rank_atoms(u1, u2, v, m):
+    """Histogram of the atoms (u1_i, u2_i) with weights v_i on the m-grid.
 
-    Atoms with a pseudo-observation above 1 + 1e-9 (possible only under
-    negative weights) fall off the grid and are excluded.
+    Entry [a, b] of the (m+2) x (m+2) result is the weight of the atoms
+    whose first node at or above them is (a/m, b/m); index m+1 holds the
+    atoms above 1 + 1e-9 (possible only under negative weights).  Its
+    prefix sum over indices 0..m is n times the copula grid, and it gives
+    the four measures directly (``association.measures_from_cells``).
     """
     # one pass over both margins halves the per-call overhead at small n
     atoms = _atom_indices(np.concatenate((u1, u2), dtype=float), m)
     i1, i2 = atoms[: len(u1)], atoms[len(u1):]
     # bincount adds each cell's weights in input order, as an unbuffered
     # scatter-add would, so the cells are the same doubles
-    cells = np.bincount(
+    return np.bincount(
         i1 * (m + 2) + i2, weights=v, minlength=(m + 2) ** 2
     ).reshape(m + 2, m + 2)
+
+
+def _atom_grid(cells, m, n):
+    """Copula grid values of an atom histogram of total mass n.
+
+    Atoms above the grid fall off: only indices 0..m enter the prefix sum.
+    """
     return cells[: m + 1, : m + 1].cumsum(axis=0).cumsum(axis=1) / n
+
+
+def weighted_rank_copula_values(u1, u2, v, m, n):
+    """Grid values (1/n) sum_i v_i 1{u1_i <= a/m} 1{u2_i <= b/m}.
+
+    Atoms with a pseudo-observation above 1 + 1e-9 (possible only under
+    negative weights) fall off the grid and are excluded.
+    """
+    return _atom_grid(weighted_rank_atoms(u1, u2, v, m), m, n)
 
 
 @dataclass(frozen=True)
@@ -504,38 +535,44 @@ def pseudo_observations(sample, w=None):
 
 # --- grid estimators ---------------------------------------------------------
 
-def _grid_values(ranks1, ranks2, v, m):
-    """Copula grid of the rank pseudo-observations under row multipliers v.
+def _rank_atoms(ranks1, ranks2, v, m):
+    """Atom histogram of the rank pseudo-observations under row multipliers v.
 
-    Every copula grid of the package comes from here: the point estimators
-    pass unit or kernel weights, bootstrap replicates pass resample counts
-    or counts times weights, all on the ranks of the original rows.
+    Every copula estimate of the package comes from here: the point
+    estimators pass unit or kernel weights, bootstrap replicates pass
+    resample counts or counts times weights, all on the ranks of the
+    original rows.  The total mass is pinned to exactly n, so the grid of
+    the histogram is a copula at (1, 1); for multipliers that already sum
+    to n the factor is exactly 1.0.
     """
     n = ranks1.n
     total = v.sum()
     if not total > 0.0:
         raise ValueError(f"total weight mass must be positive, got {total}")
-    # pin the total mass to exactly n so the grid is a copula at (1, 1); for
-    # multipliers that already sum to n the factor is exactly 1.0
     v = v * (n / total)
-    return weighted_rank_copula_values(
-        ranks1.pseudo_obs(v), ranks2.pseudo_obs(v), v, m, n
-    )
+    return weighted_rank_atoms(ranks1.pseudo_obs(v), ranks2.pseudo_obs(v), v, m)
 
 
-def _point_grid(sample, v, m, two_increasing):
-    r1 = margin_ranks(sample.y1)
-    r2 = margin_ranks(sample.y2)
-    values = _grid_values(r1, r2, v, m)
+def _point(ranks1, ranks2, v, m, two_increasing):
+    """Atom histogram and copula grid of the point estimate under weights v."""
+    cells = _rank_atoms(ranks1, ranks2, v, m)
+    values = _atom_grid(cells, m, ranks1.n)
     # the largest marginal atom: the heaviest weight share on the longest
     # tie run
-    jump = float(np.max(np.abs(v))) / v.sum() * max(r1.max_tie_run, r2.max_tie_run)
-    return CopulaGrid(
+    jump = (float(np.max(np.abs(v))) / v.sum()
+            * max(ranks1.max_tie_run, ranks2.max_tie_run))
+    return cells, CopulaGrid(
         m=m,
         values=values,
         two_increasing=two_increasing,
         margins_uniform=_margins_uniform(values, m, jump),
     )
+
+
+def _point_grid(sample, v, m, two_increasing):
+    return _point(
+        margin_ranks(sample.y1), margin_ranks(sample.y2), v, m, two_increasing
+    )[1]
 
 
 def empirical_copula(sample, m=100):

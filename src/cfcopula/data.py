@@ -176,11 +176,12 @@ def write_table(table, path):
 def write_grid_csv(grid, path):
     """Emit a copula grid in long format (u1, u2, value), exact round-trip."""
     m = grid.m
+    nodes = [repr(i / m) for i in range(m + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("u1,u2,value\n")
-        for i in range(m + 1):
-            for j in range(m + 1):
-                fh.write(f"{i / m!r},{j / m!r},{float(grid.values[i, j])!r}\n")
+        # one string per grid row; tolist() gives the Python floats repr reads
+        for u1, row in zip(nodes, np.asarray(grid.values, dtype=float).tolist()):
+            fh.write("".join(f"{u1},{u2},{value!r}\n" for u2, value in zip(nodes, row)))
 
 
 # --- synthetic generator ------------------------------------------------------

@@ -14,17 +14,29 @@ are jointly normal, so their copulas are Gaussian with correlations
 
 which gives closed-form truth for every association measure and an analytic
 truth grid for integrated estimation errors.
+
+``run_study`` runs its replications in contiguous blocks on every usable
+core through the bootstrap's block runner, one process per block; each
+replication is seeded by (seed, n, rep) alone, so the report is bitwise
+the same for any core count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import association
-from .bootstrap import BootstrapConfig, derived_seed, estimate
+from .bootstrap import (
+    BootstrapConfig,
+    _run_blocks,
+    _target_keys,
+    derived_seed,
+    estimate,
+)
 from .copula import CopulaGrid, ObservationSample, empirical_copula
 from .kernels import BandwidthRule, KernelSpec
 
@@ -32,6 +44,9 @@ R_ACTUAL = math.sqrt(65.0) / 13.0
 R_COUNTERFACTUAL = math.sqrt(2.0) / 10.0
 
 ESTIMATORS = ("empirical", "proposed", "oracle")
+
+# the (target, measure) pairs of the measure errors and intervals
+_KEYS = tuple(_target_keys())
 
 _KERNEL = KernelSpec()
 
@@ -276,14 +291,80 @@ def _replication_seed(master, n, rep):
     return np.random.SeedSequence(entropy=master, spawn_key=(n, rep))
 
 
+def _replication(config, truths, truth_grids, size_index, rep):
+    """One replication of the study at ``config.sizes[size_index]``.
+
+    Returns the node-average absolute and squared errors of the three
+    estimators' grids (``ESTIMATORS`` order), the errors of the twelve
+    point measures (``_KEYS`` order) and, when bootstrap_b >= 2, whether
+    each interval covers its truth (else None).
+    """
+    n = config.sizes[size_index]
+    rng = np.random.default_rng(_replication_seed(config.seed, n, rep))
+    draw = dgp_draw(n, rng)
+    point = estimate(
+        draw.sample, _KERNEL, BandwidthRule(constant=config.bandwidth_constant),
+        config.m,
+    )
+    grids = {
+        "empirical": point.grids["actual"],
+        "proposed": point.grids["counterfactual"],
+        "oracle": oracle_estimator(draw.y1_star, draw.y2_star, m=config.m),
+    }
+    abs_err = [miae(grids[est], truth_grids[est]) for est in ESTIMATORS]
+    sq_err = [integrated_squared_error(grids[est], truth_grids[est])
+              for est in ESTIMATORS]
+    meas_err = [getattr(point.reports[target], mm) - truths[target][mm]
+                for target, mm in _KEYS]
+    covered = None
+    if config.bootstrap_b >= 2:
+        boot = point.bootstrap(
+            BootstrapConfig(
+                B=config.bootstrap_b,
+                level=config.level,
+                seed=derived_seed(config.seed, (n, rep, 1)),
+                recompute_weights=config.recompute_weights,
+            )
+        )
+        covered = [boot.runs[key].covers(truths[key[0]][key[1]]) for key in _KEYS]
+    return abs_err, sq_err, meas_err, covered
+
+
+def _replication_block(lo, hi, *, tasks, replication):
+    """(task, row) for the tasks lo..hi-1; a failing task's row is its error.
+
+    Tasks are (size index, rep) pairs.  Once a task fails, the block skips
+    the tasks after it in (size index, rep) order: an earlier failure
+    decides the study's error.
+    """
+    rows = []
+    failed = None
+    for task in tasks[lo:hi]:
+        if failed is not None and task > failed:
+            continue
+        try:
+            rows.append((task, replication(*task)))
+        except Exception as exc:
+            failed = task
+            rows.append((task, exc))
+    return rows
+
+
 def run_study(config):
     """Run the Monte Carlo study and return the aggregated SimReport.
 
     Per replication: draw the DGP, estimate the actual copula (empirical),
     the counterfactual copula (proposed, kernel-weighted) and the oracle
-    (empirical on latent outcomes); accumulate grid errors against the two
+    (empirical on latent outcomes); record grid errors against the two
     analytic truth grids, measure errors against the closed forms, and,
     when bootstrap_b >= 2, interval coverage of the closed-form truths.
+
+    Replication (n, rep) is seeded by (seed, n, rep) alone.  The
+    replications run in contiguous blocks on every usable core, in
+    rep-major order so that each block mixes the sizes; each block's
+    bootstraps run in its own process.  The rows are aggregated in
+    (n, rep) order, and the first failing replication in that order
+    decides the error, so the report is bitwise that of one loop.
     """
     truth_actual = gaussian_copula_grid(R_ACTUAL, config.m)
     truth_cf = gaussian_copula_grid(R_COUNTERFACTUAL, config.m)
@@ -295,61 +376,38 @@ def run_study(config):
         mm: truths["counterfactual"][mm] - truths["actual"][mm]
         for mm in association.MEASURES
     }
-    truth_grid_for = {"empirical": truth_actual, "proposed": truth_cf, "oracle": truth_cf}
+    truth_grids = {"empirical": truth_actual, "proposed": truth_cf, "oracle": truth_cf}
+
+    tasks = [(i, rep) for rep in range(config.replications)
+             for i in range(len(config.sizes))]
+    blocks = _run_blocks(
+        partial(
+            _replication_block, tasks=tasks,
+            replication=partial(_replication, config, truths, truth_grids),
+        ),
+        len(tasks),
+    )
+    results = dict(row for block in blocks for row in block)
+    for task in sorted(results):
+        if isinstance(results[task], Exception):
+            raise results[task]
 
     rows = []
-    for n in config.sizes:
-        abs_err = {est: [] for est in ESTIMATORS}
-        sq_err = {est: [] for est in ESTIMATORS}
-        meas_err = {(t, mm): [] for t in ("actual", "counterfactual", "effect")
-                    for mm in association.MEASURES}
-        covered = {key: 0 for key in meas_err}
-
-        for rep in range(config.replications):
-            rng = np.random.default_rng(_replication_seed(config.seed, n, rep))
-            draw = dgp_draw(n, rng)
-            sample = draw.sample
-
-            point = estimate(
-                sample, _KERNEL, BandwidthRule(constant=config.bandwidth_constant),
-                config.m,
-            )
-            grids = {
-                "empirical": point.grids["actual"],
-                "proposed": point.grids["counterfactual"],
-                "oracle": oracle_estimator(draw.y1_star, draw.y2_star, m=config.m),
-            }
-            for est in ESTIMATORS:
-                truth = truth_grid_for[est]
-                abs_err[est].append(miae(grids[est], truth))
-                sq_err[est].append(integrated_squared_error(grids[est], truth))
-
-            for (target, mm), errs in meas_err.items():
-                errs.append(getattr(point.reports[target], mm) - truths[target][mm])
-
-            if config.bootstrap_b >= 2:
-                boot = point.bootstrap(
-                    BootstrapConfig(
-                        B=config.bootstrap_b,
-                        level=config.level,
-                        seed=derived_seed(config.seed, (n, rep, 1)),
-                        recompute_weights=config.recompute_weights,
-                    )
-                )
-                for (target, mm), run in boot.runs.items():
-                    if run.covers(truths[target][mm]):
-                        covered[(target, mm)] += 1
-
-        for est in ESTIMATORS:
-            rows.append((n, est, "miae_x100", 100.0 * float(np.mean(abs_err[est]))))
-            rows.append((n, est, "rmise_x100", 100.0 * rmise(sq_err[est])))
-        for (target, mm), errs in meas_err.items():
-            errs = np.asarray(errs)
+    for i, n in enumerate(config.sizes):
+        reps = [results[(i, rep)] for rep in range(config.replications)]
+        abs_err, sq_err, meas_err, covered = zip(*reps)
+        for e, est in enumerate(ESTIMATORS):
+            rows.append((n, est, "miae_x100",
+                         100.0 * float(np.mean([row[e] for row in abs_err]))))
+            rows.append((n, est, "rmise_x100",
+                         100.0 * rmise([row[e] for row in sq_err])))
+        for k, (target, mm) in enumerate(_KEYS):
+            errs = np.asarray([row[k] for row in meas_err])
             rows.append((n, f"{target}_{mm}", "mae", float(np.mean(np.abs(errs)))))
             rows.append((n, f"{target}_{mm}", "rmse", float(np.sqrt(np.mean(errs ** 2)))))
             if config.bootstrap_b >= 2:
+                hits = sum(row[k] for row in covered)
                 rows.append(
-                    (n, f"{target}_{mm}", "coverage",
-                     covered[(target, mm)] / config.replications)
+                    (n, f"{target}_{mm}", "coverage", hits / config.replications)
                 )
     return SimReport(rows=rows, config=config)

@@ -156,15 +156,18 @@ def test_estimator_properties():
         ok &= frechet_hoeffding_violation(grid) <= 2.0 / m
         ok &= (w.negative_count > 0) or grid.two_increasing
 
-    # unit-mass resample multipliers reduce to the point estimators bitwise
-    from cfcopula.bootstrap import _grid_pair_from_multipliers
-    from cfcopula.copula import margin_ranks
-    act, cf = _grid_pair_from_multipliers(
-        margin_ranks(sample.y1), margin_ranks(sample.y2),
-        np.ones(n, dtype=np.int64), w.w, 40, n,
-    )
+    # unit-mass resample multipliers reduce to the point estimators bitwise:
+    # the replicate histograms give the point grids and the point reports
+    from cfcopula.bootstrap import _finish, _reports
+    from cfcopula.copula import _atom_grid, _rank_atoms, margin_ranks
+    r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
+    ones = np.ones(n, dtype=np.int64)
+    act = _atom_grid(_rank_atoms(r1, r2, ones.astype(float), 40), 40, n)
+    cf = _atom_grid(_rank_atoms(r1, r2, ones * w.w, 40), 40, n)
     ok &= np.array_equal(act, empirical_copula(sample, m=40).values)
     ok &= np.array_equal(cf, counterfactual_copula(sample, w, m=40).values)
+    point = _finish(sample, KernelSpec(), None, None, w, 40)
+    ok &= _reports(r1, r2, ones, ones * w.w, 40) == point.reports
 
     # grid measures track the pseudo-observation path at n=400
     grid_rep = measures_from_grid(empirical_copula(sample, m=100)).as_dict()

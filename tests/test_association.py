@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
 
 from cfcopula.association import (
     GRID_STIELTJES,
+    AssociationReport,
     GridResolutionError,
     MethodMismatchError,
-    blomqvist_beta,
-    cell_masses,
     gaussian_measure,
     gaussian_report,
-    gini_gamma,
-    kendall_tau,
+    measures_from_cells,
     measures_from_grid,
     measures_from_pseudo_obs,
     policy_effect,
-    spearman_rho,
 )
 from cfcopula.copula import (
     CopulaGrid,
@@ -26,6 +24,74 @@ from cfcopula.copula import (
     pseudo_observations,
     unit_weights,
 )
+
+
+# --- the grid functionals one at a time: the oracle of the measures ------------
+
+def cell_masses(grid):
+    """Two-dimensional increments of the grid; they telescope to C(1,1).
+
+    Entry [i, j] is the C-mass of the cell [i/m, (i+1)/m] x [j/m, (j+1)/m].
+    """
+    v = grid.values
+    return v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+
+
+def _corner_average(values):
+    # bilinear cell integral: the average of the four corner node values
+    return 0.25 * (values[1:, 1:] + values[1:, :-1] + values[:-1, 1:] + values[:-1, :-1])
+
+
+def _trapezoid_nodes(a, m):
+    return (float(np.sum(a)) - 0.5 * (float(a[0]) + float(a[-1]))) / m
+
+
+def spearman_rho(grid):
+    """12 * int C(u1, u2) du1 du2 - 3 with the bilinear cell rule.
+
+    Each cell contributes its corner average; the rule integrates the
+    bilinear interpolant exactly, so the independence grid returns exactly
+    zero and the comonotone grid returns 1 - 1/m^2.
+    """
+    return float(12.0 * _corner_average(grid.values).sum() / (grid.m * grid.m) - 3.0)
+
+
+def kendall_tau(grid):
+    """4 * int C dC - 1 with C averaged over the four corners of each cell."""
+    return float(4.0 * np.sum(_corner_average(grid.values) * cell_masses(grid)) - 1.0)
+
+
+def gini_gamma(grid):
+    """4 * (int C(u, u) du + int C(u, 1-u) du) - 2, diagonal trapezoids."""
+    m = grid.m
+    idx = np.arange(m + 1)
+    diag = grid.values[idx, idx]
+    anti = grid.values[idx, m - idx]
+    return float(4.0 * (_trapezoid_nodes(diag, m) + _trapezoid_nodes(anti, m)) - 2.0)
+
+
+def blomqvist_beta(grid):
+    """4 * C(1/2, 1/2) - 1, read off the grid node (no quadrature)."""
+    if grid.m % 2 != 0:
+        raise GridResolutionError(
+            f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={grid.m} is odd"
+        )
+    half = grid.m // 2
+    return float(4.0 * grid.values[half, half] - 1.0)
+
+
+def oracle_measures(grid):
+    """The four measures of a grid, one functional at a time."""
+    return AssociationReport(
+        rho=spearman_rho(grid), tau=kendall_tau(grid), gamma=gini_gamma(grid),
+        beta=blomqvist_beta(grid), method=GRID_STIELTJES,
+    )
+
+
+def assert_reports_close(got, want, tol):
+    assert got.method == want.method
+    for key, value in want.as_dict().items():
+        assert abs(got.as_dict()[key] - value) <= tol, key
 
 
 def _grid_from(values):
@@ -91,6 +157,10 @@ def test_cell_masses_sum_to_grid_corner():
 def test_blomqvist_requires_even_grid():
     with pytest.raises(GridResolutionError):
         blomqvist_beta(_independence(5))
+    with pytest.raises(GridResolutionError, match="m=5 is odd"):
+        measures_from_grid(_independence(5))
+    with pytest.raises(GridResolutionError, match="m=5 is odd"):
+        measures_from_cells(np.ones((7, 7)), 5, 49.0)
 
 
 # --- Gaussian closed forms ------------------------------------------------------
@@ -142,15 +212,32 @@ def test_measures_from_grid_tags_method():
     assert set(report.as_dict()) == {"rho", "tau", "gamma", "beta"}
 
 
-def test_measures_from_grid_equals_single_measures_bitwise():
+def test_measures_from_grid_match_the_single_measure_oracle():
     sample = _rand_sample(120, 6)
     w = counterfactual_weights(sample.x, sample.x + 0.3, h=1.2)
-    for grid in (empirical_copula(sample, m=20), counterfactual_copula(sample, w, m=50)):
-        report = measures_from_grid(grid)
-        assert report.rho == spearman_rho(grid)
-        assert report.tau == kendall_tau(grid)
-        assert report.gamma == gini_gamma(grid)
-        assert report.beta == blomqvist_beta(grid)
+    grids = [empirical_copula(sample, m=20), counterfactual_copula(sample, w, m=50)]
+    grids += [make(m) for make in (_independence, _comonotone, _countermonotone)
+              for m in (2, 4, 100)]
+    for grid in grids:
+        assert_reports_close(measures_from_grid(grid), oracle_measures(grid), 1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 10, 100, 1000])
+def test_measures_from_cells_match_the_oracle_on_adversarial_atoms(m):
+    """Atoms on the nodes and ulps either side, at index 0 and m+1, ties
+    and negative weights: the histogram forms are the grid functionals."""
+    rng = np.random.default_rng(400 + m)
+    cases = adversarial_atoms(m, 300 + m)
+    # the first case with nonnegative weights, and with heavy ties
+    u1, u2, w = cases[0]
+    cases.append((u1, u2, np.abs(w)))
+    pick = rng.integers(0, 12, size=400)
+    cases.append((u1[pick], u2[pick], rng.uniform(-0.5, 2.0, size=400)))
+    for a1, a2, w in cases:
+        n = float(w.size)
+        grid = _grid_from(_add_at_grid_values(a1, a2, w, m, n))
+        got = measures_from_cells(_add_at_atoms(a1, a2, w, m), m, n)
+        assert_reports_close(got, oracle_measures(grid), 1e-12)
 
 
 def test_policy_effect_subtracts_by_measure():

@@ -6,16 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_copula import _add_at_grid_values, _mixed_covariates
+from test_copula import _add_at_atoms, _mixed_covariates
 
 from cfcopula import bootstrap, copula
 from cfcopula.bootstrap import (
     BootstrapConfig,
     DegenerateReplicateError,
     _draw_replicate,
-    _grid_pair,
-    _grid_pair_from_multipliers,
     _is_degenerate,
+    _reports,
     bootstrap_replicate,
     centered_quantile,
     estimate,
@@ -23,10 +22,12 @@ from cfcopula.bootstrap import (
     multinomial_counts,
     run_bootstrap,
 )
-from cfcopula.association import measures_from_grid, policy_effect
+from cfcopula.association import measures_from_cells, measures_from_grid, policy_effect
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
+    _atom_grid,
+    _rank_atoms,
     counterfactual_copula,
     counterfactual_weights,
     empirical_copula,
@@ -112,16 +113,25 @@ def test_replicate_without_donor_hits_the_retry_cap():
 
 
 def test_unit_multipliers_reproduce_point_grids_bitwise():
-    """counts = 1 must reduce the replicate to the point estimators exactly."""
-    sample = _sample(60, 2)
-    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    r1 = margin_ranks(sample.y1)
-    r2 = margin_ranks(sample.y2)
-    act, cf = _grid_pair_from_multipliers(
-        r1, r2, np.ones(60, dtype=np.int64), w.w, 20, 60
-    )
-    assert np.array_equal(act, empirical_copula(sample, m=20).values)
-    assert np.array_equal(cf, counterfactual_copula(sample, w, m=20).values)
+    """counts = 1 must reduce the replicate to the point estimators exactly:
+    its histograms give the point grids and the point reports."""
+    order4 = KernelSpec(family="higher_order", order=4)
+    for kernel, h in ((KernelSpec(), 1.5), (order4, 0.8)):
+        sample = _sample(60, 2)
+        w = counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=h)
+        r1 = margin_ranks(sample.y1)
+        r2 = margin_ranks(sample.y2)
+        ones = np.ones(60, dtype=np.int64)
+        act = _rank_atoms(r1, r2, ones.astype(float), 20)
+        cf = _rank_atoms(r1, r2, ones * w.w, 20)
+        assert (_atom_grid(act, 20, 60).tobytes()
+                == empirical_copula(sample, m=20).values.tobytes())
+        assert (_atom_grid(cf, 20, 60).tobytes()
+                == counterfactual_copula(sample, w, m=20).values.tobytes())
+        reports = _reports(r1, r2, ones, ones * w.w, 20)
+        est = bootstrap._finish(sample, kernel, None, None, w, 20)
+        assert reports == est.reports
+        assert reports["counterfactual"] == measures_from_cells(cf, 20, 60)
 
 
 def test_zero_counterfactual_mass_raises():
@@ -134,15 +144,7 @@ def test_zero_counterfactual_mass_raises():
     counts[0] = 0  # ...which the resample misses
     counts[1] = 2
     with pytest.raises(DegenerateReplicateError):
-        _grid_pair_from_multipliers(r1, r2, counts, w, 4, 8)
-
-
-def test_grid_pair_from_multipliers_checks_n_against_the_ranks():
-    sample = _sample(8, 3)
-    r1 = margin_ranks(sample.y1)
-    r2 = margin_ranks(sample.y2)
-    with pytest.raises(ValueError, match="n=9"):
-        _grid_pair_from_multipliers(r1, r2, np.ones(8, dtype=np.int64), np.ones(8), 4, 9)
+        _reports(r1, r2, counts, counts * w, 4)
 
 
 def test_bootstrap_config_validation():
@@ -224,11 +226,12 @@ def test_bootstrap_replicate_single_draw():
     assert np.all(v_cf[counts == 0] == 0.0)
     assert np.all(v_cf[counts > 0] > 0.0)
     assert v_cf.sum() == pytest.approx(30.0, abs=1e-9)
-    act, cf = _grid_pair(margin_ranks(sample.y1), margin_ranks(sample.y2),
-                         counts, v_cf, 10)
-    assert act.shape == (11, 11) and cf.shape == (11, 11)
-    assert act[10, 10] == pytest.approx(1.0, abs=1e-12)
-    assert cf[10, 10] == pytest.approx(1.0, abs=1e-12)
+    r1 = margin_ranks(sample.y1)
+    r2 = margin_ranks(sample.y2)
+    for v in (counts.astype(float), v_cf):
+        cells = _rank_atoms(r1, r2, v, 10)
+        assert cells.shape == (12, 12)
+        assert _atom_grid(cells, 10, 30)[10, 10] == pytest.approx(1.0, abs=1e-12)
 
 
 def _resample_and_rerank(sample, counts, kernel, rule, m):
@@ -281,7 +284,8 @@ def test_recompute_replicate_matches_resample_and_rerank():
         for b in range(30):
             counts = multinomial_counts(sample.n, np.random.default_rng(b))
             v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
-            act, cf = _grid_pair(r1, r2, counts, v_cf, m)
+            act = _atom_grid(_rank_atoms(r1, r2, counts.astype(float), m), m, sample.n)
+            cf = _atom_grid(_rank_atoms(r1, r2, v_cf, m), m, sample.n)
             act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, rule, m)
             assert np.array_equal(act, act_ref)
             assert np.max(np.abs(cf - cf_ref)) <= 1e-12
@@ -430,7 +434,8 @@ def test_recompute_bootstrap_redraws_a_replicate_without_donor():
 
 
 def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
-    """Both modes give the same doubles with the binary-search, add.at grid."""
+    """Both modes give the same doubles with the binary-search, add.at
+    histogram, and on any number of cores."""
     sample = _sample(48, 14)
     # coarse outcomes tie, and the order-4 kernel leaks negative mass
     sample = replace(sample, y1=np.round(sample.y1), y2=np.round(sample.y2, 1))
@@ -458,10 +463,11 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
 
     def oracle(*args):
         calls.append(1)
-        return _add_at_grid_values(*args)
+        return _add_at_atoms(*args)
 
-    monkeypatch.setattr(copula, "weighted_rank_copula_values", oracle)
+    monkeypatch.setattr(copula, "weighted_rank_atoms", oracle)
     old = runs()
+    # two histograms for the point and for each replicate, in both modes
     assert len(calls) == 2 * 2 * (1 + 30)
     for a, b in zip(new, old):
         _assert_bitwise_equal(a, b)
@@ -620,9 +626,18 @@ def test_estimate_is_the_chain_at_its_bandwidth_bitwise():
         assert mine.values.tobytes() == grid.values.tobytes()
         assert (mine.m, mine.two_increasing, mine.margins_uniform) == (
             grid.m, grid.two_increasing, grid.margins_uniform)
-    reports = {target: measures_from_grid(grid) for target, grid in grids.items()}
+    # the reports come from the histograms the grids come from
+    r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
+    reports = {
+        "actual": measures_from_cells(_rank_atoms(r1, r2, np.ones(200), 20), 20, 200),
+        "counterfactual": measures_from_cells(_rank_atoms(r1, r2, w.w, 20), 20, 200),
+    }
     reports["effect"] = policy_effect(reports["counterfactual"], reports["actual"])
     assert est.reports == reports
+    for target, grid in grids.items():
+        got, want = est.reports[target], measures_from_grid(grid)
+        for key, value in want.as_dict().items():
+            assert abs(got.as_dict()[key] - value) <= 1e-12
 
 
 @pytest.mark.parametrize("family, order, recompute", [

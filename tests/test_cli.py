@@ -299,7 +299,7 @@ def test_sweep_without_donor_exits_three_before_any_value(tmp_path, capsys):
     captured = capsys.readouterr()
     # s=16 is the first value without a donor; the row is one of its xstar
     assert captured.err == (
-        "numeric failure: kernel denominator is zero for counterfactual rows "
+        "numeric failure: s=16: kernel denominator is zero for counterfactual rows "
         "[478]: no donor within bandwidth h=[ 1.90671347  1.90671347  5.05514415"
         "  1.90671347 19.19599531  3.70986999]; increase the bandwidth constant\n"
     )
@@ -449,6 +449,29 @@ def test_replicate_failure_in_a_worker_exits_three(dataset, tmp_path, monkeypatc
                "--boot-b", "12", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert "replicate 6 failed" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_warnings_from_a_worker_block_are_reported_once(dataset, tmp_path,
+                                                        monkeypatch, capsys):
+    from cfcopula import bootstrap
+
+    block = bootstrap._replicate_block
+
+    def noisy_block(lo, hi, **kwargs):
+        if lo > 0:
+            warnings.warn(f"block {lo}..{hi - 1} ran in a worker", UserWarning)
+        return block(lo, hi, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "_replicate_block", noisy_block)
+    # two blocks: 0..5 here, 6..11 in a forked worker
+    monkeypatch.setattr(bootstrap, "_worker_count", lambda: 2)
+    path, _ = dataset
+    rc = main(["bootstrap", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
+               "--boot-b", "12", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == "warning: UserWarning: block 6..11 ran in a worker\n"
 
 
 def test_cli_import_leaves_process_machinery_unloaded():

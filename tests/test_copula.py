@@ -19,6 +19,7 @@ from cfcopula.copula import (
     pseudo_observations,
     support_violations,
     unit_weights,
+    weighted_rank_atoms,
     weighted_rank_copula_values,
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
@@ -432,14 +433,19 @@ def _searchsorted_atoms(u, m):
     return np.where((idx > m) & (u <= 1.0 + 1e-9), m, idx)
 
 
-def _add_at_grid_values(u1, u2, v, m, n):
-    """The grid layer by binary-search atoms and an ``np.add.at`` scatter."""
+def _add_at_atoms(u1, u2, v, m):
+    """The atom histogram by binary-search atoms and an ``np.add.at`` scatter."""
     i1 = _searchsorted_atoms(np.asarray(u1, dtype=float), m)
     i2 = _searchsorted_atoms(np.asarray(u2, dtype=float), m)
     cells = np.zeros((m + 2, m + 2))
     np.add.at(cells, (i1, i2), v)
-    values = cells.cumsum(axis=0).cumsum(axis=1)[: m + 1, : m + 1] / n
-    return np.ascontiguousarray(values)
+    return cells
+
+
+def _add_at_grid_values(u1, u2, v, m, n):
+    """The grid layer on the ``np.add.at`` histogram."""
+    values = _add_at_atoms(u1, u2, v, m).cumsum(axis=0).cumsum(axis=1)
+    return np.ascontiguousarray(values[: m + 1, : m + 1] / n)
 
 
 _ORACLE_M = (2, 7, 100, 1000)
@@ -504,9 +510,10 @@ def _higher_order_pseudo_obs(seed, n=120):
     return margin_ranks(y1).pseudo_obs(w.w), margin_ranks(y2).pseudo_obs(w.w), w.w
 
 
-@pytest.mark.parametrize("m", _ORACLE_M)
-def test_grid_matches_add_at_oracle_bitwise(m):
-    rng = np.random.default_rng(100 + m)
+def adversarial_atoms(m, seed):
+    """(u1, u2, weights) cases: nodes and ulps either side of them, atoms
+    off the grid at both ends, ties, and negative weights."""
+    rng = np.random.default_rng(seed)
     u1 = _adversarial_u(m, rng)
     u2 = _adversarial_u(m, rng)
     cases = [(u1, u2, rng.normal(size=u1.size))]
@@ -514,7 +521,26 @@ def test_grid_matches_add_at_oracle_bitwise(m):
     weighted = np.concatenate([np.r_[p1, p2] for p1, p2, _ in cases[1:]])
     assert np.any(weighted < 0.0) and np.any(weighted > 1.0 + 1e-9)
     assert all(np.any(w < 0.0) for _, _, w in cases)
+    return cases
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
+def test_atoms_match_add_at_oracle_bitwise(m):
+    cases = adversarial_atoms(m, 200 + m)
     for a1, a2, w in cases:
+        got = weighted_rank_atoms(a1, a2, w, m)
+        want = _add_at_atoms(a1, a2, w, m)
+        assert got.shape == want.shape == (m + 2, m + 2)
+        assert got.tobytes() == want.tobytes()
+    # the off-grid atoms land at index 0 and m+1 in both margins
+    cells = weighted_rank_atoms(*cases[0], m)
+    assert cells[0].any() and cells[:, 0].any()
+    assert cells[m + 1].any() and cells[:, m + 1].any()
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
+def test_grid_matches_add_at_oracle_bitwise(m):
+    for a1, a2, w in adversarial_atoms(m, 100 + m):
         got = weighted_rank_copula_values(a1, a2, w, m, w.size)
         want = _add_at_grid_values(a1, a2, w, m, w.size)
         assert got.shape == want.shape == (m + 1, m + 1)

@@ -127,6 +127,42 @@ def test_grid_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(values, grid.values)  # repr round trip, no drift
 
 
+def _write_grid_csv_per_cell(grid, path):
+    # one write per cell, each value through float(); the reference format
+    m = grid.m
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("u1,u2,value\n")
+        for i in range(m + 1):
+            for j in range(m + 1):
+                fh.write(f"{i / m!r},{j / m!r},{float(grid.values[i, j])!r}\n")
+
+
+@pytest.mark.parametrize("m", [2, 100])
+def test_grid_csv_bytes_are_those_of_the_per_cell_writer(tmp_path, m):
+    from cfcopula.copula import CopulaGrid, ObservationSample
+
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(150, 1))
+    sample = ObservationSample(y1=x[:, 0] + rng.normal(size=150),
+                               y2=rng.normal(size=150), x=x, xstar=x + 0.4)
+    w = counterfactual_weights(x, x + 0.4, h=1.0)
+    grids = [counterfactual_copula(sample, w, m=m)]
+    # values of every magnitude, with signed zeros, ones and a subnormal
+    shape = (m + 1, m + 1)
+    values = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    values[0] = -0.0
+    values[:, m] = 1.0
+    values[m, 0] = 5e-324
+    grids.append(CopulaGrid(m=m, values=values, two_increasing=False,
+                            margins_uniform=False))
+    for grid in grids:
+        write_grid_csv(grid, tmp_path / "fast.csv")
+        _write_grid_csv_per_cell(grid, tmp_path / "cell.csv")
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "cell.csv").read_bytes()
+    assert b",-0.0\n" in fast and b",1.0\n" in fast
+
+
 # --- synthetic dataset -----------------------------------------------------------
 
 def test_synth_table_is_deterministic():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfcopula import bootstrap, simulation
 from cfcopula.association import gaussian_report, measures_from_grid
 from cfcopula.bootstrap import estimate
 from cfcopula.copula import CopulaGrid, counterfactual_weights, frechet_hoeffding_violation
@@ -172,6 +177,82 @@ def test_run_study_deterministic_given_seed():
     a = run_study(cfg)
     b = run_study(cfg)
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("recompute", [False, True])
+def test_run_study_is_bitwise_the_same_on_any_number_of_cores(monkeypatch, tmp_path,
+                                                               recompute):
+    """Six replications split into 1, 2 and 3 blocks that mix the sizes;
+    the bootstraps inside a block fork nothing."""
+    import concurrent.futures
+
+    pools = tmp_path / "pools"
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            with open(pools, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cfg = SimStudyConfig(sizes=(30, 50), replications=3, bootstrap_b=6, m=10,
+                         seed=23, recompute_weights=recompute)
+    reports = []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(bootstrap, "_worker_count", lambda k=k: k)
+        reports.append(run_study(cfg))
+        if k == 1 or not hasattr(os, "fork"):
+            assert not pools.exists()
+        else:
+            # one pool, started by this process
+            assert pools.read_text() == f"{os.getpid()}\n"
+            pools.unlink()
+    for report in reports[1:]:
+        assert len(report.rows) == len(reports[0].rows) == 2 * (6 + 3 * 12)
+        for got, want in zip(report.rows, reports[0].rows):
+            assert got[:3] == want[:3]
+            assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+
+
+def test_the_first_failing_replication_decides_the_error(monkeypatch):
+    """Rep-major blocks meet (n=50, rep 0) before (n=30, rep 2); the study
+    fails on (n=30, rep 2), the first in (n, rep) order, as one loop does."""
+    seed_of = simulation._replication_seed
+
+    def seed(master, n, rep):
+        if (n, rep) in {(50, 0), (30, 2)}:
+            raise bootstrap.DegenerateReplicateError(
+                f"replication n={n} rep={rep} in process {os.getpid()}")
+        return seed_of(master, n, rep)
+
+    monkeypatch.setattr(simulation, "_replication_seed", seed)
+    cfg = SimStudyConfig(sizes=(30, 50), replications=3, bootstrap_b=0, m=10, seed=3)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(bootstrap, "_worker_count", lambda k=k: k)
+        with pytest.raises(bootstrap.DegenerateReplicateError,
+                           match="n=30 rep=2 in") as err:
+            run_study(cfg)
+        # task 4 of six runs in the parent's block only on one core
+        ran_here = f"process {os.getpid()}" in str(err.value)
+        assert ran_here == (k == 1 or not hasattr(os, "fork"))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_one_core_study_starts_no_process():
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        # scipy.special, which the truth grids use, imports concurrent.futures
+        "import concurrent.futures\n"
+        "concurrent.futures.ProcessPoolExecutor = None\n"
+        "from cfcopula.simulation import SimStudyConfig, run_study\n"
+        "run_study(SimStudyConfig(sizes=(30, 40), replications=2, bootstrap_b=4,"
+        " m=10, seed=1))\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_one_covariate_bandwidth_is_the_scalar_sd_rule_bitwise():
