@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 
 from .association import (
     AssociationReport,
-    PolicyEffect,
     gaussian_measure,
-    gaussian_report,
     measures_from_grid,
-    measures_from_pseudo_obs,
     policy_effect,
 )
 from .bootstrap import (
@@ -30,10 +27,7 @@ from .copula import (
     CopulaGrid,
     ObservationSample,
     WeightVector,
-    counterfactual_copula,
-    counterfactual_weights,
     empirical_copula,
-    pseudo_observations,
     support_violations,
 )
 from .data import (

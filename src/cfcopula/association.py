@@ -1,10 +1,8 @@
-"""Association measures on copula grids and weighted pseudo-observations.
+"""Association measures of copula grids and atom histograms.
 
 Four measures are supported: Spearman's rho, Kendall's tau, Gini's gamma and
-Blomqvist's beta.  Each has two computation paths that must agree to O(1/m +
-1/n): functionals of a copula grid, and direct weighted sums over
-pseudo-observations.  Gaussian-copula closed forms serve as analytic oracles
-and as the truth values of the simulation study.
+Blomqvist's beta.  Gaussian-copula closed forms serve as the truth values of
+the simulation study.
 
 On grids, rho and gamma are integrals of the copula itself (a bilinear cell
 rule and diagonal trapezoids), tau is a Stieltjes sum against the grid's
@@ -23,35 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRID_STIELTJES = "grid_stieltjes"
-PSEUDO_OBS = "pseudo_obs"
-
-
 class GridResolutionError(ValueError):
     """The grid resolution does not support the requested functional."""
 
 
-class MethodMismatchError(ValueError):
-    """Policy effects require both reports to come from the same path."""
-
-
 @dataclass(frozen=True)
 class AssociationReport:
-    """The four association measures of one copula estimate."""
-
-    rho: float
-    tau: float
-    gamma: float
-    beta: float
-    method: str
-
-    def as_dict(self):
-        return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma, "beta": self.beta}
-
-
-@dataclass(frozen=True)
-class PolicyEffect:
-    """Counterfactual minus actual, one delta per measure."""
+    """The four association measures of one copula estimate, or the
+    per-measure differences of two (``policy_effect``)."""
 
     rho: float
     tau: float
@@ -87,7 +64,6 @@ def _measures(V, masses, m, n):
         tau=float(tau / (n * n) - 1.0),
         gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
         beta=float(4.0 * V[m // 2, m // 2] / n - 1.0),
-        method=GRID_STIELTJES,
     )
 
 
@@ -128,38 +104,6 @@ def measures_from_grid(grid):
     return _measures(v, masses, grid.m, 1.0)
 
 
-def _copula_at_points(u1, u2, w, p1, p2, chunk=256):
-    # (1/n) sum_j w_j 1{u1_j <= p1, u2_j <= p2} for each point (p1, p2)
-    n = u1.shape[0]
-    out = np.empty(p1.shape[0])
-    for s in range(0, p1.shape[0], chunk):
-        e = min(s + chunk, p1.shape[0])
-        inside = (u1[None, :] <= p1[s:e, None]) & (u2[None, :] <= p2[s:e, None])
-        out[s:e] = inside @ w / n
-    return out
-
-
-def measures_from_pseudo_obs(pobs):
-    """The four measures as weighted sums over pseudo-observations.
-
-    rho and gamma are plain weighted averages of their integrands.  tau
-    integrates the estimated copula against its own atoms, keeping each
-    atom's mass in the "<=" indicator.  beta evaluates the estimator at
-    (1/2, 1/2).
-    """
-    u1 = np.asarray(pobs.u1, dtype=float)
-    u2 = np.asarray(pobs.u2, dtype=float)
-    w = np.asarray(pobs.w, dtype=float)
-    n = u1.shape[0]
-    rho = 12.0 / n * float(np.sum(w * u1 * u2)) - 3.0
-    gamma = 2.0 / n * float(np.sum(w * (np.abs(u1 + u2 - 1.0) - np.abs(u1 - u2))))
-    chat = _copula_at_points(u1, u2, w, u1, u2)
-    tau = 4.0 / n * float(np.sum(w * chat)) - 1.0
-    c_half = _copula_at_points(u1, u2, w, np.array([0.5]), np.array([0.5]))[0]
-    beta = 4.0 * float(c_half) - 1.0
-    return AssociationReport(rho=rho, tau=tau, gamma=gamma, beta=beta, method=PSEUDO_OBS)
-
-
 MEASURES = ("rho", "tau", "gamma", "beta")
 
 
@@ -182,24 +126,9 @@ def gaussian_measure(r, which):
     raise ValueError(f"unknown measure {which!r}; expected one of {MEASURES}")
 
 
-def gaussian_report(r):
-    return AssociationReport(
-        rho=gaussian_measure(r, "rho"),
-        tau=gaussian_measure(r, "tau"),
-        gamma=gaussian_measure(r, "gamma"),
-        beta=gaussian_measure(r, "beta"),
-        method=GRID_STIELTJES,
-    )
-
-
 def policy_effect(counterfactual, actual):
     """Per-measure deltas, counterfactual minus actual."""
-    if counterfactual.method != actual.method:
-        raise MethodMismatchError(
-            f"cannot difference a {counterfactual.method} report against a "
-            f"{actual.method} report"
-        )
-    return PolicyEffect(
+    return AssociationReport(
         rho=counterfactual.rho - actual.rho,
         tau=counterfactual.tau - actual.tau,
         gamma=counterfactual.gamma - actual.gamma,

@@ -1,14 +1,14 @@
 """The estimator and its multinomial bootstrap.
 
-``estimate`` runs the estimator once: the bandwidth rule at the covariate
-scale of the sample gives h, then come the kernel-ratio weights, the atom
-histograms of the actual and counterfactual copulas, their grids and
-association measures, and the policy effect.  ``Estimate.bootstrap`` hands
-the weights, kernel and rule to ``run_bootstrap``, so the point estimate
-and every replicate share one bandwidth rule.  ``estimates`` runs it for
-every value of a scenario family: one kernel pass gives the weights of all
-values, and each value goes through the same grids, measures and effect as
-``estimate``.
+``estimates`` runs the estimator for every value of a scenario family:
+the bandwidth rule at the covariate scale of the sample gives h, one
+kernel pass gives the kernel-ratio weights of all values, and each value
+gets the atom histograms of the actual and counterfactual copulas, their
+grids and association measures, and the policy effect.  ``estimate`` is
+``estimates`` with the sample's own xstar as the one value.
+``run_bootstrap(est, config)`` takes the point reports, weights, kernel,
+rule, grid size and margin ranks from the ``Estimate``, so the point
+estimate and every replicate share one bandwidth rule and one ranking.
 
 Each replicate draws multinomial counts M with equal cell probabilities and
 multiplies them into the estimators: the actual-copula replicate weights
@@ -61,7 +61,6 @@ from .copula import (
     WeightVector,
     _point,
     _rank_atoms,
-    counterfactual_weights,
     kernel_plan,
     kernel_weights,
     margin_ranks,
@@ -189,8 +188,8 @@ def _reports(ranks1, ranks2, counts, v_cf, m):
     multipliers ``v_cf``, and their effect.
 
     Each side's measures come from its atom histogram; no grid is built.
-    Unit counts with the kernel weights as ``v_cf`` give the point estimate
-    bitwise, since ``estimate`` takes its reports from the same histograms.
+    Unit counts with the kernel weights as ``v_cf`` give the point reports
+    of the ``Estimate`` bitwise, since they come from the same histograms.
     """
     # The actual-side mass sum(counts) is exactly n, but the resampled
     # counterfactual mass is not: left unnormalized it fluctuates with sd of
@@ -226,7 +225,7 @@ def bootstrap_replicate(sample, plan, counts, kernel, rule):
     resampled rows, as the point bandwidth is ``rule`` at the scale of the
     sample.  The weights are folded back onto the original rows: row i gets
     the summed weight of its copies.  The multipliers are bitwise those of
-    ``counterfactual_weights`` on the resampled rows, folded the same way.
+    the kernel weights of the resampled rows, folded the same way.
 
     Raises
     ------
@@ -243,8 +242,9 @@ def bootstrap_replicate(sample, plan, counts, kernel, rule):
         w = kernel_weights(
             plan, kernel, h,
             np.bincount(plan.src_inv, weights=counts, minlength=plan.src.shape[0]),
-            np.bincount(plan.tgt_inv, weights=counts, minlength=plan.tgt.shape[0]),
-        )
+            np.bincount(plan.tgt_inv, weights=counts,
+                        minlength=plan.tgt.shape[0])[:, None],
+        )[:, 0]
     except BandwidthTooSmallError as err:
         # name the resampled rows only: a row left out of the resample can
         # share its target with one that has no donor
@@ -331,10 +331,18 @@ def _run_blocks(block, count):
         k - 1, mp_context=multiprocessing.get_context("fork"),
         initializer=_install_block, initargs=(block,),
     ) as pool:
-        futures = [
-            pool.submit(_run_installed_block, lo, hi)
-            for lo, hi in zip(edges[1:-1], edges[2:])
-        ]
+        with warnings.catch_warnings():
+            # the pool forks every worker in its first submit, before it
+            # starts a thread of its own, so Python 3.12+'s warning about
+            # forking a threaded process does not apply (README)
+            warnings.filterwarnings(
+                "ignore", category=DeprecationWarning,
+                message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            )
+            futures = [
+                pool.submit(_run_installed_block, lo, hi)
+                for lo, hi in zip(edges[1:-1], edges[2:])
+            ]
         _in_block = True
         try:
             results = [block(edges[0], edges[1])]
@@ -350,44 +358,32 @@ def _run_blocks(block, count):
     return results
 
 
-def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
+def run_bootstrap(est, config):
     """Bootstrap intervals for every measure of {actual, counterfactual, effect}.
 
-    The point estimates are the rank-based copula grids of the sample under
-    the weights ``w``; the returned result holds one BootstrapRun per
-    (target, measure) pair.  The whole run is a pure function of (sample,
-    config, weights, kernel, m, bandwidth_rule).  Under
+    The points are the reports of the ``Estimate`` ``est``, and the
+    replicates resample its sample with its weights, margin ranks and grid
+    size; the returned result holds one BootstrapRun per (target, measure)
+    pair.  The whole run is a pure function of (est, config).  Under
     ``config.recompute_weights`` each replicate rebuilds its weights with
-    ``kernel`` and its bandwidth from ``bandwidth_rule`` at the covariate
-    scale of the resample; without a rule that mode raises ValueError
-    before any replicate is drawn.  ``Estimate.bootstrap`` passes the
-    estimate's own weights, kernel and rule.
+    the estimate's kernel and its bandwidth from the estimate's rule at the
+    covariate scale of the resample.
     """
-    if config.recompute_weights and bandwidth_rule is None:
-        raise ValueError(
-            "run_bootstrap needs a bandwidth_rule to recompute the weights "
-            "of each replicate"
-        )
-    n = sample.n
-    wv = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-
-    r1 = margin_ranks(sample.y1)
-    r2 = margin_ranks(sample.y2)
-    point = _reports(r1, r2, np.ones(n, dtype=np.int64), wv, m)
-
+    sample, n = est.sample, est.sample.n
     if config.recompute_weights:
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
 
         def cf_multipliers(counts):
-            return bootstrap_replicate(sample, plan, counts, kernel, bandwidth_rule)
+            return bootstrap_replicate(sample, plan, counts, est.kernel, est.rule)
     else:
         def cf_multipliers(counts):
-            return counts * wv
+            return counts * est.w.w
 
+    r1, r2 = est.ranks
     blocks = _run_blocks(
         partial(
-            _replicate_block, seed=config.seed, n=n, r1=r1, r2=r2, m=m,
-            cf_multipliers=cf_multipliers,
+            _replicate_block, seed=config.seed, n=n, r1=r1, r2=r2,
+            m=est.grids["actual"].m, cf_multipliers=cf_multipliers,
         ),
         config.B,
     )
@@ -397,7 +393,7 @@ def run_bootstrap(sample, config, w, kernel=None, m=100, bandwidth_rule=None):
 
     runs = {}
     for (target, measure), reps in zip(_target_keys(), stats):
-        theta = getattr(point[target], measure)
+        theta = getattr(est.reports[target], measure)
         q = centered_quantile(reps, theta, n, config.level)
         half = q / math.sqrt(n)
         runs[(target, measure)] = BootstrapRun(
@@ -421,8 +417,9 @@ class Estimate:
     """One pass of the estimator over a sample.
 
     ``rule`` holds the covariate scale of the sample and ``h`` is its
-    bandwidth.  ``grids`` (actual, counterfactual) and ``reports`` (actual,
-    counterfactual, effect) are keyed by target.
+    bandwidth.  ``ranks`` holds the ``MarginRanks`` of y1 and y2.  ``grids``
+    (actual, counterfactual) and ``reports`` (actual, counterfactual,
+    effect) are keyed by target.
     """
 
     sample: ObservationSample
@@ -430,43 +427,32 @@ class Estimate:
     rule: BandwidthRule
     h: np.ndarray
     w: WeightVector
+    ranks: tuple
     grids: dict
     reports: dict
 
-    def bootstrap(self, config):
-        """``run_bootstrap`` around this estimate, with its weights, kernel and rule."""
-        return run_bootstrap(
-            self.sample, config, self.w, kernel=self.kernel,
-            m=self.grids["actual"].m, bandwidth_rule=self.rule,
-        )
 
-
-def _scaled(rule, sample):
-    """``rule`` at the covariate scale of ``sample``, and its bandwidth."""
-    rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
-    return rule, _bandwidth(rule, sample.n)
-
-
-def _finish(sample, kernel, rule, h, w, m):
+def _finish(sample, kernel, rule, h, w, m, ranks=None):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
 
     Each copula's grid and measures come from one atom histogram, as a
-    bootstrap replicate's measures do.
+    bootstrap replicate's measures do.  ``ranks`` are the margin ranks of
+    the sample's outcomes, computed here when not given.
     """
-    r1 = margin_ranks(sample.y1)
-    r2 = margin_ranks(sample.y2)
+    if ranks is None:
+        ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     grids, reports = {}, {}
     for target, v, two_increasing in (
         ("actual", np.ones(sample.n), True),
         ("counterfactual", w.w, w.negative_count == 0),
     ):
-        cells, grids[target] = _point(r1, r2, v, m, two_increasing)
+        cells, grids[target] = _point(*ranks, v, m, two_increasing)
         reports[target] = association.measures_from_cells(cells, m, sample.n)
     reports["effect"] = association.policy_effect(
         reports["counterfactual"], reports["actual"]
     )
     return Estimate(sample=sample, kernel=kernel, rule=rule, h=h, w=w,
-                    grids=grids, reports=reports)
+                    ranks=ranks, grids=grids, reports=reports)
 
 
 def estimate(sample, kernel, rule, m):
@@ -474,14 +460,10 @@ def estimate(sample, kernel, rule, m):
 
     The bandwidth is ``rule`` at ``scale_from_sample(sample.x,
     sample.discrete_mask)``: one per coordinate, the sample standard
-    deviation of a smoothed coordinate and 1 at a discrete one.
+    deviation of a smoothed coordinate and 1 at a discrete one.  This is
+    ``estimates`` with the sample's own xstar as its one value.
     """
-    rule, h = _scaled(rule, sample)
-    w = counterfactual_weights(
-        sample.x, sample.xstar, kernel=kernel, h=h,
-        discrete_mask=sample.discrete_mask,
-    )
-    return _finish(sample, kernel, rule, h, w, m)
+    return next(estimates(sample, sample.xstar[None], kernel, rule, m))
 
 
 def estimates(sample, xstars, kernel, rule, m):
@@ -491,10 +473,9 @@ def estimates(sample, xstars, kernel, rule, m):
     value of a scenario family.  The values share the sample's x, discrete
     mask, kernel and bandwidth, so the weights of all V come from one
     ``kernel_plan`` on x and the stacked xstars, evaluated once with a
-    (distinct targets x V) multiplicity matrix.  Each value's weights then
-    go through the same finishing step as in ``estimate``.  The weights are
-    built by this call; the returned iterator builds the V estimates one
-    at a time, in order.
+    (distinct targets x V) multiplicity matrix.  The margin ranks are
+    computed once as well.  The weights are built by this call; the
+    returned iterator builds the V estimates one at a time, in order.
 
     Raises
     ------
@@ -503,7 +484,8 @@ def estimates(sample, xstars, kernel, rule, m):
         rows of the xstar of the first such value, and its ``value`` is
         that value's index.
     """
-    rule, h = _scaled(rule, sample)
+    rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
+    h = _bandwidth(rule, sample.n)
     V, n = xstars.shape[0], sample.n
     plan = kernel_plan(sample.x, xstars.reshape(V * n, -1), sample.discrete_mask)
     t = plan.tgt.shape[0]
@@ -520,8 +502,9 @@ def estimates(sample, xstars, kernel, rule, m):
         )
         error.value = first
         raise error from None
+    ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     return (
         _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
-                WeightVector.from_array(w[plan.src_inv, v]), m)
+                WeightVector.from_array(w[plan.src_inv, v]), m, ranks)
         for v in range(V)
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -37,6 +38,7 @@ from .bootstrap import (
     derived_seed,
     estimate,
     estimates,
+    run_bootstrap,
 )
 from .copula import BandwidthTooSmallError, support_violations
 from .data import (
@@ -154,8 +156,10 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_m < 2 or self.grid_m % 2:
             raise UsageError(f"grid_m must be even and >= 2, got {self.grid_m}")
-        if self.bandwidth_c <= 0:
-            raise UsageError(f"bandwidth_c must be positive, got {self.bandwidth_c}")
+        if not (self.bandwidth_c > 0 and math.isfinite(self.bandwidth_c)):
+            raise UsageError(
+                f"bandwidth_c must be positive and finite, got {self.bandwidth_c}"
+            )
         # check the bootstrap options now, before any command starts work
         self.bootstrap_config(self.seed)
         if bool(self.scenario_text) == bool(self.roles.xstar):
@@ -373,7 +377,7 @@ def cmd_estimate(args):
 def cmd_bootstrap(args):
     cfg, _ = _resolve_run_config(args)
     label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
-    result = est.bootstrap(cfg.bootstrap_config(cfg.seed))
+    result = run_bootstrap(est, cfg.bootstrap_config(cfg.seed))
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
         f"bootstrap: B={cfg.boot_b}, level={cfg.level}, seed={cfg.seed}, "
@@ -466,7 +470,9 @@ def cmd_sweep(args):
         ) from None
     rows = []
     for index, (value, frac, est) in enumerate(zip(values, fracs, family)):
-        result = est.bootstrap(cfg.bootstrap_config(derived_seed(cfg.seed, (index,))))
+        result = run_bootstrap(
+            est, cfg.bootstrap_config(derived_seed(cfg.seed, (index,)))
+        )
         for measure in MEASURES:
             for target in TARGETS:
                 run = result.runs[(target, measure)]

@@ -5,12 +5,16 @@ counterfactual copula reweights observations by kernel-ratio weights that
 transport the sample covariates to their manipulated values, then applies
 the same rank construction with weighted marginal CDFs.
 
-Both estimators share one weighted path from ranks and row multipliers to
-an atom histogram on the m-grid, so the unweighted case is literally the
-weighted case with unit weights.  The point estimators build the copula
-grid from the histogram by a prefix sum; bootstrap replicates take their
-measures from the histogram and build no grid.  Both run the same path,
-which makes the "multipliers all one" reduction exact at the bit level.
+The weights come from ``kernel_weights`` on a ``kernel_plan``: the
+distinct rows of the covariates and their exact-match cells over the
+discrete coordinates, evaluated with row multiplicities.  Both estimators
+share one weighted path (``_rank_atoms``) from ranks and row multipliers
+to an atom histogram on the m-grid, so the unweighted case is literally
+the weighted case with unit weights.  The point estimate builds the copula
+grid from the histogram by a prefix sum (``_point``); bootstrap replicates
+take their measures from the histogram and build no grid.  Both run the
+same path, which makes the "multipliers all one" reduction exact at the
+bit level.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_1d
+from .kernels import kernel_1d
 
 # slack for float dust on cumulative sums of weights
 _EPS = 1e-9
@@ -110,10 +114,6 @@ class ObservationSample:
     def n(self):
         return self.y1.shape[0]
 
-    @property
-    def d(self):
-        return self.x.shape[1]
-
 
 def support_violations(sample):
     """Indices of xstar rows outside the coordinate-wise box of the x rows.
@@ -145,13 +145,6 @@ class WeightVector:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         return cls(w=w, negative_count=int(np.sum(w < 0)), sum=float(w.sum()))
-
-    def __len__(self):
-        return self.w.shape[0]
-
-
-def unit_weights(n):
-    return WeightVector.from_array(np.ones(n))
 
 
 # --- counterfactual weights -------------------------------------------------
@@ -259,19 +252,22 @@ def kernel_plan(x, xstar, discrete_mask=None):
 def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     """Kernel-ratio weights of the distinct source rows of ``plan``.
 
+    W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h): each target is
+    normalized by its donor total, so the weights sum to the target mass.
     Source and target rows enter with the given multiplicities, one per
     distinct row; rows of multiplicity zero are left out, and their weight
-    is zero.  Each cell forms the product kernel over the continuous
-    coordinates for blocks of at most ``chunk`` of its targets of positive
-    multiplicity, against its sources of positive multiplicity.
+    is zero.  A product-kernel entry is zero unless source and target share
+    an exact-match cell, so each cell forms the product kernel over the
+    continuous coordinates for blocks of at most ``chunk`` of its targets
+    of positive multiplicity, against its sources of positive multiplicity.
 
-    ``tgt_counts`` of shape (targets,) gives weights of shape (sources,).
-    Of shape (targets, V) it holds V sets of target multiplicities, one per
-    column, sharing the source multiplicities, and gives weights of shape
-    (sources, V), column j those of column j of ``tgt_counts``.  A target's
-    denominator depends only on its row and the source multiplicities, so
-    every kernel block is formed once for all V columns and enters each
-    column that holds one of its targets by one matrix-vector product.
+    ``tgt_counts`` of shape (targets, V) holds V sets of target
+    multiplicities, one per column, sharing the source multiplicities, and
+    gives weights of shape (sources, V), column j those of column j of
+    ``tgt_counts``.  A target's denominator depends only on its row and the
+    source multiplicities, so every kernel block is formed once for all V
+    columns and enters each column that holds one of its targets by one
+    matrix-vector product.
 
     Raises
     ------
@@ -283,7 +279,6 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         donor total; its ``columns`` are the rows of ``xstar`` whose
         distinct row it is.
     """
-    kernel = KernelSpec() if kernel is None else kernel
     mask = plan.discrete_mask
     hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
     hcont = hvec[~mask]
@@ -294,12 +289,11 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         )
 
     # one row of weights per column of tgt_counts, transposed on return
-    w = np.zeros(tgt_counts.shape[1:] + (plan.src.shape[0],))
+    w = np.zeros((tgt_counts.shape[1], plan.src.shape[0]))
     bad = np.zeros(plan.tgt.shape[0], dtype=bool)
     for cell_src, cell_tgt in plan.cells:
         si = cell_src[src_counts[cell_src] > 0]
-        positive = tgt_counts[cell_tgt] > 0
-        present = cell_tgt[positive if w.ndim == 1 else positive.any(axis=1)]
+        present = cell_tgt[(tgt_counts[cell_tgt] > 0).any(axis=1)]
         xs = plan.src[si]
         for start in range(0, present.size, chunk):
             ti = present[start:start + chunk]
@@ -323,9 +317,6 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
                 bad[ti[zero]] = True
                 continue
             counts = tgt_counts[ti]
-            if w.ndim == 1:
-                w[si] += kmat @ (counts / denom)
-                continue
             # a matrix-vector product per column the block enters: one
             # matrix product over all columns raises peak memory by the
             # buffers of the BLAS threads it wakes
@@ -334,52 +325,6 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     if np.any(bad):
         raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
     return w.T
-
-
-def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
-                           chunk=512):
-    """Kernel-ratio weights transporting the sample to the manipulated covariates.
-
-    W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h).  Each target
-    column is normalized by its donor total, so the weights sum to n.
-
-    This is ``kernel_weights`` on ``kernel_plan(x, xstar, discrete_mask)``
-    with the plan's own multiplicities.  The plan collapses equal rows of
-    ``x`` (and of ``xstar``) to one distinct row carrying its multiplicity
-    and groups the distinct rows into exact-match cells over the discrete
-    coordinates: a product-kernel entry is zero unless source and target
-    share a cell, so each cell only evaluates the kernel of its own
-    distinct sources against its own distinct targets, over the continuous
-    coordinates.  The weights equal the dense n x n computation up to
-    floating-point summation order.
-
-    Parameters
-    ----------
-    x, xstar : array, shape (n, d) or (n,)
-        Observed and manipulated covariates.
-    kernel : KernelSpec
-        Defaults to the Epanechnikov kernel.
-    h : float or array of shape (d,)
-        Bandwidth, shared or per coordinate.  Coordinates flagged discrete
-        ignore it and match exactly.
-    discrete_mask : array of bool, shape (d,), optional
-    chunk : int
-        Most distinct targets of one cell whose kernel block is formed at a
-        time; a block holds at most (distinct sources of the cell) x chunk
-        entries, which bounds memory.
-
-    Raises
-    ------
-    BandwidthTooSmallError
-        If some target column has a zero donor total; its ``columns`` are
-        the offending rows of ``xstar`` in increasing order.
-    """
-    X, Xs = _as_matrix(x), _as_matrix(xstar)
-    if Xs.shape != X.shape:
-        raise ValueError(f"x has shape {X.shape} but xstar has shape {Xs.shape}")
-    plan = kernel_plan(X, Xs, discrete_mask)
-    w = kernel_weights(plan, kernel, h, plan.src_counts, plan.tgt_counts, chunk)
-    return WeightVector.from_array(w[plan.src_inv])
 
 
 # --- rank machinery shared by all grid estimators ----------------------------
@@ -463,15 +408,6 @@ def _atom_grid(cells, m, n):
     return cells[: m + 1, : m + 1].cumsum(axis=0).cumsum(axis=1) / n
 
 
-def weighted_rank_copula_values(u1, u2, v, m, n):
-    """Grid values (1/n) sum_i v_i 1{u1_i <= a/m} 1{u2_i <= b/m}.
-
-    Atoms with a pseudo-observation above 1 + 1e-9 (possible only under
-    negative weights) fall off the grid and are excluded.
-    """
-    return _atom_grid(weighted_rank_atoms(u1, u2, v, m), m, n)
-
-
 @dataclass(frozen=True)
 class CopulaGrid:
     """Copula values on the uniform grid {(i/m, j/m)}.
@@ -487,10 +423,6 @@ class CopulaGrid:
     two_increasing: bool
     margins_uniform: bool
 
-    @property
-    def nodes(self):
-        return np.arange(self.m + 1) / self.m
-
 
 def _margins_uniform(values, m, jump_bound):
     nodes = np.arange(m + 1) / m
@@ -499,38 +431,6 @@ def _margins_uniform(values, m, jump_bound):
         float(np.max(np.abs(values[m, :] - nodes))),
     )
     return dev <= jump_bound + _EPS
-
-
-def frechet_hoeffding_violation(grid):
-    """Largest violation of the copula bounds max(u+v-1,0) <= C <= min(u,v)."""
-    nodes = grid.nodes
-    u = nodes[:, None]
-    v = nodes[None, :]
-    lower = np.maximum(u + v - 1.0, 0.0)
-    upper = np.minimum(u, v)
-    return float(
-        max(np.max(lower - grid.values), np.max(grid.values - upper), 0.0)
-    )
-
-
-@dataclass(frozen=True)
-class PseudoObservations:
-    """Marginal-CDF values of the data points plus the weights attached to them."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    w: np.ndarray
-
-
-def pseudo_observations(sample, w=None):
-    """Rank pseudo-observations of (y1, y2); weighted marginals when w is given."""
-    n = sample.n
-    v = np.ones(n) if w is None else (w.w if isinstance(w, WeightVector) else np.asarray(w, float))
-    u1 = margin_ranks(sample.y1).pseudo_obs(v)
-    u2 = margin_ranks(sample.y2).pseudo_obs(v)
-    return PseudoObservations(u1=u1, u2=u2, w=v)
-
-
 
 
 # --- grid estimators ---------------------------------------------------------
@@ -569,32 +469,11 @@ def _point(ranks1, ranks2, v, m, two_increasing):
     )
 
 
-def _point_grid(sample, v, m, two_increasing):
-    return _point(
-        margin_ranks(sample.y1), margin_ranks(sample.y2), v, m, two_increasing
-    )[1]
-
-
 def empirical_copula(sample, m=100):
     """Empirical copula of (y1, y2) on the m-grid.
 
     C(u1, u2) = (1/n) sum_i 1{F1(y1_i) <= u1, F2(y2_i) <= u2} with empirical
     marginal CDFs evaluated at the data points (rank pseudo-observations).
     """
-    return _point_grid(sample, np.ones(sample.n), m, True)
-
-
-def counterfactual_copula(sample, w, m=100):
-    """Counterfactual copula of (y1, y2) under the weights w on the m-grid.
-
-    C*(u1, u2) = (1/n) sum_i W_i 1{F*_1(y1_i) <= u1, F*_2(y2_i) <= u2}
-    with weighted marginal CDFs F*_j(y) = (1/n) sum_i W_i 1{y_ji <= y}.
-    With unit weights this coincides with ``empirical_copula`` exactly.
-
-    Negative weights (higher-order kernels) can break monotonicity of the
-    weighted marginals; the estimate is left untouched and the
-    two_increasing flag is cleared.
-    """
-    if not isinstance(w, WeightVector):
-        w = WeightVector.from_array(w)
-    return _point_grid(sample, w.w, m, w.negative_count == 0)
+    ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
+    return _point(*ranks, np.ones(sample.n), m, True)[1]

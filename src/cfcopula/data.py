@@ -93,8 +93,8 @@ def ingest(path, roles=None):
     """Read a headered CSV into a Table, parsing every cell as a float.
 
     With ``roles`` the header is checked for all required columns up front.
-    Raises DataError for a missing column, a non-numeric cell (reported as
-    data row and column name) or fewer than two data rows.
+    Raises DataError for a missing column, a non-numeric or non-finite cell
+    (reported as data row and column name) or fewer than two data rows.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -112,8 +112,10 @@ def ingest(path, roles=None):
             if missing:
                 raise DataError(f"missing required columns {missing} in {path}")
         raw = [[] for _ in header]
+        blank = []  # data row numbers of skipped blank lines
         for i, cells in enumerate(reader, start=1):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
+                blank.append(i)
                 continue  # ignore trailing blank lines
             if len(cells) != len(header):
                 raise DataError(
@@ -130,8 +132,16 @@ def ingest(path, roles=None):
     n = len(raw[0]) if header else 0
     if n < 2:
         raise DataError(f"need at least 2 data rows, got {n}")
-    columns = {name: np.asarray(col, dtype=float) for name, col in zip(header, raw)}
-    return Table(names=tuple(header), columns=columns)
+    values = np.array(raw, dtype=float)
+    # float() reads "nan" and "inf"; name the first such cell in file order
+    bad = np.argwhere(~np.isfinite(values.T))
+    if bad.size:
+        k, j = bad[0]
+        row = np.setdiff1d(np.arange(1, n + len(blank) + 1), blank)[k]
+        raise DataError(
+            f"non-finite value {float(values[j, k])!r} at (row {row}, {header[j]})"
+        )
+    return Table(names=tuple(header), columns=dict(zip(header, values)))
 
 
 def build_sample(table, roles, xstar_columns=None):

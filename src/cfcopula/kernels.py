@@ -124,8 +124,8 @@ def bandwidth(rule, n):
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to form a bandwidth, got n={n}")
-    if rule.constant <= 0:
-        raise ValueError("bandwidth constant must be positive")
+    if not (rule.constant > 0 and math.isfinite(rule.constant)):
+        raise ValueError("bandwidth constant must be positive and finite")
     scale = np.asarray(rule.scale, dtype=float)
     if np.any(scale <= 0):
         raise DegenerateCovariateError(

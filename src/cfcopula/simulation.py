@@ -36,6 +36,7 @@ from .bootstrap import (
     _target_keys,
     derived_seed,
     estimate,
+    run_bootstrap,
 )
 from .copula import CopulaGrid, ObservationSample, empirical_copula
 from .kernels import BandwidthRule, KernelSpec
@@ -239,8 +240,8 @@ class SimStudyConfig:
             raise ValueError(f"coverage level must lie in (0, 1), got {self.level}")
         if self.m < 2 or self.m % 2:
             raise ValueError(f"grid m must be even and >= 2, got {self.m}")
-        if self.bandwidth_constant <= 0:
-            raise ValueError("bandwidth constant must be positive")
+        if not (self.bandwidth_constant > 0 and math.isfinite(self.bandwidth_constant)):
+            raise ValueError("bandwidth constant must be positive and finite")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -318,14 +319,12 @@ def _replication(config, truths, truth_grids, size_index, rep):
                 for target, mm in _KEYS]
     covered = None
     if config.bootstrap_b >= 2:
-        boot = point.bootstrap(
-            BootstrapConfig(
-                B=config.bootstrap_b,
-                level=config.level,
-                seed=derived_seed(config.seed, (n, rep, 1)),
-                recompute_weights=config.recompute_weights,
-            )
-        )
+        boot = run_bootstrap(point, BootstrapConfig(
+            B=config.bootstrap_b,
+            level=config.level,
+            seed=derived_seed(config.seed, (n, rep, 1)),
+            recompute_weights=config.recompute_weights,
+        ))
         covered = [boot.runs[key].covers(truths[key[0]][key[1]]) for key in _KEYS]
     return abs_err, sq_err, meas_err, covered
 

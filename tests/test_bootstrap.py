@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import counterfactual_copula, counterfactual_weights, estimate_under
 from test_copula import _add_at_atoms, _mixed_covariates
 
 from cfcopula import bootstrap, copula
@@ -28,12 +30,10 @@ from cfcopula.copula import (
     ObservationSample,
     _atom_grid,
     _rank_atoms,
-    counterfactual_copula,
-    counterfactual_weights,
     empirical_copula,
     kernel_plan,
     margin_ranks,
-    weighted_rank_copula_values,
+    weighted_rank_atoms,
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, scale_from_sample
 from cfcopula.simulation import dgp_draw
@@ -159,7 +159,7 @@ def test_bootstrap_config_validation():
 def test_run_bootstrap_targets_and_interval_shape():
     sample = _sample(50, 4)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    result = run_bootstrap(sample, BootstrapConfig(B=40, seed=5), w=w, m=20)
+    result = run_bootstrap(estimate_under(sample, w, 20), BootstrapConfig(B=40, seed=5))
     assert set(result.runs) == {
         (t, m) for t in ("actual", "counterfactual", "effect")
         for m in ("rho", "tau", "gamma", "beta")
@@ -175,12 +175,13 @@ def test_run_bootstrap_targets_and_interval_shape():
 def test_run_bootstrap_is_deterministic_given_seed():
     sample = _sample(45, 6)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    a = run_bootstrap(sample, BootstrapConfig(B=25, seed=11), w=w, m=10)
-    b = run_bootstrap(sample, BootstrapConfig(B=25, seed=11), w=w, m=10)
+    est = estimate_under(sample, w, 10)
+    a = run_bootstrap(est, BootstrapConfig(B=25, seed=11))
+    b = run_bootstrap(est, BootstrapConfig(B=25, seed=11))
     for key in a.runs:
         assert np.array_equal(a.runs[key].replicates, b.runs[key].replicates)
         assert (a.runs[key].lo, a.runs[key].hi) == (b.runs[key].lo, b.runs[key].hi)
-    c = run_bootstrap(sample, BootstrapConfig(B=25, seed=12), w=w, m=10)
+    c = run_bootstrap(est, BootstrapConfig(B=25, seed=12))
     assert any(
         not np.array_equal(a.runs[k].replicates, c.runs[k].replicates)
         for k in a.runs
@@ -190,7 +191,7 @@ def test_run_bootstrap_is_deterministic_given_seed():
 def test_effect_replicates_are_coupled_differences():
     sample = _sample(40, 7)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    res = run_bootstrap(sample, BootstrapConfig(B=15, seed=3), w=w, m=10)
+    res = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=15, seed=3))
     np.testing.assert_allclose(
         res[("effect", "tau")].replicates,
         res[("counterfactual", "tau")].replicates - res[("actual", "tau")].replicates,
@@ -201,11 +202,9 @@ def test_effect_replicates_are_coupled_differences():
 def test_recompute_weights_mode_reruns_kernel_per_replicate():
     sample = _sample(40, 8)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    fixed = run_bootstrap(sample, BootstrapConfig(B=12, seed=9), w=w, m=10)
-    redone = run_bootstrap(
-        sample, BootstrapConfig(B=12, seed=9, recompute_weights=True),
-        w=w, m=10, bandwidth_rule=BandwidthRule(constant=3.0),
-    )
+    est = estimate_under(sample, w, 10, rule=BandwidthRule(constant=3.0))
+    fixed = run_bootstrap(est, BootstrapConfig(B=12, seed=9))
+    redone = run_bootstrap(est, BootstrapConfig(B=12, seed=9, recompute_weights=True))
     assert all(np.all(np.isfinite(r.replicates)) for r in redone.runs.values())
     key = ("counterfactual", "tau")
     assert not np.array_equal(fixed[key].replicates, redone[key].replicates)
@@ -251,11 +250,13 @@ def _resample_and_rerank(sample, counts, kernel, rule, m):
     r1 = margin_ranks(resample.y1)
     r2 = margin_ranks(resample.y2)
     ones = np.ones(n)
-    act = weighted_rank_copula_values(
-        r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m, n
+    act = _atom_grid(
+        weighted_rank_atoms(r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m), m, n
     )
     vb = wb.w * (n / wb.w.sum())
-    cf = weighted_rank_copula_values(r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m, n)
+    cf = _atom_grid(
+        weighted_rank_atoms(r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m), m, n
+    )
     return act, cf
 
 
@@ -374,8 +375,8 @@ def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
 
     def run():
         return run_bootstrap(
-            sample, BootstrapConfig(B=60, seed=3, recompute_weights=True),
-            w=w, kernel=KernelSpec(), m=20, bandwidth_rule=rule,
+            estimate_under(sample, w, 20, rule=rule),
+            BootstrapConfig(B=60, seed=3, recompute_weights=True),
         )
 
     _pin_workers(monkeypatch, 2)
@@ -426,8 +427,8 @@ def test_recompute_bootstrap_redraws_a_replicate_without_donor():
     h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
     w = counterfactual_weights(sample.x, sample.xstar, h=h)
     result = run_bootstrap(
-        sample, BootstrapConfig(B=200, seed=0, recompute_weights=True),
-        w=w, kernel=KernelSpec(), m=100, bandwidth_rule=rule,
+        estimate_under(sample, w, 100, rule=rule),
+        BootstrapConfig(B=200, seed=0, recompute_weights=True),
     )
     assert result.discarded > 0
     assert all(np.all(np.isfinite(r.replicates)) for r in result.runs.values())
@@ -446,8 +447,8 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
     def runs():
         return [
             run_bootstrap(
-                sample, BootstrapConfig(B=30, seed=8, recompute_weights=redo),
-                w=w, kernel=kernel, m=10, bandwidth_rule=BandwidthRule(constant=2.0),
+                estimate_under(sample, w, 10, kernel, BandwidthRule(constant=2.0)),
+                BootstrapConfig(B=30, seed=8, recompute_weights=redo),
             )
             for redo in (False, True)
         ]
@@ -476,7 +477,7 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
 def _frozen_case(B):
     sample = _sample(60, 21)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    return dict(sample=sample, config=BootstrapConfig(B=B, seed=2), w=w, m=20)
+    return dict(est=estimate_under(sample, w, 20), config=BootstrapConfig(B=B, seed=2))
 
 
 def _recompute_case_with_redraws():
@@ -484,9 +485,9 @@ def _recompute_case_with_redraws():
     rule = BandwidthRule(constant=1.0)
     h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
     return dict(
-        sample=sample, config=BootstrapConfig(B=7, seed=4, recompute_weights=True),
-        w=counterfactual_weights(sample.x, sample.xstar, h=h), kernel=KernelSpec(),
-        m=20, bandwidth_rule=rule,
+        est=estimate_under(sample, counterfactual_weights(sample.x, sample.xstar, h=h),
+                           20, rule=rule),
+        config=BootstrapConfig(B=7, seed=4, recompute_weights=True),
     )
 
 
@@ -494,11 +495,9 @@ def _higher_order_case():
     sample = _sample(48, 14)
     sample = replace(sample, y1=np.round(sample.y1), y2=np.round(sample.y2, 1))
     kernel = KernelSpec(family="higher_order", order=4)
-    return dict(
-        sample=sample, config=BootstrapConfig(B=7, seed=8),
-        w=counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=0.8),
-        kernel=kernel, m=10,
-    )
+    w = counterfactual_weights(sample.x, sample.xstar, kernel=kernel, h=0.8)
+    return dict(est=estimate_under(sample, w, 10, kernel),
+                config=BootstrapConfig(B=7, seed=8))
 
 
 _WORKER_CASES = {
@@ -520,7 +519,7 @@ def test_runs_are_bitwise_the_same_on_any_number_of_cores(monkeypatch, case):
     if case == "recompute-with-redraws":
         assert results[0].discarded > 0
     if case == "higher-order-kernel":
-        assert kwargs["w"].negative_count > 0
+        assert kwargs["est"].w.negative_count > 0
     for other in results[1:]:
         _assert_bitwise_equal(other, results[0])
 
@@ -549,22 +548,63 @@ def test_the_first_failing_replicate_decides_the_error_on_any_number_of_cores(
     for k in (1, 2, 3):
         _pin_workers(monkeypatch, k)
         with pytest.raises(DegenerateReplicateError, match="replicate 3 in") as err:
-            run_bootstrap(sample, BootstrapConfig(B=7, seed=1), w=w, m=10)
+            run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=7, seed=1))
         ran_here = f"process {os.getpid()}" in str(err.value)
         assert ran_here == (k == 1)
 
 
-def test_missing_bandwidth_fails_before_any_draw(monkeypatch):
-    """Recomputing the weights without a bandwidth rule is a ValueError
-    before any draw, not a run of replicates without a bandwidth."""
-    sample = dgp_draw(50, np.random.default_rng(0)).sample
-    w = counterfactual_weights(sample.x, sample.xstar, h=1.0)
-    draws = []
-    monkeypatch.setattr(bootstrap, "multinomial_counts", lambda *args: draws.append(1))
-    with pytest.raises(ValueError, match="needs a bandwidth_rule"):
-        run_bootstrap(sample, BootstrapConfig(B=5, recompute_weights=True), w=w,
-                      kernel=KernelSpec(), m=10)
-    assert draws == []
+def _draws(lo, hi):
+    return [np.random.default_rng(b).normal(size=3) for b in range(lo, hi)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_the_threaded_fork_warning_is_ignored_and_no_other(monkeypatch):
+    """From Python 3.12, os.fork() in a threaded process warns that the
+    child may deadlock.  The pool forks before it starts a thread of its
+    own, so the block runner ignores exactly that message."""
+    real_fork = os.fork
+
+    def forking_with(message):
+        def fork():
+            warnings.warn(message.format(pid=os.getpid()), DeprecationWarning,
+                          stacklevel=2)
+            return real_fork()
+        return fork
+
+    _pin_workers(monkeypatch, 1)
+    alone = np.array(sum(bootstrap._run_blocks(_draws, 7), []))
+    _pin_workers(monkeypatch, 2)
+    for message, shown in (
+        ("This process (pid={pid}) is multi-threaded, use of fork() may lead to "
+         "deadlocks in the child.", []),
+        ("fork() in pid={pid} is watched", ["fork() in pid={pid} is watched"]),
+    ):
+        monkeypatch.setattr(os, "fork", forking_with(message))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocks = bootstrap._run_blocks(_draws, 7)
+        assert len(blocks) == 2
+        assert np.array(sum(blocks, [])).tobytes() == alone.tobytes()
+        assert [str(w.message) for w in caught if w.category is DeprecationWarning] == [
+            text.format(pid=os.getpid()) for text in shown
+        ]
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
+    """The points are the estimate's reports: a run builds the two
+    histograms of each replicate and none for the point."""
+    est = estimate(_sample(50, 53), KernelSpec(), BandwidthRule(constant=8.0), 10)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _rank_atoms(*args)
+
+    monkeypatch.setattr(bootstrap, "_rank_atoms", counting)
+    _pin_workers(monkeypatch, 1)
+    run_bootstrap(est, BootstrapConfig(B=9, seed=4, recompute_weights=recompute))
+    assert len(calls) == 2 * 9
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -573,13 +613,14 @@ def test_a_one_core_run_starts_no_process():
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import numpy as np\n"
+        "from cfcopula import BandwidthRule, KernelSpec, estimate\n"
         "from cfcopula.bootstrap import BootstrapConfig, run_bootstrap\n"
-        "from cfcopula.copula import ObservationSample, counterfactual_weights\n"
+        "from cfcopula.copula import ObservationSample\n"
         "x, e = np.random.default_rng(0).normal(size=(2, 40, 1))\n"
         "s = ObservationSample(y1=x[:, 0] + e[:, 0], y2=e[:, 0] - x[:, 0], x=x,"
         " xstar=x + 0.1)\n"
-        "w = counterfactual_weights(s.x, s.xstar, h=2.0)\n"
-        "run_bootstrap(s, BootstrapConfig(B=8), w=w, m=10)\n"
+        "est = estimate(s, KernelSpec(), BandwidthRule(constant=5.5), 10)\n"
+        "run_bootstrap(est, BootstrapConfig(B=8))\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
@@ -591,7 +632,7 @@ def test_a_one_core_run_starts_no_process():
 def test_covers_helper():
     sample = _sample(35, 12)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    run = run_bootstrap(sample, BootstrapConfig(B=10, seed=1), w=w, m=10)[
+    run = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=10, seed=1))[
         ("actual", "tau")
     ]
     assert run.covers(run.point)
@@ -653,7 +694,7 @@ def test_bootstrap_points_are_the_estimate_reports_bitwise(family, order, recomp
                    BandwidthRule(constant=8.0), 20)
     if order > 2:
         assert est.w.negative_count > 0
-    result = est.bootstrap(BootstrapConfig(B=6, seed=3, recompute_weights=recompute))
+    result = run_bootstrap(est, BootstrapConfig(B=6, seed=3, recompute_weights=recompute))
     assert len(result.runs) == 12
     for (target, measure), run in result.runs.items():
         point = getattr(est.reports[target], measure)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfcopula.bootstrap import Estimate, estimate
+from cfcopula import cli
+from cfcopula.bootstrap import estimate, run_bootstrap
 from cfcopula.cli import main
 from cfcopula.copula import ObservationSample, empirical_copula
 from cfcopula.data import (
@@ -244,20 +245,18 @@ def synth_600(tmp_path_factory):
 def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
                                             param, first, last, recompute):
     seen = []
-    bootstrap_of = Estimate.bootstrap
 
     def recording(est, config):
         seen.append((est, config))
-        return bootstrap_of(est, config)
+        return run_bootstrap(est, config)
 
-    monkeypatch.setattr(Estimate, "bootstrap", recording)
+    monkeypatch.setattr(cli, "run_bootstrap", recording)
     out = tmp_path / "out"
     argv = ["sweep", "--input", str(synth_600), "--param", param,
             "--from", str(first), "--to", str(last), "--bandwidth-c", "30",
             "--grid-m", "20", "--boot-b", "8", "--seed", "3", "--out-dir", str(out)]
     assert main(argv + (["--recompute-weights"] if recompute else [])) == 0
     rows = _read_rows(out / "sweep.csv")[1:]
-    monkeypatch.setattr(Estimate, "bootstrap", bootstrap_of)
 
     table = ingest(synth_600)
     roles = default_synth_roles()
@@ -273,7 +272,7 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
         assert est.sample.xstar.tobytes() == ref.sample.xstar.tobytes()
         for target, grid in ref.grids.items():
             assert np.max(np.abs(est.grids[target].values - grid.values)) <= 1e-12
-        ref_result = ref.bootstrap(config)
+        ref_result = run_bootstrap(ref, config)
         mine = [r for r in rows if r[0] == str(value)]
         assert len(mine) == 12
         for _, measure, target, point, lo, hi, affected in mine:
@@ -309,8 +308,6 @@ def test_sweep_without_donor_exits_three_before_any_value(tmp_path, capsys):
 
 
 def test_warnings_are_reported_on_stderr(monkeypatch, capsys):
-    import cfcopula.cli as cli
-
     def noisy(args):
         for _ in range(2):
             warnings.warn("weights look odd", RuntimeWarning)
@@ -420,6 +417,38 @@ def test_data_errors_exit_two(tmp_path, capsys):
                  "--y2", "spend", "--x", "x", "--xstar", "xs",
                  "--out-dir", str(tmp_path)]) == 2
     assert "(row 2, wage)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", ["nan", "inf"])
+def test_a_bandwidth_constant_not_finite_is_a_usage_error(dataset, tmp_path, capsys,
+                                                          constant):
+    path, _ = dataset
+    fresh = tmp_path / "never"
+    common = ["--bandwidth-c", constant, "--out-dir", str(fresh)]
+    for argv in (
+        ["estimate", *_roles_args(path), "--xstar", "xs"],
+        ["bootstrap", *_roles_args(path), "--xstar", "xs", "--boot-b", "10"],
+        ["sweep", *_roles_args(path), "--param", "s", "--from", "0", "--to", "1",
+         "--column", "x", "--boot-b", "10"],
+        ["simulate", "--sizes", "20", "--replications", "1", "--boot-b", "0"],
+    ):
+        assert main(argv + common) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive and finite" in err, err
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_a_non_finite_cell_is_a_data_error(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"wage,spend,x,xs\n1,2,3,4\n5,6,{cell},8\n9,1,2,3\n",
+                   encoding="utf-8")
+    assert main(["estimate", "--input", str(bad), "--y1", "wage",
+                 "--y2", "spend", "--x", "x", "--xstar", "xs",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: non-finite value {float(cell)!r} at (row 2, x)\n"
+    )
 
 
 def test_numeric_failures_exit_three(dataset, tmp_path):

@@ -3,24 +3,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (
+    counterfactual_copula,
+    counterfactual_weights,
+    frechet_hoeffding_violation,
+    pseudo_observations,
+)
 
 from cfcopula.bootstrap import bootstrap_replicate, multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
+    WeightVector,
+    _atom_grid,
     _atom_indices,
-    counterfactual_copula,
-    counterfactual_weights,
     empirical_copula,
-    frechet_hoeffding_violation,
     kernel_plan,
     kernel_weights,
     margin_ranks,
-    pseudo_observations,
     support_violations,
-    unit_weights,
     weighted_rank_atoms,
-    weighted_rank_copula_values,
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
 
@@ -264,7 +266,7 @@ def _stacked_weights(x, xstars, kernel=None, h=1.0, discrete_mask=None, chunk=51
         np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=plan.tgt.shape[0])
         for v in range(len(xstars))
     ]).astype(float)
-    w = kernel_weights(plan, kernel, h, plan.src_counts, counts, chunk)
+    w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts, counts, chunk)
     assert w.shape == (plan.src.shape[0], len(xstars))
     return w[plan.src_inv]
 
@@ -381,7 +383,7 @@ def test_counterfactual_copula_within_frechet_hoeffding():
 
 def test_unit_weight_counterfactual_equals_empirical_bitwise():
     sample = _sample(64, 6)
-    cf = counterfactual_copula(sample, unit_weights(64), m=16)
+    cf = counterfactual_copula(sample, WeightVector.from_array(np.ones(64)), m=16)
     emp = empirical_copula(sample, m=16)
     assert np.array_equal(cf.values, emp.values)
 
@@ -541,7 +543,7 @@ def test_atoms_match_add_at_oracle_bitwise(m):
 @pytest.mark.parametrize("m", _ORACLE_M)
 def test_grid_matches_add_at_oracle_bitwise(m):
     for a1, a2, w in adversarial_atoms(m, 100 + m):
-        got = weighted_rank_copula_values(a1, a2, w, m, w.size)
+        got = _atom_grid(weighted_rank_atoms(a1, a2, w, m), m, w.size)
         want = _add_at_grid_values(a1, a2, w, m, w.size)
         assert got.shape == want.shape == (m + 1, m + 1)
         assert got.tobytes() == want.tobytes()

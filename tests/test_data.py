@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from oracles import counterfactual_copula, counterfactual_weights
 from test_cli import read_grid_csv
 
-from cfcopula.copula import counterfactual_copula, counterfactual_weights, empirical_copula
+from cfcopula.copula import empirical_copula
 from cfcopula.data import (
     ColumnRoles,
     DataError,
@@ -35,6 +38,27 @@ def test_ingest_well_formed_three_rows(tmp_path):
 def test_ingest_reports_row_and_column_of_bad_cell(tmp_path):
     path = _write(tmp_path, "y1,y2\n1.0,2.0\noops,4.0\n")
     with pytest.raises(DataError, match=r"\(row 2, y1\)"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("cells, where", [
+    # an outcome cell, a covariate cell, and a column no role uses; the
+    # first such cell in file order is named
+    (("nan", "1", "2", "3"), "(row 2, y1)"),
+    (("1", "2", "inf", "-inf"), "(row 2, x)"),
+    (("1", "2", "3", "NaN"), "(row 2, note)"),
+])
+def test_ingest_reports_the_first_non_finite_cell(tmp_path, cells, where):
+    path = _write(tmp_path, "y1,y2,x,note\n1,2,3,4\n" + ",".join(cells)
+                  + "\n5,6,7,8\n-inf,6,7,8\n")
+    roles = ColumnRoles(y1="y1", y2="y2", x=("x",))
+    with pytest.raises(DataError, match="non-finite value .* at " + re.escape(where)):
+        ingest(path, roles=roles)
+
+
+def test_ingest_counts_blank_lines_in_the_row_of_a_non_finite_cell(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n\n3,4\n\n5,nan\n6,7\n")
+    with pytest.raises(DataError, match=r"non-finite value nan at \(row 5, b\)"):
         ingest(path)
 
 

@@ -88,6 +88,12 @@ def test_bandwidth_vector_scale():
     np.testing.assert_allclose(h, [2.0 * 0.1, 6.0 * 0.1])
 
 
+@pytest.mark.parametrize("constant", [0.0, -1.0, np.nan, np.inf])
+def test_bandwidth_constant_must_be_positive_and_finite(constant):
+    with pytest.raises(ValueError, match="positive and finite"):
+        bandwidth(BandwidthRule(constant=constant), 50)
+
+
 @given(n=st.integers(min_value=2, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_bandwidth_positive_and_decreasing(n):

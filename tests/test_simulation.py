@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import counterfactual_weights, frechet_hoeffding_violation, gaussian_report
 
 from cfcopula import bootstrap, simulation
-from cfcopula.association import gaussian_report, measures_from_grid
+from cfcopula.association import measures_from_grid
 from cfcopula.bootstrap import estimate
-from cfcopula.copula import CopulaGrid, counterfactual_weights, frechet_hoeffding_violation
+from cfcopula.copula import CopulaGrid
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth
 from cfcopula.simulation import (
     SimStudyConfig,
