@@ -21,9 +21,9 @@ measures from its two atom histograms and builds no grid.  Kernel weights
 W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
 them for every resample, with the bandwidth rule at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
-weights are evaluated on a kernel plan of the sample's distinct rows and
-exact-match cells, built once per run, with the counts as multiplicities,
-and folded back onto the original rows.  Both modes place every replicate's
+weights are evaluated on the estimate's kernel plan of the sample's distinct
+rows and exact-match cells, with the counts as multiplicities, and folded
+back onto the original rows.  Both modes place every replicate's
 atoms by the ranks of the original sample.
 
 Replicates run in contiguous blocks of replicate indices, one block per
@@ -34,9 +34,9 @@ is seeded by (seed, b) alone, so the results are bitwise identical for any
 core count.  On one core (``taskset -c 0``), or on a platform without fork,
 the single block runs in-process and no process starts.  The workers'
 memory does not show in the parent's resident set size.  ``_run_blocks``
-is the package's one block runner: the simulation study runs its
-replications through it too, and a bootstrap run inside a block runs
-in-process.
+is the package's one block runner: a sweep runs the replicates of all its
+values through one call (``run_bootstraps``), the simulation study its
+replications, and a bootstrap run inside a block runs in-process.
 
 Confidence intervals are symmetric around the point estimate with half-width
 Q/sqrt(n), where Q is the level-quantile of the centered absolute deviations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -57,6 +58,7 @@ import numpy as np
 from . import association
 from .copula import (
     BandwidthTooSmallError,
+    KernelPlan,
     ObservationSample,
     WeightVector,
     _point,
@@ -254,24 +256,26 @@ def bootstrap_replicate(sample, plan, counts, kernel, rule):
     return np.bincount(rows, weights=w[plan.src_inv[rows]], minlength=sample.n)
 
 
-def _replicate_block(lo, hi, *, seed, n, r1, r2, m, cf_multipliers):
-    """Measures of replicates lo..hi-1, one row each, and their redraws.
+def _replicate_block(lo, hi, *, runs, starts):
+    """Measures of tasks lo..hi-1, one row each, and the redraws of each.
 
-    Row b - lo holds the twelve values of replicate b in ``_target_keys()``
-    order.  Replicate b is seeded by (seed, b) alone, so its row does not
-    depend on the other replicates of the block or on where the block runs.
+    Task starts[k] + b is replicate b of the run ``runs[k]`` = (seed, margin
+    ranks, grid size, counterfactual multipliers); its row holds its twelve
+    values in ``_target_keys()`` order.  It is seeded by (seed, b) alone,
+    so its row does not depend on the block or on where the block runs.
     """
     stats = np.empty((hi - lo, len(TARGETS) * len(MEASURES)))
-    discarded = 0
-    for b in range(lo, hi):
-        rng = np.random.default_rng(_replicate_seed(seed, b))
-        counts, v_cf, redraws = _draw_replicate(n, rng, cf_multipliers)
-        discarded += redraws
+    redraws = np.zeros(hi - lo, dtype=np.intp)
+    for t in range(lo, hi):
+        k = bisect_right(starts, t) - 1
+        seed, r1, r2, m, cf_multipliers = runs[k]
+        rng = np.random.default_rng(_replicate_seed(seed, t - starts[k]))
+        counts, v_cf, redraws[t - lo] = _draw_replicate(r1.n, rng, cf_multipliers)
         reports = _reports(r1, r2, counts, v_cf, m)
-        stats[b - lo] = [
+        stats[t - lo] = [
             getattr(reports[target], measure) for target, measure in _target_keys()
         ]
-    return stats, discarded
+    return stats, redraws
 
 
 def _worker_count():
@@ -365,32 +369,51 @@ def run_bootstrap(est, config):
     replicates resample its sample with its weights, margin ranks and grid
     size; the returned result holds one BootstrapRun per (target, measure)
     pair.  The whole run is a pure function of (est, config).  Under
-    ``config.recompute_weights`` each replicate rebuilds its weights with
-    the estimate's kernel and its bandwidth from the estimate's rule at the
-    covariate scale of the resample.
+    ``config.recompute_weights`` each replicate rebuilds its weights on the
+    estimate's kernel plan with the estimate's kernel, and its bandwidth
+    from the estimate's rule at the covariate scale of the resample.
     """
-    sample, n = est.sample, est.sample.n
-    if config.recompute_weights:
-        plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+    return run_bootstraps([(est, config)])[0]
 
+
+def _cf_multipliers(est, config):
+    if config.recompute_weights:
         def cf_multipliers(counts):
-            return bootstrap_replicate(sample, plan, counts, est.kernel, est.rule)
+            return bootstrap_replicate(est.sample, est.plan, counts, est.kernel, est.rule)
     else:
         def cf_multipliers(counts):
             return counts * est.w.w
+    return cf_multipliers
 
-    r1, r2 = est.ranks
+
+def run_bootstraps(pairs):
+    """The ``run_bootstrap`` of every (est, config) pair, from one fork.
+
+    The replicates of all pairs are the tasks of one ``_run_blocks`` call,
+    so each result is bitwise that of its pair alone, and the first failing
+    replicate in (pair, b) order decides the error.
+    """
+    pairs = list(pairs)
+    runs, starts = [], [0]
+    for est, config in pairs:
+        runs.append((config.seed, *est.ranks, est.grids["actual"].m,
+                     _cf_multipliers(est, config)))
+        starts.append(starts[-1] + config.B)
     blocks = _run_blocks(
-        partial(
-            _replicate_block, seed=config.seed, n=n, r1=r1, r2=r2,
-            m=est.grids["actual"].m, cf_multipliers=cf_multipliers,
-        ),
-        config.B,
+        partial(_replicate_block, runs=runs, starts=starts), starts[-1]
     )
-    discarded = sum(redraws for _, redraws in blocks)
-    # one contiguous row of B replicates per (target, measure)
-    stats = np.ascontiguousarray(np.concatenate([rows for rows, _ in blocks]).T)
+    stats = np.concatenate([rows for rows, _ in blocks])
+    redraws = np.concatenate([counts for _, counts in blocks])
+    return [
+        _result(est, config, stats[lo:hi], int(redraws[lo:hi].sum()))
+        for (est, config), lo, hi in zip(pairs, starts, starts[1:])
+    ]
 
+
+def _result(est, config, stats, discarded):
+    n = est.sample.n
+    # one contiguous row of B replicates per (target, measure)
+    stats = np.ascontiguousarray(stats.T)
     runs = {}
     for (target, measure), reps in zip(_target_keys(), stats):
         theta = getattr(est.reports[target], measure)
@@ -417,9 +440,10 @@ class Estimate:
     """One pass of the estimator over a sample.
 
     ``rule`` holds the covariate scale of the sample and ``h`` is its
-    bandwidth.  ``ranks`` holds the ``MarginRanks`` of y1 and y2.  ``grids``
-    (actual, counterfactual) and ``reports`` (actual, counterfactual,
-    effect) are keyed by target.
+    bandwidth.  ``ranks`` holds the ``MarginRanks`` of y1 and y2, and
+    ``plan`` the ``KernelPlan`` of the weights, which recompute-weights
+    replicates evaluate again.  ``grids`` (actual, counterfactual) and
+    ``reports`` (actual, counterfactual, effect) are keyed by target.
     """
 
     sample: ObservationSample
@@ -430,9 +454,10 @@ class Estimate:
     ranks: tuple
     grids: dict
     reports: dict
+    plan: KernelPlan
 
 
-def _finish(sample, kernel, rule, h, w, m, ranks=None):
+def _finish(sample, kernel, rule, h, w, m, plan, ranks=None):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
 
     Each copula's grid and measures come from one atom histogram, as a
@@ -452,7 +477,7 @@ def _finish(sample, kernel, rule, h, w, m, ranks=None):
         reports["counterfactual"], reports["actual"]
     )
     return Estimate(sample=sample, kernel=kernel, rule=rule, h=h, w=w,
-                    ranks=ranks, grids=grids, reports=reports)
+                    ranks=ranks, grids=grids, reports=reports, plan=plan)
 
 
 def estimate(sample, kernel, rule, m):
@@ -476,6 +501,8 @@ def estimates(sample, xstars, kernel, rule, m):
     (distinct targets x V) multiplicity matrix.  The margin ranks are
     computed once as well.  The weights are built by this call; the
     returned iterator builds the V estimates one at a time, in order.
+    Each estimate's ``plan`` is the stacked plan with its value's target
+    rows.
 
     Raises
     ------
@@ -505,6 +532,7 @@ def estimates(sample, xstars, kernel, rule, m):
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     return (
         _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
-                WeightVector.from_array(w[plan.src_inv, v]), m, ranks)
+                WeightVector.from_array(w[plan.src_inv, v]), m,
+                replace(plan, tgt_inv=plan.tgt_inv[v * n:(v + 1) * n]), ranks)
         for v in range(V)
     )

@@ -39,6 +39,7 @@ from .bootstrap import (
     estimate,
     estimates,
     run_bootstrap,
+    run_bootstraps,
 )
 from .copula import BandwidthTooSmallError, support_violations
 from .data import (
@@ -442,7 +443,11 @@ def cmd_sweep(args):
     column = _merge(args, config, "column", str, "cedu")
     trigger = _merge(args, config, "trigger", str, "pedu")
     floor = _merge(args, config, "floor", float, 16.0)
+    if not math.isfinite(floor):
+        raise UsageError(f"--floor must be finite, got {floor}")
     values = _sweep_values(args, config)
+    configs = [cfg.bootstrap_config(derived_seed(cfg.seed, (index,)))
+               for index in range(len(values))]
 
     table = ingest(cfg.input, roles=cfg.roles)
     out = Path(cfg.out_dir)
@@ -468,11 +473,10 @@ def cmd_sweep(args):
         raise BandwidthTooSmallError(
             err.columns, err.h, where=f"{param}={values[err.value]}"
         ) from None
+    # the replicates of every value on one set of workers
+    results = run_bootstraps(zip(family, configs))
     rows = []
-    for index, (value, frac, est) in enumerate(zip(values, fracs, family)):
-        result = run_bootstrap(
-            est, cfg.bootstrap_config(derived_seed(cfg.seed, (index,)))
-        )
+    for value, frac, result in zip(values, fracs, results):
         for measure in MEASURES:
             for target in TARGETS:
                 run = result.runs[(target, measure)]

@@ -177,9 +177,30 @@ def _cell_ids(src, tgt):
     return src_ids, tgt_ids
 
 
+def _kernel_tables(src, tgt):
+    """The kernel tables of one cell's distinct source and target rows.
+
+    A coordinate whose (distinct source values x distinct target values)
+    is at most a quarter of the (sources x targets) block gets a table,
+    which leaves room for resamples keeping about 63% of each side.
+    """
+    tables = []
+    for c in range(src.shape[1]):
+        # -0.0 and 0.0 share a code: the kernel reads u only through |u|
+        # and u*u, so the sign of a zero difference never shows.  np.unique
+        # on the float column would page in numpy's float sort, which a
+        # simulation run uses nowhere else (about 0.15 MB of peak RSS)
+        src_vals, src_codes, _ = _distinct_rows(src[:, c:c + 1])
+        tgt_vals, tgt_codes, _ = _distinct_rows(tgt[:, c:c + 1])
+        small = 4 * src_vals.size * tgt_vals.size <= src.shape[0] * tgt.shape[0]
+        tables.append((src_vals[:, 0], tgt_vals[:, 0], src_codes, tgt_codes)
+                      if small else None)
+    return tuple(tables)
+
+
 @dataclass(frozen=True)
 class KernelPlan:
-    """Distinct rows and exact-match cells of one (x, xstar, discrete_mask).
+    """Distinct rows, exact-match cells and kernel tables of one (x, xstar, discrete_mask).
 
     Built once and evaluated under any kernel, bandwidth and row
     multiplicities by ``kernel_weights``.  Distinct rows are in byte-key
@@ -192,12 +213,17 @@ class KernelPlan:
         Distinct rows of ``x`` and of ``xstar``, continuous coordinates only.
     src_inv, tgt_inv : array of int, shape (rows of x,), (rows of xstar,)
         Distinct row of every row of ``x`` and of ``xstar``.
-    src_counts, tgt_counts : array, shape (distinct rows,)
-        Multiplicities of the distinct rows in ``x`` and in ``xstar``.
+    src_counts : array, shape (distinct rows,)
+        Multiplicities of the distinct rows in ``x``.
     cells : tuple of (array of int, array of int)
         Distinct source rows and distinct target rows of every exact-match
         cell that holds a target; targets with a NaN in a discrete
         coordinate form a cell of their own, without sources.
+    tables : tuple of tuple
+        For every cell and continuous coordinate, None where the values
+        are mostly distinct (integer-coded ones are not), else the table
+        (distinct source values, the same for targets, the code of each of
+        the cell's source rows, the same for its targets).
     discrete_mask : array of bool, shape (d,)
     """
 
@@ -206,8 +232,8 @@ class KernelPlan:
     src_inv: np.ndarray
     tgt_inv: np.ndarray
     src_counts: np.ndarray
-    tgt_counts: np.ndarray
     cells: tuple
+    tables: tuple
     discrete_mask: np.ndarray
 
 
@@ -228,7 +254,7 @@ def kernel_plan(x, xstar, discrete_mask=None):
     mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask, dtype=bool)
 
     src, src_inv, src_counts = _distinct_rows(X)
-    tgt, tgt_inv, tgt_counts = _distinct_rows(Xs)
+    tgt, tgt_inv, _ = _distinct_rows(Xs)
     src_cell, tgt_cell = _cell_ids(src[:, mask], tgt[:, mask])
 
     src_order = np.argsort(src_cell, kind="stable")
@@ -238,13 +264,15 @@ def kernel_plan(x, xstar, discrete_mask=None):
     tgt_stops = np.r_[tgt_starts[1:], tgt_order.size]
     src_starts = np.searchsorted(src_sorted, cells, side="left")
     src_stops = np.searchsorted(src_sorted, cells, side="right")
+    cells = tuple(
+        (src_order[s0:s1], tgt_order[t0:t1])
+        for t0, t1, s0, s1 in zip(tgt_starts, tgt_stops, src_starts, src_stops)
+    )
+    src, tgt = src[:, ~mask], tgt[:, ~mask]
     return KernelPlan(
-        src=src[:, ~mask], tgt=tgt[:, ~mask], src_inv=src_inv, tgt_inv=tgt_inv,
-        src_counts=src_counts, tgt_counts=tgt_counts,
-        cells=tuple(
-            (src_order[s0:s1], tgt_order[t0:t1])
-            for t0, t1, s0, s1 in zip(tgt_starts, tgt_stops, src_starts, src_stops)
-        ),
+        src=src, tgt=tgt, src_inv=src_inv, tgt_inv=tgt_inv,
+        src_counts=src_counts, cells=cells,
+        tables=tuple(_kernel_tables(src[si], tgt[ti]) for si, ti in cells),
         discrete_mask=mask,
     )
 
@@ -260,6 +288,10 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     an exact-match cell, so each cell forms the product kernel over the
     continuous coordinates for blocks of at most ``chunk`` of its targets
     of positive multiplicity, against its sources of positive multiplicity.
+    A coordinate with a table in the cell has ``kernel_1d`` evaluated once
+    on the table, and each block gathers its factor C-ordered, as a direct
+    evaluation is, so the weights are bitwise those of evaluating every
+    entry.
 
     ``tgt_counts`` of shape (targets, V) holds V sets of target
     multiplicities, one per column, sharing the source multiplicities, and
@@ -291,19 +323,34 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     # one row of weights per column of tgt_counts, transposed on return
     w = np.zeros((tgt_counts.shape[1], plan.src.shape[0]))
     bad = np.zeros(plan.tgt.shape[0], dtype=bool)
-    for cell_src, cell_tgt in plan.cells:
-        si = cell_src[src_counts[cell_src] > 0]
-        present = cell_tgt[(tgt_counts[cell_tgt] > 0).any(axis=1)]
+    for (cell_src, cell_tgt), tables in zip(plan.cells, plan.tables):
+        src_in = src_counts[cell_src] > 0
+        tgt_in = (tgt_counts[cell_tgt] > 0).any(axis=1)
+        si, present = cell_src[src_in], cell_tgt[tgt_in]
+        if present.size == 0:
+            continue
         xs = plan.src[si]
+        gathers = [
+            None if t is None else (
+                kernel_1d(kernel, (t[0][:, None] - t[1][None, :]) / hcont[c]),
+                t[2][src_in], t[3][tgt_in],
+            )
+            for c, t in enumerate(tables)
+        ]
         for start in range(0, present.size, chunk):
             ti = present[start:start + chunk]
             # starting the product at its first factor, not at a block of
             # ones, saves one sources x targets buffer
             kmat = None
-            for c in range(hcont.size):
-                kc = kernel_1d(
-                    kernel, (xs[:, c][:, None] - plan.tgt[ti, c][None, :]) / hcont[c]
-                )
+            for c, gather in enumerate(gathers):
+                if gather is None:
+                    kc = kernel_1d(
+                        kernel, (xs[:, c][:, None] - plan.tgt[ti, c][None, :]) / hcont[c]
+                    )
+                else:
+                    # the block's columns of the table, then its rows
+                    tab, src_codes, tgt_codes = gather
+                    kc = np.take(tab[:, tgt_codes[start:start + chunk]], src_codes, axis=0)
                 if kmat is None:
                     kmat = kc
                 else:

@@ -1,7 +1,8 @@
 """Reference code the tests check the package against.
 
 These are the textbook forms the estimator replaces: kernel-ratio weights
-of a sample against its own manipulation, the counterfactual grid under
+of a sample against its own manipulation, a kernel plan's weights with
+every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
 sums over them, the Frechet-Hoeffding bounds, and the Gaussian-copula
 closed forms as one report.
@@ -13,8 +14,14 @@ import numpy as np
 
 from cfcopula.association import AssociationReport, gaussian_measure
 from cfcopula.bootstrap import _finish
-from cfcopula.copula import WeightVector, kernel_plan, kernel_weights, margin_ranks
-from cfcopula.kernels import KernelSpec
+from cfcopula.copula import (
+    BandwidthTooSmallError,
+    WeightVector,
+    kernel_plan,
+    kernel_weights,
+    margin_ranks,
+)
+from cfcopula.kernels import KernelSpec, kernel_1d
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
@@ -22,13 +29,66 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
     """W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h), on the rows of x."""
     plan = kernel_plan(x, xstar, discrete_mask)
     w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts,
-                       plan.tgt_counts[:, None], chunk)
+                       np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])
+                       .astype(float)[:, None], chunk)
     return WeightVector.from_array(w[plan.src_inv, 0])
 
 
+def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
+    """``kernel_weights`` with every kernel entry evaluated, no table.
+
+    Each cell's blocks of at most ``chunk`` targets form their product
+    kernel coordinate by coordinate from the differences of the rows; the
+    package gathers the factor of a coordinate with a kernel table from
+    the table instead, and must give these weights bitwise.
+    """
+    mask = plan.discrete_mask
+    hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
+    hcont = hvec[~mask]
+    if not np.all((hcont > 0) & np.isfinite(hcont)):
+        raise ValueError(
+            "bandwidth must be positive and finite for continuous coordinates"
+        )
+    w = np.zeros((tgt_counts.shape[1], plan.src.shape[0]))
+    bad = np.zeros(plan.tgt.shape[0], dtype=bool)
+    for cell_src, cell_tgt in plan.cells:
+        si = cell_src[src_counts[cell_src] > 0]
+        present = cell_tgt[(tgt_counts[cell_tgt] > 0).any(axis=1)]
+        xs = plan.src[si]
+        for start in range(0, present.size, chunk):
+            ti = present[start:start + chunk]
+            kmat = None
+            for c in range(hcont.size):
+                kc = kernel_1d(
+                    kernel, (xs[:, c][:, None] - plan.tgt[ti, c][None, :]) / hcont[c]
+                )
+                if kmat is None:
+                    kmat = kc
+                else:
+                    kmat *= kc
+            if kmat is None:
+                kmat = np.ones((si.size, ti.size))
+            denom = src_counts[si] @ kmat
+            zero = denom == 0.0
+            if np.any(zero):
+                bad[ti[zero]] = True
+                continue
+            counts = tgt_counts[ti]
+            for j in np.flatnonzero(counts.any(axis=0)):
+                w[j, si] += kmat @ (counts[:, j] / denom)
+    if np.any(bad):
+        raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
+    return w.T
+
+
 def estimate_under(sample, w, m, kernel=None, rule=None):
-    """The ``Estimate`` of ``sample`` under the given weights, no bandwidth."""
-    return _finish(sample, kernel or KernelSpec(), rule, None, w, m)
+    """The ``Estimate`` of ``sample`` under the given weights, no bandwidth.
+
+    It carries the kernel plan of the sample, so a recompute-weights
+    bootstrap can run on it.
+    """
+    plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+    return _finish(sample, kernel or KernelSpec(), rule, None, w, m, plan=plan)
 
 
 def counterfactual_copula(sample, w, m=100):

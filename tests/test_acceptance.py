@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     counterfactual_copula,
     counterfactual_weights,
+    estimate_under,
     frechet_hoeffding_violation,
     gaussian_report,
     measures_from_pseudo_obs,
@@ -154,7 +155,7 @@ def test_estimator_properties():
 
     # unit-mass resample multipliers reduce to the point estimators bitwise:
     # the replicate histograms give the point grids and the point reports
-    from cfcopula.bootstrap import _finish, _reports
+    from cfcopula.bootstrap import _reports
     from cfcopula.copula import _atom_grid, _rank_atoms, margin_ranks
     r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
     ones = np.ones(n, dtype=np.int64)
@@ -162,7 +163,7 @@ def test_estimator_properties():
     cf = _atom_grid(_rank_atoms(r1, r2, ones * w.w, 40), 40, n)
     ok &= np.array_equal(act, empirical_copula(sample, m=40).values)
     ok &= np.array_equal(cf, counterfactual_copula(sample, w, m=40).values)
-    point = _finish(sample, KernelSpec(), None, None, w, 40)
+    point = estimate_under(sample, w, 40)
     ok &= _reports(r1, r2, ones, ones * w.w, 40) == point.reports
 
     # grid measures track the pseudo-observation path at n=400

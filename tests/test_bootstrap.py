@@ -129,7 +129,7 @@ def test_unit_multipliers_reproduce_point_grids_bitwise():
         assert (_atom_grid(cf, 20, 60).tobytes()
                 == counterfactual_copula(sample, w, m=20).values.tobytes())
         reports = _reports(r1, r2, ones, ones * w.w, 20)
-        est = bootstrap._finish(sample, kernel, None, None, w, 20)
+        est = estimate_under(sample, w, 20, kernel)
         assert reports == est.reports
         assert reports["counterfactual"] == measures_from_cells(cf, 20, 60)
 
@@ -717,3 +717,64 @@ def test_estimates_name_the_rows_of_the_first_value_without_donor():
         estimate(replace(sample, xstar=xstars[1]), KernelSpec(), rule, 20)
     assert err.value.columns == ref.value.columns == [7, 90]
     assert str(err.value) == str(ref.value)
+
+
+def test_a_sweep_value_plan_gives_the_multipliers_of_its_own_plan():
+    """Recompute replicates of a value evaluate the stacked plan of the
+    sweep; the multipliers, and the rows without donor, are bitwise those
+    of a plan of the value alone."""
+    rng = np.random.default_rng(55)
+    x = _mixed_covariates(300, rng)
+    sample = ObservationSample(y1=rng.normal(size=300), y2=rng.normal(size=300),
+                               x=x, xstar=x,
+                               discrete_mask=np.array([True, True, False, False]))
+    xstars = np.stack([x] * 3)
+    for v, s in enumerate((12.0, 14.0, 16.0)):
+        xstars[v, :, 2] = np.maximum(x[:, 2], s)
+    rule = BandwidthRule(constant=8.0)
+    failed = 0
+    for v, est in enumerate(estimates(sample, xstars, KernelSpec(), rule, 20)):
+        own = kernel_plan(x, xstars[v], sample.discrete_mask)
+        assert est.plan.tgt_inv.shape == (300,)
+        assert any(t is not None for tables in est.plan.tables for t in tables)
+        for b in range(15):
+            counts = multinomial_counts(300, np.random.default_rng(b))
+            try:
+                ref = bootstrap_replicate(est.sample, own, counts, KernelSpec(), rule)
+            except BandwidthTooSmallError as err:
+                with pytest.raises(BandwidthTooSmallError) as mine:
+                    bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(), rule)
+                assert mine.value.columns == err.value.columns
+                failed += 1
+            else:
+                got = bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(), rule)
+                assert got.tobytes() == ref.tobytes()
+    assert failed < 45
+
+
+def test_a_recompute_bootstrap_builds_no_second_plan(monkeypatch):
+    est = estimate(_sample(60, 56), KernelSpec(), BandwidthRule(constant=6.0), 10)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the bootstrap built a kernel plan")
+
+    monkeypatch.setattr(bootstrap, "kernel_plan", no_plan)
+    monkeypatch.setattr(copula, "kernel_plan", no_plan)
+    _pin_workers(monkeypatch, 1)
+    result = run_bootstrap(est, BootstrapConfig(B=6, seed=2, recompute_weights=True))
+    assert all(np.all(np.isfinite(r.replicates)) for r in result.runs.values())
+
+
+def test_run_bootstraps_is_run_bootstrap_pair_by_pair(monkeypatch):
+    """One set of blocks over the replicates of all pairs gives every
+    pair's own run bitwise, on any number of cores."""
+    frozen, recompute = _frozen_case(7), _recompute_case_with_redraws()
+    pairs = [(frozen["est"], frozen["config"]), (recompute["est"], recompute["config"]),
+             (frozen["est"], BootstrapConfig(B=5, seed=9))]
+    _pin_workers(monkeypatch, 1)
+    alone = [run_bootstrap(est, config) for est, config in pairs]
+    assert alone[1].discarded > 0
+    for k in (1, 2, 3):
+        _pin_workers(monkeypatch, k)
+        for got, ref in zip(bootstrap.run_bootstraps(pairs), alone):
+            _assert_bitwise_equal(got, ref)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cfcopula import cli
-from cfcopula.bootstrap import estimate, run_bootstrap
+from cfcopula.bootstrap import derived_seed, estimate, run_bootstrap, run_bootstraps
 from cfcopula.cli import main
 from cfcopula.copula import ObservationSample, empirical_copula
 from cfcopula.data import (
@@ -246,11 +246,12 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
                                             param, first, last, recompute):
     seen = []
 
-    def recording(est, config):
-        seen.append((est, config))
-        return run_bootstrap(est, config)
+    def recording(pairs):
+        pairs = list(pairs)
+        seen.extend(pairs)
+        return run_bootstraps(pairs)
 
-    monkeypatch.setattr(cli, "run_bootstrap", recording)
+    monkeypatch.setattr(cli, "run_bootstraps", recording)
     out = tmp_path / "out"
     argv = ["sweep", "--input", str(synth_600), "--param", param,
             "--from", str(first), "--to", str(last), "--bandwidth-c", "30",
@@ -283,6 +284,65 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
             assert abs(float(point) - run.point) <= 1e-12
             assert abs(float(lo) - run.lo) <= 1e-12
             assert abs(float(hi) - run.hi) <= 1e-12
+
+
+def test_a_sweep_runs_its_replicates_in_one_set_of_blocks(synth_600, tmp_path,
+                                                         monkeypatch):
+    from cfcopula import bootstrap
+
+    calls = []
+    run_blocks = bootstrap._run_blocks
+
+    def counting(block, count):
+        calls.append(count)
+        return run_blocks(block, count)
+
+    monkeypatch.setattr(bootstrap, "_run_blocks", counting)
+    assert main(["sweep", "--input", str(synth_600), "--param", "sprime",
+                 "--from", "8", "--to", "11", "--bandwidth-c", "30", "--grid-m", "20",
+                 "--boot-b", "6", "--out-dir", str(tmp_path / "out")]) == 0
+    # four values of six replicates each
+    assert calls == [24]
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_sweep_table_is_the_same_on_one_and_two_cores(synth_600, tmp_path,
+                                                      monkeypatch, recompute):
+    from cfcopula import bootstrap
+
+    tables = []
+    for k in (1, 2):
+        monkeypatch.setattr(bootstrap, "_worker_count", lambda k=k: k)
+        out = tmp_path / f"cores{k}"
+        argv = ["sweep", "--input", str(synth_600), "--param", "s", "--from", "14",
+                "--to", "16", "--bandwidth-c", "30", "--grid-m", "20", "--boot-b", "7",
+                "--seed", "4", "--out-dir", str(out)]
+        assert main(argv + (["--recompute-weights"] if recompute else [])) == 0
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_sweep_replicate_failure_exits_three_before_any_value(synth_600, tmp_path,
+                                                             monkeypatch, capsys):
+    from cfcopula import bootstrap
+
+    seed_of = bootstrap._replicate_seed
+
+    def seed(entropy, b):
+        if entropy == derived_seed(0, (1,)) and b == 2:
+            raise bootstrap.DegenerateReplicateError("replicate 2 of s=15 failed")
+        return seed_of(entropy, b)
+
+    monkeypatch.setattr(bootstrap, "_replicate_seed", seed)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--input", str(synth_600), "--param", "s", "--from", "14",
+               "--to", "16", "--bandwidth-c", "30", "--grid-m", "20", "--boot-b", "4",
+               "--out-dir", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: replicate 2 of s=15 failed\n"
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_without_donor_exits_three_before_any_value(tmp_path, capsys):
@@ -403,6 +463,12 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
     # too few synthetic rows is a bad option, not a data error after mkdir
     assert main(["synth-data", "--n", "1", "--out-dir", str(fresh)]) == 1
     assert "need n >= 2" in capsys.readouterr().err
+    # a floor that is not finite
+    for floor in ("inf", "nan", "1e400"):
+        assert main(["sweep", *_roles_args(path), "--param", "sprime", "--from", "0",
+                     "--to", "1", "--column", "x", "--trigger", "x",
+                     "--floor", floor, "--out-dir", str(fresh)]) == 1
+        assert "--floor must be finite" in capsys.readouterr().err
     assert not fresh.exists()
 
 

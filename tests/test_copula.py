@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     counterfactual_copula,
     counterfactual_weights,
+    direct_kernel_weights,
     frechet_hoeffding_violation,
     pseudo_observations,
 )
@@ -25,6 +26,7 @@ from cfcopula.copula import (
     weighted_rank_atoms,
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
+from cfcopula.simulation import dgp_draw
 
 
 def _sample(n, seed, d=2, shift=0.0):
@@ -329,6 +331,129 @@ def test_stacked_weights_name_the_stacked_rows_without_donor():
             _dense_weights(x, xstars[v], **kwargs)
         assert [j - v * 200 for j in err.value.columns if j // 200 == v] == ref.value.columns
     assert err.value.columns == [203, 350, 440]
+
+
+# --- kernel tables -----------------------------------------------------------
+
+def _table_cases(x, xstars, discrete_mask):
+    """The stacked plan, and (source, target) multiplicities to evaluate it with.
+
+    The cases are the (targets x values) matrix of the values, the first
+    value's column alone, and a resample of the first value, which leaves
+    some sources and targets out.
+    """
+    n = len(x)
+    plan = kernel_plan(x, np.concatenate(xstars), discrete_mask)
+    t = plan.tgt.shape[0]
+    counts = np.column_stack([
+        np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=t)
+        for v in range(len(xstars))
+    ]).astype(float)
+    draw = multinomial_counts(n, np.random.default_rng(n))
+    resample = (
+        np.bincount(plan.src_inv, weights=draw, minlength=plan.src.shape[0]),
+        np.bincount(plan.tgt_inv[:n], weights=draw, minlength=t)[:, None],
+    )
+    return plan, [(plan.src_counts, counts), (plan.src_counts, counts[:, :1]),
+                  resample]
+
+
+def _assert_tables_match_direct(x, xstars, kernel=None, h=1.0, discrete_mask=None,
+                                chunk=512):
+    """The weights of every case are bitwise those of the direct evaluation."""
+    plan, cases = _table_cases(x, xstars, discrete_mask)
+    assert any(t is not None for tables in plan.tables for t in tables)
+    kernel = kernel or KernelSpec()
+    for src_counts, tgt_counts in cases:
+        got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+        assert got.tobytes() == ref.tobytes()
+    return got
+
+
+def _raised_floors(x, column, floors):
+    xstars = []
+    for s in floors:
+        xstar = x.copy()
+        xstar[:, column] = np.maximum(xstar[:, column], s)
+        xstars.append(xstar)
+    return xstars
+
+
+def test_kernel_tables_match_direct_evaluation_on_integer_coded_covariates():
+    rng = np.random.default_rng(45)
+    x = _mixed_covariates(600, rng)
+    xstars = _raised_floors(x, 2, (12.0, 14.0, 16.0)) + [x.copy()]
+    for chunk in (512, 7):
+        _assert_tables_match_direct(
+            x, xstars, h=np.array([1.0, 1.0, 3.0, 4.0]),
+            discrete_mask=np.array([True, True, False, False]), chunk=chunk,
+        )
+
+
+def test_kernel_tables_match_direct_evaluation_under_higher_order_kernel():
+    rng = np.random.default_rng(46)
+    x = _mixed_covariates(400, rng)
+    w = _assert_tables_match_direct(
+        x, _raised_floors(x, 2, (13.0, 15.0)),
+        kernel=KernelSpec(family="higher_order", order=4),
+        h=np.array([1.0, 1.0, 2.5, 3.0]),
+        discrete_mask=np.array([True, True, False, False]), chunk=64,
+    )
+    assert np.any(w < 0)
+
+
+def test_kernel_tables_match_direct_evaluation_with_per_coordinate_bandwidth():
+    rng = np.random.default_rng(47)
+    x = _mixed_covariates(400, rng)
+    _assert_tables_match_direct(
+        x, _raised_floors(x, 3, (1953.0, 1957.0)),
+        kernel=KernelSpec(family="gaussian_truncated"),
+        h=np.array([1.0, 1.0, 2.5, 6.0]),
+        discrete_mask=np.array([True, True, False, False]), chunk=50,
+    )
+
+
+def test_kernel_tables_treat_negative_zero_as_zero():
+    rng = np.random.default_rng(48)
+    values = np.array([-0.0, 0.0, 1.0, 2.0])
+    x = np.column_stack([rng.integers(0, 2, size=300), rng.choice(values, size=300),
+                         rng.choice(values[:3], size=300)])
+    xstar = x.copy()
+    xstar[:, 1] = rng.choice(values, size=300)
+    plan = kernel_plan(x, xstar, np.array([True, False, False]))
+    # both zeros sit in one table entry
+    assert all(t[0].size <= 3 for tables in plan.tables for t in tables)
+    for mask in (np.array([True, False, False]), None):
+        _assert_tables_match_direct(x, [xstar, x], h=1.5, discrete_mask=mask, chunk=40)
+
+
+def test_kernel_tables_name_the_rows_without_donor_of_direct_evaluation():
+    rng = np.random.default_rng(49)
+    x = _mixed_covariates(300, rng)
+    xstars = _raised_floors(x, 2, (12.0, 15.0))
+    # smoothed values far out of range, and a NaN discrete target
+    xstars[0][::25, 3] = 2100.0
+    xstars[1][[40, 41], 0] = np.nan
+    h = np.array([1.0, 1.0, 3.0, 4.0])
+    plan, cases = _table_cases(x, xstars, np.array([True, True, False, False]))
+    assert any(t is not None for tables in plan.tables for t in tables)
+    named = []
+    for src_counts, tgt_counts in cases:
+        for weights in (kernel_weights, direct_kernel_weights):
+            with pytest.raises(BandwidthTooSmallError) as err:
+                weights(plan, KernelSpec(), h, src_counts, tgt_counts, 50)
+            named.append(err.value.columns)
+    assert named[0] == named[1] == list(range(0, 300, 25)) + [340, 341]
+    assert named[2] == named[3] == list(range(0, 300, 25))
+    assert named[4] == named[5]
+
+
+def test_the_simulation_plan_builds_no_kernel_table():
+    for n in (100, 200, 400):
+        sample = dgp_draw(n, np.random.default_rng(n)).sample
+        plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+        assert plan.tables == ((None,),)
 
 
 def test_support_violation_indices():
