@@ -21,17 +21,18 @@ measures from its two atom histograms and builds no grid.  Kernel weights
 W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
 them for every resample, with the bandwidth rule at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
-weights are evaluated on the estimate's kernel plan of the sample's distinct
-rows and exact-match cells, with the counts as multiplicities, and folded
-back onto the original rows.  Both modes place every replicate's
-atoms by the ranks of the original sample.
+weights are evaluated on the estimate's kernel plan with the counts as
+multiplicities, and folded back onto the original rows.  Both modes place
+every replicate's atoms by the ranks of the original sample.
 
 Replicates run in contiguous blocks of replicate indices, one block per
-usable core (the process's CPU affinity; at most B blocks).  The parent runs
-the first block and forked worker processes run the others, reading the
-sample, weights, ranks and kernel plan from the forked memory.  Replicate b
-is seeded by (seed, b) alone, so the results are bitwise identical for any
-core count.  On one core (``taskset -c 0``), or on a platform without fork,
+usable core (at most B), and a block in batches of max(1, 4096 // 2n)
+replicates of one run.  Replicate b draws from its own generator, seeded by
+(seed, b) alone, so neither the block nor the batch changes its stream and
+the results are bitwise identical for any core count; the batch only
+shares the numpy passes (``_batch``).  The parent runs the first block and
+forked workers the others, reading the sample, weights, ranks and kernel
+plan from the forked memory.  On one core (``taskset -c 0``), or without fork,
 the single block runs in-process and no process starts.  The workers'
 memory does not show in the parent's resident set size.  ``_run_blocks``
 is the package's one block runner: a sweep runs the replicates of all its
@@ -62,10 +63,10 @@ from .copula import (
     ObservationSample,
     WeightVector,
     _point,
-    _rank_atoms,
     kernel_plan,
     kernel_weights,
     margin_ranks,
+    weighted_rank_atoms,
 )
 from .kernels import BandwidthRule, KernelSpec, scale_from_sample
 from .kernels import bandwidth as _bandwidth
@@ -164,117 +165,161 @@ def _is_degenerate(counts):
     return int(counts.max()) == counts.shape[0]
 
 
-def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
-    """Resample counts and the counterfactual multipliers they give.
+# a batch holds max(1, _BATCH // 2n) replicates of one run, and a pass over
+# its 2R histogram rows at most _BATCH multipliers (one row at n = 3895)
+_BATCH = 4096
+_MAX_RETRIES = 10
 
-    Draws that collapse onto a single row, or whose ``cf_multipliers``
-    leave some counterfactual row without a kernel donor, are redrawn up
-    to the retry cap.  Returns (counts, multipliers, redraws).
-    """
-    for attempt in range(max_retries + 1):
+
+def _draw(n, rng, attempt):
+    """(counts, attempt) of the first draw from ``attempt`` on that does not
+    collapse onto one row; a replicate has attempts 0.._MAX_RETRIES."""
+    while attempt <= _MAX_RETRIES:
         counts = multinomial_counts(n, rng)
-        if _is_degenerate(counts):
-            continue
-        try:
-            return counts, cf_multipliers(counts), attempt
-        except BandwidthTooSmallError:
-            continue
+        if not _is_degenerate(counts):
+            return counts, attempt
+        attempt += 1
     raise DegenerateReplicateError(
-        f"replicate was degenerate {max_retries + 1} times in a row: it "
+        f"replicate was degenerate {_MAX_RETRIES + 1} times in a row: it "
         "collapsed onto a single row or left a row without a kernel donor"
     )
 
 
-def _reports(ranks1, ranks2, counts, v_cf, m):
-    """Measures of both copulas under resample counts and counterfactual
-    multipliers ``v_cf``, and their effect.
+def _resamples(est, counts):
+    """Rows (R, n), covariate scales and bandwidths (R, d), and distinct
+    source and target multiplicities of the R resamples with these counts.
 
-    Each side's measures come from its atom histogram; no grid is built.
-    Unit counts with the kernel weights as ``v_cf`` give the point reports
-    of the ``Estimate`` bitwise, since they come from the same histograms.
+    The bandwidth is the estimate's rule at the covariate scale of the
+    resampled rows, as the point bandwidth is the rule at that of the sample.
     """
-    # The actual-side mass sum(counts) is exactly n, but the resampled
-    # counterfactual mass is not: left unnormalized it fluctuates with sd of
-    # order sqrt(mean(w^2) - 1) / sqrt(n), a noise component the point
-    # estimator (whose weights sum to n by construction) does not have.
-    # The histogram pins it to n so every replicate is a copula.
-    if v_cf.sum() <= 0.0:
+    plan, sample, rule = est.plan, est.sample, est.rule
+    R, n = len(counts), sample.n
+    flat = np.concatenate(counts)
+    rows = np.repeat(np.tile(np.arange(n), R), flat).reshape(R, n)
+    scale = np.where(sample.discrete_mask, 1.0, sample.x[rows].std(axis=1, ddof=1))
+    h = rule.constant * scale * float(n) ** rule.exponent
+    offsets = np.arange(R)[:, None]
+    S, T = plan.src.shape[0], plan.tgt.shape[0]
+    src = np.bincount((plan.src_inv + S * offsets).ravel(), weights=flat,
+                      minlength=R * S).reshape(R, S)
+    tgt = np.bincount((plan.tgt_inv + T * offsets).ravel(), weights=flat,
+                      minlength=R * T).reshape(R, T)
+    return rows, scale, h, src, tgt
+
+
+def _recompute(est, counts, rngs, redraws, v):
+    """Recomputed counterfactual multipliers of a batch, into ``v[:, 1]``.
+
+    A resample is its counts on the original rows, so its kernel weights are
+    evaluated on the estimate's plan with the counts as multiplicities, and
+    folded back: row i gets the summed weight of its copies, bitwise the
+    weights of the resampled rows folded the same way.  A resample leaving a
+    row without a donor is redrawn from its own generator into ``counts[j]``
+    and ``v[j, 0]``.  Returns the replicates done and the first error or None.
+    """
+    plan, n = est.plan, est.sample.n
+    pieces = rows, scale, h, src, tgt = _resamples(est, counts)
+    for j in range(len(counts)):
+        try:
+            while True:
+                if np.any(scale[j] <= 0):
+                    _bandwidth(replace(est.rule, scale=scale[j]), n)
+                try:
+                    w = kernel_weights(plan, est.kernel, h[j], src[j],
+                                       tgt[j][:, None])[:, 0]
+                    break
+                except BandwidthTooSmallError:
+                    counts[j], redraws[j] = _draw(n, rngs[j], redraws[j] + 1)
+                    v[j, 0] = counts[j]
+                    for whole, row in zip(pieces, _resamples(est, counts[j:j + 1])):
+                        whole[j] = row[0]
+        except Exception as exc:
+            return j, exc
+        v[j, 1] = np.bincount(rows[j], weights=w[plan.src_inv[rows[j]]], minlength=n)
+    return len(counts), None
+
+
+def _batch(seed, est, recompute, b0, b1, stats, redraws):
+    """Stats rows and redraws of replicates b0..b1-1 of one run.
+
+    Each replicate draws from its own generator, seeded by (seed, b), so its
+    row does not depend on the batch.  The frozen multipliers are one
+    product, the resample bandwidths one ``std``, and the pseudo-observations
+    and atom indices of the actual and counterfactual rows one pass.  An
+    error stops the batch at its replicate: the first failure decides.
+    """
+    n = est.sample.n
+    # row 2j of the pass holds the counts of replicate j, row 2j+1 its
+    # counterfactual multipliers
+    v = np.empty((b1 - b0, 2, n))
+    rngs, counts, error = [], [], None
+    try:
+        for j, b in enumerate(range(b0, b1)):
+            rngs.append(np.random.default_rng(_replicate_seed(seed, b)))
+            c, redraws[j] = _draw(n, rngs[j], 0)
+            counts.append(c)
+            v[j, 0] = c
+    except Exception as exc:
+        error = exc
+    R = len(counts)
+    if recompute and R:
+        R, failed = _recompute(est, counts, rngs, redraws, v)
+        if failed is not None:
+            error = failed
+    else:
+        np.multiply(v[:R, 0], est.w.w, out=v[:R, 1])
+    v = v[:R]
+    # The actual-side mass is exactly n, but the resampled counterfactual
+    # mass is not: left unnormalized it fluctuates with sd of order
+    # sqrt(mean(w^2) - 1) / sqrt(n), a noise component the point estimator
+    # (whose weights sum to n by construction) does not have.  Pinning it
+    # to n makes every replicate a copula.
+    mass = v[:, 1].sum(axis=1)
+    if not (mass > 0.0).all():
         raise DegenerateReplicateError(
             "resampled counterfactual mass is zero: every positive-count row "
             "has zero weight"
         )
-    n = ranks1.n
-    actual = association.measures_from_cells(
-        _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
-    )
-    counterfactual = association.measures_from_cells(
-        _rank_atoms(ranks1, ranks2, v_cf, m), m, n
-    )
-    return {
-        "actual": actual,
-        "counterfactual": counterfactual,
-        "effect": association.policy_effect(counterfactual, actual),
-    }
-
-
-def bootstrap_replicate(sample, plan, counts, kernel, rule):
-    """Counterfactual multipliers of one recompute-weights replicate.
-
-    A row resample is its counts on the original rows, so the kernel
-    weights of the resample are evaluated on ``plan``, the ``kernel_plan``
-    of the sample, with the counts as the multiplicities of its distinct
-    rows.  The bandwidth is ``rule`` at the covariate scale of the
-    resampled rows, as the point bandwidth is ``rule`` at the scale of the
-    sample.  The weights are folded back onto the original rows: row i gets
-    the summed weight of its copies.  The multipliers are bitwise those of
-    the kernel weights of the resampled rows, folded the same way.
-
-    Raises
-    ------
-    BandwidthTooSmallError
-        If some resampled counterfactual row has no donor; its ``columns``
-        are original rows of the sample.
-    """
-    rows = np.repeat(np.arange(sample.n), counts)
-    h = _bandwidth(
-        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
-        sample.n,
-    )
-    try:
-        w = kernel_weights(
-            plan, kernel, h,
-            np.bincount(plan.src_inv, weights=counts, minlength=plan.src.shape[0]),
-            np.bincount(plan.tgt_inv, weights=counts,
-                        minlength=plan.tgt.shape[0])[:, None],
-        )[:, 0]
-    except BandwidthTooSmallError as err:
-        # name the resampled rows only: a row left out of the resample can
-        # share its target with one that has no donor
-        raise BandwidthTooSmallError(
-            [j for j in err.columns if counts[j] > 0], h
-        ) from None
-    return np.bincount(rows, weights=w[plan.src_inv[rows]], minlength=sample.n)
+    if error is not None:
+        raise error
+    v[:, 1] *= (n / mass)[:, None]
+    v = v.reshape(2 * R, n)
+    (r1, r2), m = est.ranks, est.grids["actual"].m
+    step = max(1, _BATCH // n)
+    reports = []
+    for lo in range(0, 2 * R, step):
+        rows = v[lo:lo + step]
+        for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
+                                         rows, m):
+            r = association.measures_from_cells(cells, m, n)
+            reports.append([getattr(r, name) for name in MEASURES])
+    k = len(MEASURES)
+    stats[:, :2 * k] = np.array(reports).reshape(R, 2 * k)
+    # the effect is counterfactual minus actual, measure by measure
+    stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
 
 
 def _replicate_block(lo, hi, *, runs, starts):
     """Measures of tasks lo..hi-1, one row each, and the redraws of each.
 
-    Task starts[k] + b is replicate b of the run ``runs[k]`` = (seed, margin
-    ranks, grid size, counterfactual multipliers); its row holds its twelve
-    values in ``_target_keys()`` order.  It is seeded by (seed, b) alone,
-    so its row does not depend on the block or on where the block runs.
+    Task starts[k] + b is replicate b of the run ``runs[k]`` = (seed,
+    estimate, recompute_weights); its row holds its twelve values in
+    ``_target_keys()`` order.  The tasks run in batches of
+    max(1, _BATCH // 2n) replicates of one run (``_batch``); a batch never
+    spans two runs.  Replicate b is seeded by (seed, b) alone and draws
+    from its own generator, so its row depends neither on the block, nor
+    on where the block runs, nor on the batch it falls in.
     """
     stats = np.empty((hi - lo, len(TARGETS) * len(MEASURES)))
     redraws = np.zeros(hi - lo, dtype=np.intp)
-    for t in range(lo, hi):
+    t = lo
+    while t < hi:
         k = bisect_right(starts, t) - 1
-        seed, r1, r2, m, cf_multipliers = runs[k]
-        rng = np.random.default_rng(_replicate_seed(seed, t - starts[k]))
-        counts, v_cf, redraws[t - lo] = _draw_replicate(r1.n, rng, cf_multipliers)
-        reports = _reports(r1, r2, counts, v_cf, m)
-        stats[t - lo] = [
-            getattr(reports[target], measure) for target, measure in _target_keys()
-        ]
+        seed, est, recompute = runs[k]
+        stop = min(hi, starts[k + 1], t + max(1, _BATCH // (2 * est.sample.n)))
+        _batch(seed, est, recompute, t - starts[k], stop - starts[k],
+               stats[t - lo:stop - lo], redraws[t - lo:stop - lo])
+        t = stop
     return stats, redraws
 
 
@@ -313,18 +358,20 @@ def _run_installed_block(lo, hi):
 def _run_blocks(block, count):
     """``block(lo, hi)`` over contiguous blocks of the tasks 0..count-1.
 
-    There are min(usable cores, count) blocks.  One block, a platform
-    without fork, or a call made while a block runs (in the parent's block
-    or in a worker) runs in-process, so a bootstrap inside a study block
-    forks nothing.  Otherwise the parent runs the first block and forked
-    workers run the rest: they see ``block`` and its data through the
-    fork, so only (lo, hi) and a block's result are pickled.  Returns the
-    blocks' results in order.  A worker's warnings are re-issued here and
-    a failing block re-raises, both in block order, so the first failing
-    task decides the error, as in one loop.
+    There are min(usable cores, count) blocks, so no tasks make no blocks.
+    One block, a platform without fork, or a call made while a block runs
+    (in the parent's block or in a worker) runs in-process, so a bootstrap
+    inside a study block forks nothing.  Otherwise the parent runs the
+    first block and forked workers run the rest: they see ``block`` and its
+    data through the fork, so only (lo, hi) and a block's result are
+    pickled.  Returns the blocks' results in order.  A worker's warnings
+    are re-issued here and a failing block re-raises, both in block order,
+    so the first failing task decides the error, as in one loop.
     """
     global _in_block
     k = min(_worker_count(), count)
+    if k == 0:
+        return []
     if k == 1 or _in_block or not hasattr(os, "fork"):
         return [block(0, count)]
     import multiprocessing
@@ -376,16 +423,6 @@ def run_bootstrap(est, config):
     return run_bootstraps([(est, config)])[0]
 
 
-def _cf_multipliers(est, config):
-    if config.recompute_weights:
-        def cf_multipliers(counts):
-            return bootstrap_replicate(est.sample, est.plan, counts, est.kernel, est.rule)
-    else:
-        def cf_multipliers(counts):
-            return counts * est.w.w
-    return cf_multipliers
-
-
 def run_bootstraps(pairs):
     """The ``run_bootstrap`` of every (est, config) pair, from one fork.
 
@@ -396,8 +433,7 @@ def run_bootstraps(pairs):
     pairs = list(pairs)
     runs, starts = [], [0]
     for est, config in pairs:
-        runs.append((config.seed, *est.ranks, est.grids["actual"].m,
-                     _cf_multipliers(est, config)))
+        runs.append((config.seed, est, config.recompute_weights))
         starts.append(starts[-1] + config.B)
     blocks = _run_blocks(
         partial(_replicate_block, runs=runs, starts=starts), starts[-1]

@@ -89,10 +89,13 @@ class KernelSpec:
 def kernel_1d(spec, u):
     """Evaluate the one-dimensional kernel of ``spec`` at ``u`` (vectorized)."""
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) <= 1.0
     if spec.family == EPANECHNIKOV:
-        vals = 0.75 * (1.0 - u * u)
-    elif spec.family == GAUSSIAN_TRUNCATED:
+        # 1 - u*u < 0 exactly when |u| > 1, and fmax drops NaN, so this is
+        # 0.75 (1 - u*u) on |u| <= 1 and +0.0 elsewhere, bit for bit, in
+        # one pass fewer than masking
+        return np.fmax(0.75 * (1.0 - u * u), 0.0)
+    inside = np.abs(u) <= 1.0
+    if spec.family == GAUSSIAN_TRUNCATED:
         vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _PHI_NORM)
     else:
         u2 = u * u

@@ -108,31 +108,6 @@ def _adaptive_panel(f, lo, hi, tol, depth=0):
     )
 
 
-def bvn_cdf(a, b, r, tol=1e-10):
-    """P(Z1 <= a, Z2 <= b) for standard bivariate normal with correlation r.
-
-    One-dimensional reduction integrated by adaptive Gauss-Legendre panels:
-    the integrand phi(z) Phi((b - r z) / sqrt(1 - r^2)) is smooth, so a
-    24-point rule with bisection refinement reaches the tolerance quickly.
-    ``b`` may be a vector; the integral is shared across its entries.
-    """
-    from scipy.special import ndtr
-
-    if not -1.0 < r < 1.0:
-        raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    s = math.sqrt(1.0 - r * r)
-
-    def integrand(z):
-        # rows: b entries; columns: quadrature nodes
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return ndtr((b[:, None] - r * z[None, :]) / s) * phi[None, :]
-
-    if a <= _Z_FLOOR:
-        return np.zeros_like(b)
-    return _adaptive_panel(integrand, _Z_FLOOR, float(a), tol)
-
-
 def gaussian_copula_grid(r, m=100):
     """Analytic Gaussian-copula values on the m-grid, 1e-8 per node.
 
@@ -232,8 +207,12 @@ class SimStudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if not self.sizes:
+            raise ValueError("need at least one sample size")
         if any(n < 2 for n in self.sizes):
             raise ValueError("sample sizes must be at least 2")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sizes}")
         if self.bootstrap_b < 0 or self.bootstrap_b == 1:
             raise ValueError("bootstrap_b must be 0 (skip) or at least 2")
         if not 0.0 < self.level < 1.0:

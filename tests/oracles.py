@@ -4,24 +4,30 @@ These are the textbook forms the estimator replaces: kernel-ratio weights
 of a sample against its own manipulation, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
-sums over them, the Frechet-Hoeffding bounds, and the Gaussian-copula
-closed forms as one report.
+sums over them, the Frechet-Hoeffding bounds, the Gaussian-copula
+closed forms as one report, the bivariate normal CDF, and the bootstrap
+replicates one at a time.
 """
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from cfcopula import association, bootstrap
 from cfcopula.association import AssociationReport, gaussian_measure
-from cfcopula.bootstrap import _finish
+from cfcopula.bootstrap import DegenerateReplicateError, _finish, multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
     WeightVector,
+    _atom_indices,
     kernel_plan,
     kernel_weights,
     margin_ranks,
 )
-from cfcopula.kernels import KernelSpec, kernel_1d
+from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d, scale_from_sample
+from cfcopula.simulation import _Z_FLOOR, _adaptive_panel
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
@@ -166,3 +172,157 @@ def gaussian_report(r):
         gamma=gaussian_measure(r, "gamma"),
         beta=gaussian_measure(r, "beta"),
     )
+
+
+def bvn_cdf(a, b, r, tol=1e-10):
+    """P(Z1 <= a, Z2 <= b) for standard bivariate normal with correlation r.
+
+    One-dimensional reduction integrated by adaptive Gauss-Legendre panels:
+    the integrand phi(z) Phi((b - r z) / sqrt(1 - r^2)) is smooth, so a
+    24-point rule with bisection refinement reaches the tolerance quickly.
+    ``b`` may be a vector; the integral is shared across its entries.
+    """
+    from scipy.special import ndtr
+
+    if not -1.0 < r < 1.0:
+        raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    s = math.sqrt(1.0 - r * r)
+
+    def integrand(z):
+        # rows: b entries; columns: quadrature nodes
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return ndtr((b[:, None] - r * z[None, :]) / s) * phi[None, :]
+
+    if a <= _Z_FLOOR:
+        return np.zeros_like(b)
+    return _adaptive_panel(integrand, _Z_FLOOR, float(a), tol)
+
+
+# --- the bootstrap one replicate at a time -----------------------------------
+
+def atom_histogram(u1, u2, v, m):
+    """The atom histogram of one row of pseudo-observations and weights."""
+    atoms = _atom_indices(np.concatenate((u1, u2), dtype=float), m)
+    i1, i2 = atoms[: len(u1)], atoms[len(u1):]
+    return np.bincount(
+        i1 * (m + 2) + i2, weights=v, minlength=(m + 2) ** 2
+    ).reshape(m + 2, m + 2)
+
+
+def _rank_atoms(ranks1, ranks2, v, m):
+    """Atom histogram of the rank pseudo-observations under multipliers v,
+    the total mass pinned to exactly n."""
+    n = ranks1.n
+    total = v.sum()
+    if not total > 0.0:
+        raise ValueError(f"total weight mass must be positive, got {total}")
+    v = v * (n / total)
+    # looked up at call time, so a test can swap in another histogram
+    return atom_histogram(ranks1.pseudo_obs(v), ranks2.pseudo_obs(v), v, m)
+
+
+def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
+    """Resample counts and the counterfactual multipliers they give.
+
+    Draws that collapse onto a single row, or whose ``cf_multipliers``
+    leave some counterfactual row without a kernel donor, are redrawn up
+    to the retry cap.  Returns (counts, multipliers, redraws).
+    """
+    for attempt in range(max_retries + 1):
+        counts = multinomial_counts(n, rng)
+        if bootstrap._is_degenerate(counts):
+            continue
+        try:
+            return counts, cf_multipliers(counts), attempt
+        except BandwidthTooSmallError:
+            continue
+    raise DegenerateReplicateError(
+        f"replicate was degenerate {max_retries + 1} times in a row: it "
+        "collapsed onto a single row or left a row without a kernel donor"
+    )
+
+
+def _reports(ranks1, ranks2, counts, v_cf, m):
+    """Measures of both copulas under resample counts and counterfactual
+    multipliers ``v_cf``, and their effect, each from its own histogram."""
+    if v_cf.sum() <= 0.0:
+        raise DegenerateReplicateError(
+            "resampled counterfactual mass is zero: every positive-count row "
+            "has zero weight"
+        )
+    n = ranks1.n
+    actual = association.measures_from_cells(
+        _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
+    )
+    counterfactual = association.measures_from_cells(
+        _rank_atoms(ranks1, ranks2, v_cf, m), m, n
+    )
+    return {
+        "actual": actual,
+        "counterfactual": counterfactual,
+        "effect": association.policy_effect(counterfactual, actual),
+    }
+
+
+def bootstrap_replicate(sample, plan, counts, kernel, rule):
+    """Counterfactual multipliers of one recompute-weights replicate.
+
+    The kernel weights of the resample are evaluated on ``plan`` with the
+    counts as the multiplicities of its distinct rows, at ``rule`` at the
+    covariate scale of the resampled rows, and folded back onto the
+    original rows: row i gets the summed weight of its copies.
+
+    Raises
+    ------
+    BandwidthTooSmallError
+        If some resampled counterfactual row has no donor; its ``columns``
+        are original rows of the sample.
+    """
+    rows = np.repeat(np.arange(sample.n), counts)
+    h = bandwidth(
+        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
+        sample.n,
+    )
+    try:
+        w = kernel_weights(
+            plan, kernel, h,
+            np.bincount(plan.src_inv, weights=counts, minlength=plan.src.shape[0]),
+            np.bincount(plan.tgt_inv, weights=counts,
+                        minlength=plan.tgt.shape[0])[:, None],
+        )[:, 0]
+    except BandwidthTooSmallError as err:
+        # name the resampled rows only: a row left out of the resample can
+        # share its target with one that has no donor
+        raise BandwidthTooSmallError(
+            [j for j in err.columns if counts[j] > 0], h
+        ) from None
+    return np.bincount(rows, weights=w[plan.src_inv[rows]], minlength=sample.n)
+
+
+def _replicate_block(lo, hi, *, runs, starts):
+    """``bootstrap._replicate_block`` one replicate at a time.
+
+    Task starts[k] + b is replicate b of the run ``runs[k]`` = (seed,
+    estimate, recompute_weights), seeded by (seed, b).
+    """
+    stats = np.empty((hi - lo, len(bootstrap.TARGETS) * len(bootstrap.MEASURES)))
+    redraws = np.zeros(hi - lo, dtype=np.intp)
+    for t in range(lo, hi):
+        k = bisect_right(starts, t) - 1
+        seed, est, recompute = runs[k]
+        if recompute:
+            def cf_multipliers(counts, est=est):
+                return bootstrap_replicate(est.sample, est.plan, counts,
+                                           est.kernel, est.rule)
+        else:
+            def cf_multipliers(counts, est=est):
+                return counts * est.w.w
+        rng = np.random.default_rng(bootstrap._replicate_seed(seed, t - starts[k]))
+        counts, v_cf, redraws[t - lo] = _draw_replicate(est.sample.n, rng, cf_multipliers)
+        reports = _reports(*est.ranks, counts, v_cf, est.grids["actual"].m)
+        stats[t - lo] = [
+            getattr(reports[target], measure)
+            for target, measure in bootstrap._target_keys()
+        ]
+    return stats, redraws

@@ -155,8 +155,9 @@ def test_estimator_properties():
 
     # unit-mass resample multipliers reduce to the point estimators bitwise:
     # the replicate histograms give the point grids and the point reports
-    from cfcopula.bootstrap import _reports
-    from cfcopula.copula import _atom_grid, _rank_atoms, margin_ranks
+    from oracles import _rank_atoms, _reports
+
+    from cfcopula.copula import _atom_grid, margin_ranks
     r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
     ones = np.ones(n, dtype=np.int64)
     act = _atom_grid(_rank_atoms(r1, r2, ones.astype(float), 40), 40, n)

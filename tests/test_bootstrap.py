@@ -7,17 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import counterfactual_copula, counterfactual_weights, estimate_under
+import oracles
+from oracles import (
+    _draw_replicate,
+    _rank_atoms,
+    _reports,
+    bootstrap_replicate,
+    counterfactual_copula,
+    counterfactual_weights,
+    estimate_under,
+)
 from test_copula import _add_at_atoms, _mixed_covariates
 
 from cfcopula import bootstrap, copula
 from cfcopula.bootstrap import (
     BootstrapConfig,
     DegenerateReplicateError,
-    _draw_replicate,
     _is_degenerate,
-    _reports,
-    bootstrap_replicate,
     centered_quantile,
     estimate,
     estimates,
@@ -28,14 +34,16 @@ from cfcopula.association import measures_from_cells, measures_from_grid, policy
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
+    WeightVector,
     _atom_grid,
-    _rank_atoms,
     empirical_copula,
     kernel_plan,
     margin_ranks,
     weighted_rank_atoms,
 )
+from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, scale_from_sample
+from cfcopula.scenarios import apply_scenario, parse_scenario
 from cfcopula.simulation import dgp_draw
 
 
@@ -251,11 +259,11 @@ def _resample_and_rerank(sample, counts, kernel, rule, m):
     r2 = margin_ranks(resample.y2)
     ones = np.ones(n)
     act = _atom_grid(
-        weighted_rank_atoms(r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m), m, n
+        oracles.atom_histogram(r1.pseudo_obs(ones), r2.pseudo_obs(ones), ones, m), m, n
     )
     vb = wb.w * (n / wb.w.sum())
     cf = _atom_grid(
-        weighted_rank_atoms(r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m), m, n
+        oracles.atom_histogram(r1.pseudo_obs(vb), r2.pseudo_obs(vb), vb, m), m, n
     )
     return act, cf
 
@@ -391,7 +399,9 @@ def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
         calls.append(1)
         return _resampled_multipliers(*args)
 
-    monkeypatch.setattr(bootstrap, "bootstrap_replicate", oracle)
+    # the one-at-a-time loop with the resample's multipliers
+    monkeypatch.setattr(bootstrap, "_replicate_block", oracles._replicate_block)
+    monkeypatch.setattr(oracles, "bootstrap_replicate", oracle)
     old = run()
     assert len(calls) == 60 + old.discarded
     assert new.discarded == old.discarded > 0
@@ -462,11 +472,13 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
         _assert_bitwise_equal(a, b)
     calls = []
 
-    def oracle(*args):
-        calls.append(1)
-        return _add_at_atoms(*args)
+    def oracle(u1, u2, v, m):
+        for row in zip(u1, u2, v):
+            calls.append(1)
+            yield _add_at_atoms(*row, m)
 
     monkeypatch.setattr(copula, "weighted_rank_atoms", oracle)
+    monkeypatch.setattr(bootstrap, "weighted_rank_atoms", oracle)
     old = runs()
     # two histograms for the point and for each replicate, in both modes
     assert len(calls) == 2 * 2 * (1 + 30)
@@ -593,15 +605,16 @@ def test_the_threaded_fork_warning_is_ignored_and_no_other(monkeypatch):
 @pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
 def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
     """The points are the estimate's reports: a run builds the two
-    histograms of each replicate and none for the point."""
+    histogram rows of each replicate and none for the point."""
     est = estimate(_sample(50, 53), KernelSpec(), BandwidthRule(constant=8.0), 10)
     calls = []
 
     def counting(*args):
-        calls.append(1)
-        return _rank_atoms(*args)
+        for cells in weighted_rank_atoms(*args):
+            calls.append(1)
+            yield cells
 
-    monkeypatch.setattr(bootstrap, "_rank_atoms", counting)
+    monkeypatch.setattr(bootstrap, "weighted_rank_atoms", counting)
     _pin_workers(monkeypatch, 1)
     run_bootstrap(est, BootstrapConfig(B=9, seed=4, recompute_weights=recompute))
     assert len(calls) == 2 * 9
@@ -778,3 +791,183 @@ def test_run_bootstraps_is_run_bootstrap_pair_by_pair(monkeypatch):
         _pin_workers(monkeypatch, k)
         for got, ref in zip(bootstrap.run_bootstraps(pairs), alone):
             _assert_bitwise_equal(got, ref)
+
+
+# --- replicate batches ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def synth_estimate():
+    """The README's bootstrap: max_with(cedu, 16) on the 3,895-row file, c=30."""
+    table = synth_table(SynthConfig(n=3895, seed=5))
+    roles = default_synth_roles()
+    xstar, _ = apply_scenario(table, roles, parse_scenario("max_with(cedu, 16)"))
+    sample = build_sample(table, roles, xstar_columns=xstar)
+    return estimate(sample, KernelSpec(), BandwidthRule(constant=30.0), 100)
+
+
+def _dgp_estimate(n, m=20, constant=5.5):
+    sample = dgp_draw(n, np.random.default_rng(n)).sample
+    return estimate(sample, KernelSpec(), BandwidthRule(constant=constant), m)
+
+
+def _outcome(run):
+    """The results of ``run()``, or the type and message of its error."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, ref):
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert not isinstance(got, tuple), got
+        for a, b in zip(got, ref, strict=True):
+            _assert_bitwise_equal(a, b)
+
+
+def _one_at_a_time(monkeypatch, pairs):
+    """``run_bootstraps`` with the replicate loop of the parent, in-process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bootstrap, "_replicate_block", oracles._replicate_block)
+        _pin_workers(patch, 1)
+        return _outcome(lambda: bootstrap.run_bootstraps(pairs))
+
+
+# (estimate, B, seed); B cuts every run into several batches with a short
+# last one: R = 4096 // 2n is 682, 40, 20 and 10 at n = 3, 50, 100, 200
+_BATCH_CASES = {
+    "n3": (lambda: _dgp_estimate(3), 1500, 1),
+    "n50": (lambda: _dgp_estimate(50), 90, 2),
+    "n100": (lambda: _dgp_estimate(100, m=100), 50, 3),
+    "n200": (lambda: _dgp_estimate(200, m=100), 25, 4),
+    "n12-narrow": (lambda: _dgp_estimate(12, constant=1.0), 300, 5),
+}
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batches_are_bitwise_the_one_at_a_time_loop(monkeypatch, case, recompute):
+    make, B, seed = _BATCH_CASES[case]
+    pairs = [(make(), BootstrapConfig(B=B, seed=seed, recompute_weights=recompute))]
+    ref = _one_at_a_time(monkeypatch, pairs)
+    if case == "n3":
+        # collapsed draws are redrawn in both modes
+        assert ref[0].discarded > 0
+    if case == "n12-narrow" and recompute:
+        # resamples without a donor are redrawn inside a batch of 170
+        assert ref[0].discarded > 0
+    for k in (1, 2, 3):
+        _pin_workers(monkeypatch, k)
+        _assert_same_outcome(_outcome(lambda: bootstrap.run_bootstraps(pairs)), ref)
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_batches_on_the_synthetic_file_are_the_one_at_a_time_loop(
+    monkeypatch, synth_estimate, recompute
+):
+    """At n=3895 a batch is one replicate; the recompute run redraws
+    resamples without a donor."""
+    pairs = [(synth_estimate, BootstrapConfig(B=12, seed=0, recompute_weights=recompute))]
+    ref = _one_at_a_time(monkeypatch, pairs)
+    assert (ref[0].discarded > 0) == recompute
+    for k in (1, 2):
+        _pin_workers(monkeypatch, k)
+        _assert_same_outcome(_outcome(lambda: bootstrap.run_bootstraps(pairs)), ref)
+
+
+def test_sweep_runs_ending_mid_batch_are_the_one_at_a_time_loop(monkeypatch):
+    """Batches never span two runs: every run of this sweep ends inside a
+    batch of 20, and the blocks cut the runs elsewhere."""
+    sample = dgp_draw(100, np.random.default_rng(8)).sample
+    xstars = np.stack([sample.xstar, sample.xstar + 0.1, sample.x + 0.2])
+    values = list(estimates(sample, xstars, KernelSpec(), BandwidthRule(), 20))
+    pairs = [
+        (values[0], BootstrapConfig(B=27, seed=1)),
+        (values[1], BootstrapConfig(B=13, seed=2, recompute_weights=True)),
+        (values[2], BootstrapConfig(B=31, seed=3, recompute_weights=True)),
+    ]
+    ref = _one_at_a_time(monkeypatch, pairs)
+    for k in (1, 2, 3):
+        _pin_workers(monkeypatch, k)
+        _assert_same_outcome(_outcome(lambda: bootstrap.run_bootstraps(pairs)), ref)
+
+
+def test_batch_boundaries_do_not_matter(monkeypatch):
+    """With the pass size 1 every batch and every pass is one replicate."""
+    pairs = [
+        (_dgp_estimate(50), BootstrapConfig(B=90, seed=2)),
+        (_dgp_estimate(12, constant=1.0), BootstrapConfig(B=60, seed=5,
+                                                          recompute_weights=True)),
+        (_dgp_estimate(3), BootstrapConfig(B=40, seed=1, recompute_weights=True)),
+    ]
+    _pin_workers(monkeypatch, 1)
+    batched = bootstrap.run_bootstraps(pairs)
+    assert batched[1].discarded > 0 and batched[2].discarded > 0
+    monkeypatch.setattr(bootstrap, "_BATCH", 1)
+    for got, ref in zip(bootstrap.run_bootstraps(pairs), batched, strict=True):
+        _assert_bitwise_equal(got, ref)
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_unit_counts_give_the_point_reports_in_every_replicate(
+    monkeypatch, synth_estimate, recompute
+):
+    """A replicate's rows take the point estimate's path: with every count
+    one, each replicate is the point bitwise, in a batch of 20 and at n=3895."""
+    monkeypatch.setattr(bootstrap, "multinomial_counts",
+                        lambda n, rng: np.ones(n, dtype=np.int64))
+    _pin_workers(monkeypatch, 1)
+    for est in (_dgp_estimate(100), synth_estimate):
+        result = run_bootstrap(est, BootstrapConfig(B=21 if est.sample.n == 100 else 2,
+                                                    seed=1, recompute_weights=recompute))
+        for (target, measure), run in result.runs.items():
+            point = np.float64(getattr(est.reports[target], measure))
+            assert run.replicates.tobytes() == np.full(run.replicates.size, point).tobytes()
+
+
+def _zero_mass_case():
+    """All counterfactual mass on row 0: a resample without row 0 fails in
+    its measures.  Returns the estimate, config and the first replicate
+    that does."""
+    sample = _sample(8, 3)
+    w = np.zeros(8)
+    w[0] = 8.0
+    est = estimate_under(sample, WeightVector.from_array(w), 4)
+    config = BootstrapConfig(B=40, seed=6)
+    for b in range(config.B):
+        rng = np.random.default_rng(bootstrap._replicate_seed(config.seed, b))
+        counts, _, _ = _draw_replicate(8, rng, lambda c: c)
+        if counts[0] == 0:
+            return est, config, b
+    raise AssertionError("no resample missed row 0")
+
+
+@pytest.mark.parametrize("later", [True, False], ids=["draws-later", "draws-earlier"])
+def test_the_first_failing_replicate_in_a_batch_decides_the_error(monkeypatch, later):
+    """The batch draws every replicate before it takes any measure, yet a
+    replicate failing in its measures beats a later one failing in its
+    draws, and loses to an earlier one, as in one loop."""
+    est, config, b = _zero_mass_case()
+    assert b > 0  # room for an earlier draw failure
+    _fail_replicates(monkeypatch, {b + 2} if later else {b - 1})
+    pairs = [(est, config)]
+    ref = _one_at_a_time(monkeypatch, pairs)
+    assert ref[0] is DegenerateReplicateError
+    assert ("counterfactual mass is zero" in ref[1]) == later
+    assert (f"replicate {b - 1} in" in ref[1]) == (not later)
+    _pin_workers(monkeypatch, 1)
+    assert _outcome(lambda: bootstrap.run_bootstraps(pairs)) == ref
+
+
+@pytest.mark.parametrize("failing", [0, 5], ids=["first", "inside"])
+def test_a_draw_failure_in_a_recompute_batch_is_its_error(monkeypatch, failing):
+    """A batch whose replicates all fail before any multiplier, or fail
+    after some, raises the failing replicate's own error."""
+    _fail_replicates(monkeypatch, {failing})
+    pairs = [(_dgp_estimate(50), BootstrapConfig(B=12, seed=2, recompute_weights=True))]
+    ref = _one_at_a_time(monkeypatch, pairs)
+    assert ref[0] is DegenerateReplicateError and f"replicate {failing} in" in ref[1]
+    _pin_workers(monkeypatch, 1)
+    assert _outcome(lambda: bootstrap.run_bootstraps(pairs)) == ref

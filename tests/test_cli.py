@@ -440,7 +440,8 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
 
     # bad study and bootstrap options fail before any work or output directory
     fresh = tmp_path / "never"
-    for bad in (["--grid-m", "7"], ["--grid-m", "0"], ["--sizes", "1"]):
+    for bad in (["--grid-m", "7"], ["--grid-m", "0"], ["--sizes", "1"],
+                ["--sizes", "100,100"]):
         assert main(["simulate", *bad, "--replications", "1",
                      "--out-dir", str(fresh)]) == 1
     for bad in (["--boot-b", "1"], ["--level", "1.5"]):

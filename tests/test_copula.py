@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    bootstrap_replicate,
     counterfactual_copula,
     counterfactual_weights,
     direct_kernel_weights,
@@ -11,7 +12,7 @@ from oracles import (
     pseudo_observations,
 )
 
-from cfcopula.bootstrap import bootstrap_replicate, multinomial_counts
+from cfcopula.bootstrap import multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
@@ -651,24 +652,42 @@ def adversarial_atoms(m, seed):
     return cases
 
 
+def _one_row(u1, u2, w, m):
+    return next(weighted_rank_atoms(u1[None], u2[None], w[None], m))
+
+
 @pytest.mark.parametrize("m", _ORACLE_M)
 def test_atoms_match_add_at_oracle_bitwise(m):
     cases = adversarial_atoms(m, 200 + m)
     for a1, a2, w in cases:
-        got = weighted_rank_atoms(a1, a2, w, m)
+        got = _one_row(a1, a2, w, m)
         want = _add_at_atoms(a1, a2, w, m)
         assert got.shape == want.shape == (m + 2, m + 2)
         assert got.tobytes() == want.tobytes()
     # the off-grid atoms land at index 0 and m+1 in both margins
-    cells = weighted_rank_atoms(*cases[0], m)
+    cells = _one_row(*cases[0], m)
     assert cells[0].any() and cells[:, 0].any()
     assert cells[m + 1].any() and cells[:, m + 1].any()
 
 
 @pytest.mark.parametrize("m", _ORACLE_M)
+def test_rows_of_one_pass_are_their_own_histograms_bitwise(m):
+    """A pass over several rows gives each row the histogram of that row
+    alone, in row order."""
+    rng = np.random.default_rng(300 + m)
+    a1, a2, w = adversarial_atoms(m, 300 + m)[0]
+    rows = [(a1, a2, w), (a2, a1, -w), (rng.permutation(a1), a2, w * w)]
+    u1, u2, v = (np.stack(parts) for parts in zip(*rows))
+    got = list(weighted_rank_atoms(u1, u2, v, m))
+    assert len(got) == 3
+    for cells, row in zip(got, rows):
+        assert cells.tobytes() == _add_at_atoms(*row, m).tobytes()
+
+
+@pytest.mark.parametrize("m", _ORACLE_M)
 def test_grid_matches_add_at_oracle_bitwise(m):
     for a1, a2, w in adversarial_atoms(m, 100 + m):
-        got = _atom_grid(weighted_rank_atoms(a1, a2, w, m), m, w.size)
+        got = _atom_grid(_one_row(a1, a2, w, m), m, w.size)
         want = _add_at_grid_values(a1, a2, w, m, w.size)
         assert got.shape == want.shape == (m + 1, m + 1)
         assert got.tobytes() == want.tobytes()

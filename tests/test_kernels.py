@@ -52,6 +52,28 @@ def test_kernel_vanishes_outside_support():
         assert kernel_1d(spec, np.array([-1.5, 1.01, 7.0])).tolist() == [0, 0, 0]
 
 
+def test_epanechnikov_is_the_masked_polynomial_bitwise():
+    """The kernel clamps 0.75 (1 - u^2) at zero; that is the polynomial on
+    |u| <= 1 and zero elsewhere, bit for bit, at the edges of the support,
+    at signed zeros, at overflow, NaN and the infinities, and on draws."""
+    one = np.nextafter(1.0, [np.inf, -np.inf])
+    edges = np.array([1.0, -1.0, 0.0, -0.0, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                      1e-300, 5e-324, 0.5, 2.0])
+    rng = np.random.default_rng(31)
+    u = np.concatenate([edges, one, -one, rng.normal(size=200_000),
+                        rng.uniform(-1.5, 1.5, size=200_000),
+                        np.nextafter(rng.uniform(-1, 1, size=1000), 2.0)])
+    # u*u overflows at 1e300 in both forms
+    with np.errstate(over="ignore"):
+        masked = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        got = kernel_1d(KernelSpec(), u)
+    assert got.tobytes() == masked.tobytes()
+    # a block of differences, as the weights evaluate it
+    block = rng.normal(size=(126, 1)) - rng.normal(size=(1, 126))
+    assert (kernel_1d(KernelSpec(), block).tobytes()
+            == np.where(np.abs(block) <= 1.0, 0.75 * (1.0 - block * block), 0.0).tobytes())
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(family="box")

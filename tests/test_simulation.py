@@ -7,7 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import counterfactual_weights, frechet_hoeffding_violation, gaussian_report
+from oracles import (
+    bvn_cdf,
+    counterfactual_weights,
+    frechet_hoeffding_violation,
+    gaussian_report,
+)
 
 from cfcopula import bootstrap, simulation
 from cfcopula.association import measures_from_grid
@@ -16,7 +21,6 @@ from cfcopula.copula import CopulaGrid
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth
 from cfcopula.simulation import (
     SimStudyConfig,
-    bvn_cdf,
     dgp_draw,
     gaussian_copula_grid,
     integrated_squared_error,
@@ -141,6 +145,16 @@ def test_config_validation():
         SimStudyConfig(sizes=(1,))
     with pytest.raises(ValueError):
         SimStudyConfig(seed=-1)
+
+
+def test_study_sizes_are_some_and_distinct():
+    """No size used to die in the block runner with ZeroDivisionError, and
+    a repeated size ran the same seeded replications twice."""
+    with pytest.raises(ValueError, match="at least one sample size"):
+        SimStudyConfig(sizes=())
+    with pytest.raises(ValueError, match=r"distinct, got \(100, 200, 100\)"):
+        SimStudyConfig(sizes=(100, 200, 100))
+    assert bootstrap._run_blocks(lambda lo, hi: 1 / 0, 0) == []
 
 
 def test_run_study_error_metrics_only(tmp_path):
