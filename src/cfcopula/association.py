@@ -18,6 +18,7 @@ pick up a bias of order sum(w^2)/n^2 that the value integrals do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,36 +40,48 @@ class AssociationReport:
         return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma, "beta": self.beta}
 
 
-def _measures(V, masses, m, n):
-    """The four measures from the node values n * C(a/m, b/m) and cell masses.
-
-    ``V`` is (m+1) x (m+1); ``masses`` is m x m, entry [a-1, b-1] the
-    n-scaled C-mass of the cell [(a-1)/m, a/m] x [(b-1)/m, b/m].
-    """
+@lru_cache(maxsize=8)
+def _table(m):
+    """The per-m constants of ``_measures``: the trapezoid node weights t
+    (1/2 at both ends, 1 elsewhere) and the flat indices of the diagonal
+    [i, i] and the antidiagonal [i, m - i] of an (m+1) x (m+1) array."""
     if m % 2 != 0:
         raise GridResolutionError(
             f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={m} is odd"
         )
-    # trapezoid node weights
     t = np.ones(m + 1)
     t[0] = t[m] = 0.5
     idx = np.arange(m + 1)
+    table = t, idx * (m + 2), (idx + 1) * m
+    for a in table:  # shared by every caller
+        a.flags.writeable = False
+    return table
+
+
+def _measures(V, masses, m, n):
+    """(rho, tau, gamma, beta) from the node values n * C(a/m, b/m) and cell
+    masses, as floats.
+
+    ``V`` is (m+1) x (m+1); ``masses`` is m x m, entry [a-1, b-1] the
+    n-scaled C-mass of the cell [(a-1)/m, a/m] x [(b-1)/m, b/m].
+    """
+    t, diagonal, antidiagonal = _table(m)
     # each cell's mass against the sum of C at its four corners (four times
     # its trapezoid value); einsum reads the column-shifted views of the
     # row-pair sums without copying them
     rows = V[1:] + V[:-1]
     tau = (np.einsum("ij,ij->", masses, rows[:, :-1])
            + np.einsum("ij,ij->", masses, rows[:, 1:]))
-    return AssociationReport(
-        rho=float(12.0 * (t @ (V @ t)) / (n * m * m) - 3.0),
-        tau=float(tau / (n * n) - 1.0),
-        gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
-        beta=float(4.0 * V[m // 2, m // 2] / n - 1.0),
+    return (
+        float(12.0 * (t @ (V @ t)) / (n * m * m) - 3.0),
+        float(tau / (n * n) - 1.0),
+        float(4.0 * (t @ V.take(diagonal) + t @ V.take(antidiagonal)) / (n * m) - 2.0),
+        float(4.0 * V[m // 2, m // 2] / n - 1.0),
     )
 
 
 def measures_from_cells(cells, m, n):
-    """All four measures of the copula of an atom histogram.
+    """(rho, tau, gamma, beta) of the copula of an atom histogram, as floats.
 
     ``cells`` is the (m+2) x (m+2) histogram of a weighted rank sample with
     total mass n: entry [a, b] holds the weight of the atoms in the cell
@@ -88,7 +101,7 @@ def measures_from_cells(cells, m, n):
     forming, normalising or differencing the grid.
     """
     V = cells[: m + 1, : m + 1].cumsum(axis=0)
-    np.cumsum(V, axis=1, out=V)
+    V.cumsum(axis=1, out=V)
     return _measures(V, cells[1 : m + 1, 1 : m + 1], m, n)
 
 
@@ -101,7 +114,7 @@ def measures_from_grid(grid):
     """
     v = grid.values
     masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
-    return _measures(v, masses, grid.m, 1.0)
+    return AssociationReport(*_measures(v, masses, grid.m, 1.0))
 
 
 MEASURES = ("rho", "tau", "gamma", "beta")

@@ -222,7 +222,7 @@ def _recompute(est, counts, rngs, redraws, v):
     for j in range(len(counts)):
         try:
             while True:
-                if np.any(scale[j] <= 0):
+                if (scale[j] <= 0).any():
                     _bandwidth(replace(est.rule, scale=scale[j]), n)
                 try:
                     w = kernel_weights(plan, est.kernel, h[j], src[j],
@@ -285,16 +285,16 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws):
     v[:, 1] *= (n / mass)[:, None]
     v = v.reshape(2 * R, n)
     (r1, r2), m = est.ranks, est.grids["actual"].m
-    step = max(1, _BATCH // n)
-    reports = []
+    step, k, i = max(1, _BATCH // n), len(MEASURES), 0
     for lo in range(0, 2 * R, step):
         rows = v[lo:lo + step]
         for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
                                          rows, m):
-            r = association.measures_from_cells(cells, m, n)
-            reports.append([getattr(r, name) for name in MEASURES])
-    k = len(MEASURES)
-    stats[:, :2 * k] = np.array(reports).reshape(R, 2 * k)
+            # row 2j is replicate j's actual copula, row 2j+1 its counterfactual
+            j, side = divmod(i, 2)
+            stats[j, side * k:(side + 1) * k] = association.measures_from_cells(
+                cells, m, n)
+            i += 1
     # the effect is counterfactual minus actual, measure by measure
     stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
 
@@ -508,7 +508,8 @@ def _finish(sample, kernel, rule, h, w, m, plan, ranks=None):
         ("counterfactual", w.w, w.negative_count == 0),
     ):
         cells, grids[target] = _point(*ranks, v, m, two_increasing)
-        reports[target] = association.measures_from_cells(cells, m, sample.n)
+        reports[target] = association.AssociationReport(
+            *association.measures_from_cells(cells, m, sample.n))
     reports["effect"] = association.policy_effect(
         reports["counterfactual"], reports["actual"]
     )

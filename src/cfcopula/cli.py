@@ -161,8 +161,11 @@ class RunConfig:
             raise UsageError(
                 f"bandwidth_c must be positive and finite, got {self.bandwidth_c}"
             )
-        # check the bootstrap options now, before any command starts work
+        # check the kernel, bootstrap and scenario options now, before any
+        # command reads its input or creates its output directory
+        self.kernel()
         self.bootstrap_config(self.seed)
+        parse_scenario(self.scenario_text)
         if bool(self.scenario_text) == bool(self.roles.xstar):
             raise UsageError(
                 "need exactly one source of counterfactual covariates: "

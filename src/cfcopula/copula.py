@@ -20,6 +20,7 @@ one" reduction exact at the bit level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,25 +313,34 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         donor total; its ``columns`` are the rows of ``xstar`` whose
         distinct row it is.
     """
-    mask = plan.discrete_mask
-    hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
-    hcont = hvec[~mask]
+    hvec = np.asarray(h, dtype=float)
+    hcont = (hvec[~plan.discrete_mask] if hvec.ndim
+             else hvec.repeat(plan.src.shape[1])).tolist()
     # written so that a NaN bandwidth (h=None reads as NaN) fails as well
-    if not np.all((hcont > 0) & np.isfinite(hcont)):
+    if not all(0.0 < hc < math.inf for hc in hcont):
         raise ValueError(
             "bandwidth must be positive and finite for continuous coordinates"
         )
 
     # one row of weights per column of tgt_counts, transposed on return
     w = np.zeros((tgt_counts.shape[1], plan.src.shape[0]))
-    bad = np.zeros(plan.tgt.shape[0], dtype=bool)
+    src_in_any = src_counts > 0
+    tgt_in_any = (tgt_counts > 0).any(axis=1)
+    bad = None
+    # blocks are C-ordered prefixes of ``first``, later factors of ``second``:
+    # a fresh block per evaluation pays a page fault per 4 KB of it
+    first = second = np.empty(0)
     for (cell_src, cell_tgt), tables in zip(plan.cells, plan.tables):
-        src_in = src_counts[cell_src] > 0
-        tgt_in = (tgt_counts[cell_tgt] > 0).any(axis=1)
+        src_in, tgt_in = src_in_any[cell_src], tgt_in_any[cell_tgt]
         si, present = cell_src[src_in], cell_tgt[tgt_in]
         if present.size == 0:
             continue
-        xs = plan.src[si]
+        need = si.size * min(chunk, present.size)
+        if need > first.size:
+            first = second = None  # the old pair goes before the new one comes
+            first = np.empty(need)
+            second = np.empty(need if len(tables) > 1 else 0)
+        xs, src_w = plan.src[si], src_counts[si]
         gathers = [
             None if t is None else (
                 kernel_1d(kernel, (t[0][:, None] - t[1][None, :]) / hcont[c]),
@@ -340,37 +350,38 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         ]
         for start in range(0, present.size, chunk):
             ti = present[start:start + chunk]
-            # starting the product at its first factor, not at a block of
-            # ones, saves one sources x targets buffer
-            kmat = None
+            # the product starts at its first factor, in kmat itself
+            kmat = first[:si.size * ti.size].reshape(si.size, ti.size)
             for c, gather in enumerate(gathers):
+                kc = second[:kmat.size].reshape(kmat.shape) if c else kmat
                 if gather is None:
-                    kc = kernel_1d(
-                        kernel, (xs[:, c][:, None] - plan.tgt[ti, c][None, :]) / hcont[c]
-                    )
+                    np.subtract.outer(xs[:, c], plan.tgt[ti, c], out=kc)
+                    kc /= hcont[c]
+                    kernel_1d(kernel, kc, out=kc)
                 else:
-                    # the block's columns of the table, then its rows
+                    # the block's columns of the table, then its rows; the
+                    # default mode="raise" would buffer ``out``
                     tab, src_codes, tgt_codes = gather
-                    kc = np.take(tab[:, tgt_codes[start:start + chunk]], src_codes, axis=0)
-                if kmat is None:
-                    kmat = kc
-                else:
+                    np.take(tab[:, tgt_codes[start:start + chunk]], src_codes,
+                            axis=0, out=kc, mode="clip")
+                if c:
                     kmat *= kc
-            if kmat is None:
-                kmat = np.ones((si.size, ti.size))
-            denom = src_counts[si] @ kmat
-            zero = denom == 0.0
-            if np.any(zero):
+            if not gathers:
+                kmat.fill(1.0)
+            denom = src_w @ kmat
+            if not denom.all():
                 # the call fails, so the weights of this block are not needed
-                bad[ti[zero]] = True
+                if bad is None:
+                    bad = np.zeros(plan.tgt.shape[0], dtype=bool)
+                bad[ti[denom == 0.0]] = True
                 continue
             counts = tgt_counts[ti]
             # a matrix-vector product per column the block enters: one
             # matrix product over all columns raises peak memory by the
             # buffers of the BLAS threads it wakes
-            for j in np.flatnonzero(counts.any(axis=0)):
+            for j in counts.any(axis=0).nonzero()[0]:
                 w[j, si] += kmat @ (counts[:, j] / denom)
-    if np.any(bad):
+    if bad is not None:
         raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
     return w.T
 

@@ -86,14 +86,23 @@ class KernelSpec:
         return self.family != HIGHER_ORDER or self.order <= 2
 
 
-def kernel_1d(spec, u):
-    """Evaluate the one-dimensional kernel of ``spec`` at ``u`` (vectorized)."""
+def kernel_1d(spec, u, out=None):
+    """Evaluate the one-dimensional kernel of ``spec`` at ``u`` (vectorized).
+
+    ``out``, an array of u's shape and possibly ``u`` itself, receives the
+    same doubles and is returned.
+    """
     u = np.asarray(u, dtype=float)
+    if out is None:
+        out = np.empty_like(u)
     if spec.family == EPANECHNIKOV:
         # 1 - u*u < 0 exactly when |u| > 1, and fmax drops NaN, so this is
         # 0.75 (1 - u*u) on |u| <= 1 and +0.0 elsewhere, bit for bit, in
-        # one pass fewer than masking
-        return np.fmax(0.75 * (1.0 - u * u), 0.0)
+        # one pass fewer than masking and without a temporary
+        np.multiply(u, u, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= 0.75
+        return np.fmax(out, 0.0, out=out)
     inside = np.abs(u) <= 1.0
     if spec.family == GAUSSIAN_TRUNCATED:
         vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _PHI_NORM)
@@ -103,7 +112,8 @@ def kernel_1d(spec, u):
         for a in reversed(spec._poly):
             poly = poly * u2 + a
         vals = poly * (0.75 * (1.0 - u2))
-    return np.where(inside, vals, 0.0)
+    out[...] = np.where(inside, vals, 0.0)
+    return out
 
 
 @dataclass(frozen=True)

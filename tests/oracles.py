@@ -4,9 +4,9 @@ These are the textbook forms the estimator replaces: kernel-ratio weights
 of a sample against its own manipulation, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
-sums over them, the Frechet-Hoeffding bounds, the Gaussian-copula
-closed forms as one report, the bivariate normal CDF, and the bootstrap
-replicates one at a time.
+sums over them, the measures of an atom histogram set up per call, the
+Frechet-Hoeffding bounds, the Gaussian-copula closed forms as one report,
+the bivariate normal CDF, and the bootstrap replicates one at a time.
 """
 
 import math
@@ -164,6 +164,32 @@ def measures_from_pseudo_obs(pobs):
     return AssociationReport(rho=rho, tau=tau, gamma=gamma, beta=beta)
 
 
+def measures_report_from_cells(cells, m, n):
+    """``association.measures_from_cells`` as an AssociationReport, with its
+    trapezoid weights, diagonal indices and odd-m check set up on every
+    call; the package takes them from a table built once per m and must
+    give these measures bitwise."""
+    if m % 2 != 0:
+        raise association.GridResolutionError(
+            f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={m} is odd"
+        )
+    V = cells[: m + 1, : m + 1].cumsum(axis=0)
+    np.cumsum(V, axis=1, out=V)
+    masses = cells[1 : m + 1, 1 : m + 1]
+    t = np.ones(m + 1)
+    t[0] = t[m] = 0.5
+    idx = np.arange(m + 1)
+    rows = V[1:] + V[:-1]
+    tau = (np.einsum("ij,ij->", masses, rows[:, :-1])
+           + np.einsum("ij,ij->", masses, rows[:, 1:]))
+    return AssociationReport(
+        rho=float(12.0 * (t @ (V @ t)) / (n * m * m) - 3.0),
+        tau=float(tau / (n * n) - 1.0),
+        gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
+        beta=float(4.0 * V[m // 2, m // 2] / n - 1.0),
+    )
+
+
 def gaussian_report(r):
     """The closed-form measures of the Gaussian copula with correlation r."""
     return AssociationReport(
@@ -252,12 +278,12 @@ def _reports(ranks1, ranks2, counts, v_cf, m):
             "has zero weight"
         )
     n = ranks1.n
-    actual = association.measures_from_cells(
+    actual = AssociationReport(*association.measures_from_cells(
         _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
-    )
-    counterfactual = association.measures_from_cells(
+    ))
+    counterfactual = AssociationReport(*association.measures_from_cells(
         _rank_atoms(ranks1, ranks2, v_cf, m), m, n
-    )
+    ))
     return {
         "actual": actual,
         "counterfactual": counterfactual,

@@ -6,6 +6,7 @@ from oracles import (
     counterfactual_weights,
     gaussian_report,
     measures_from_pseudo_obs,
+    measures_report_from_cells,
     pseudo_observations,
 )
 from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
@@ -153,8 +154,9 @@ def test_blomqvist_requires_even_grid():
         blomqvist_beta(_independence(5))
     with pytest.raises(GridResolutionError, match="m=5 is odd"):
         measures_from_grid(_independence(5))
-    with pytest.raises(GridResolutionError, match="m=5 is odd"):
-        measures_from_cells(np.ones((7, 7)), 5, 49.0)
+    for _ in range(2):
+        with pytest.raises(GridResolutionError, match="m=5 is odd"):
+            measures_from_cells(np.ones((7, 7)), 5, 49.0)
 
 
 # --- Gaussian closed forms ------------------------------------------------------
@@ -223,8 +225,12 @@ def test_measures_from_cells_match_the_oracle_on_adversarial_atoms(m):
     for a1, a2, w in cases:
         n = float(w.size)
         grid = _grid_from(_add_at_grid_values(a1, a2, w, m, n))
-        got = measures_from_cells(_add_at_atoms(a1, a2, w, m), m, n)
-        assert_reports_close(got, oracle_measures(grid), 1e-12)
+        cells = _add_at_atoms(a1, a2, w, m)
+        got = measures_from_cells(cells, m, n)
+        ref = measures_report_from_cells(cells, m, n)
+        assert np.array(got).tobytes() == np.array(list(ref.as_dict().values())).tobytes()
+        assert_reports_close(ref, oracle_measures(grid), 1e-12)
+        assert_reports_close(ref, measures_from_grid(grid), 1e-12)
 
 
 def test_policy_effect_subtracts_by_measure():

@@ -30,7 +30,12 @@ from cfcopula.bootstrap import (
     multinomial_counts,
     run_bootstrap,
 )
-from cfcopula.association import measures_from_cells, measures_from_grid, policy_effect
+from cfcopula.association import (
+    AssociationReport,
+    measures_from_cells,
+    measures_from_grid,
+    policy_effect,
+)
 from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
@@ -139,7 +144,8 @@ def test_unit_multipliers_reproduce_point_grids_bitwise():
         reports = _reports(r1, r2, ones, ones * w.w, 20)
         est = estimate_under(sample, w, 20, kernel)
         assert reports == est.reports
-        assert reports["counterfactual"] == measures_from_cells(cf, 20, 60)
+        assert reports["counterfactual"] == AssociationReport(
+            *measures_from_cells(cf, 20, 60))
 
 
 def test_zero_counterfactual_mass_raises():
@@ -683,8 +689,10 @@ def test_estimate_is_the_chain_at_its_bandwidth_bitwise():
     # the reports come from the histograms the grids come from
     r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
     reports = {
-        "actual": measures_from_cells(_rank_atoms(r1, r2, np.ones(200), 20), 20, 200),
-        "counterfactual": measures_from_cells(_rank_atoms(r1, r2, w.w, 20), 20, 200),
+        "actual": AssociationReport(
+            *measures_from_cells(_rank_atoms(r1, r2, np.ones(200), 20), 20, 200)),
+        "counterfactual": AssociationReport(
+            *measures_from_cells(_rank_atoms(r1, r2, w.w, 20), 20, 200)),
     }
     reports["effect"] = policy_effect(reports["counterfactual"], reports["actual"])
     assert est.reports == reports

@@ -473,6 +473,25 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_kernel_and_scenario_options_fail_before_the_input_is_read(dataset, tmp_path,
+                                                                   capsys):
+    path, _ = dataset
+    missing = tmp_path / "missing.csv"
+    fresh = tmp_path / "never"
+    for argv, message in (
+        (["sweep", *_roles_args(path), "--param", "s", "--from", "15", "--to", "16",
+          "--column", "x", "--kernel-order", "3"], "epanechnikov kernel has order 2"),
+        (["estimate", "--input", str(missing), "--scenario", "max_with(cedu, 16)",
+          "--kernel-order", "3"], "epanechnikov kernel has order 2"),
+        (["estimate", "--input", str(missing), "--scenario", "max_with(cedu"],
+         "cannot parse scenario term"),
+    ):
+        assert main(argv + ["--out-dir", str(fresh)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+    assert not fresh.exists()
+
+
 def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
                  "--y1", "a", "--y2", "b", "--x", "c", "--xstar", "c",

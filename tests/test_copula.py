@@ -26,7 +26,9 @@ from cfcopula.copula import (
     support_violations,
     weighted_rank_atoms,
 )
+from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
+from cfcopula.scenarios import apply_scenario, parse_scenario
 from cfcopula.simulation import dgp_draw
 
 
@@ -455,6 +457,97 @@ def test_the_simulation_plan_builds_no_kernel_table():
         sample = dgp_draw(n, np.random.default_rng(n)).sample
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         assert plan.tables == ((None,),)
+
+
+def _resample_counts(plan, n, rng):
+    draw = multinomial_counts(n, rng)
+    return (np.bincount(plan.src_inv, weights=draw, minlength=plan.src.shape[0]),
+            np.bincount(plan.tgt_inv, weights=draw, minlength=plan.tgt.shape[0])[:, None])
+
+
+def _assert_direct(plan, kernel, h, src_counts, tgt_counts, chunk):
+    """The weights are bitwise those of the direct evaluation, or name the
+    same rows without donor; returns the weights or those rows."""
+    try:
+        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+    except BandwidthTooSmallError as err:
+        with pytest.raises(BandwidthTooSmallError) as got:
+            kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+        assert got.value.columns == err.columns
+        return err.columns
+    got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+    assert got.tobytes() == ref.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 50, 400])
+def test_simulation_weights_are_direct_evaluation_bitwise(n):
+    """The study's plans, at the point and under resample counts, through
+    blocks that reuse one buffer across chunks."""
+    sample = dgp_draw(n, np.random.default_rng(n)).sample
+    plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
+    h = bandwidth(BandwidthRule(scale=scale_from_sample(sample.x)), n)
+    rng = np.random.default_rng(7 + n)
+    cases = [(plan.src_counts,
+              np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0)]
+    cases += [_resample_counts(plan, n, rng) for _ in range(3)]
+    for kernel in (KernelSpec(), KernelSpec(family="higher_order", order=4)):
+        for chunk in (512, 7):
+            for src_counts, tgt_counts in cases:
+                got = _assert_direct(plan, kernel, h, src_counts, tgt_counts, chunk)
+                assert isinstance(got, np.ndarray) or n == 3
+
+
+def test_synthetic_file_weights_are_direct_evaluation_bitwise():
+    """The sweep's stacked plan on the 3,895-row file, with kernel tables,
+    at a chunk below the target count of some cells: the blocks reuse
+    their buffers across chunks and cells."""
+    table = synth_table(SynthConfig(n=3895, seed=5))
+    roles = default_synth_roles()
+    samples = [
+        build_sample(table, roles, xstar_columns=apply_scenario(
+            table, roles, parse_scenario(f"max_with(cedu, {s})"))[0])
+        for s in (13, 16)
+    ]
+    sample, xstars = samples[0], [s.xstar for s in samples]
+    plan = kernel_plan(sample.x, np.concatenate(xstars), sample.discrete_mask)
+    assert any(t is not None for tables in plan.tables for t in tables)
+    chunk = 100
+    assert max(ti.size for _, ti in plan.cells) > chunk
+    n, t = sample.n, plan.tgt.shape[0]
+    counts = np.column_stack([np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=t)
+                              for v in range(2)]).astype(float)
+    h = bandwidth(BandwidthRule(constant=30.0,
+                                scale=scale_from_sample(sample.x, sample.discrete_mask)), n)
+    rng = np.random.default_rng(3)
+    draw = multinomial_counts(n, rng)
+    resample = (np.bincount(plan.src_inv, weights=draw, minlength=plan.src.shape[0]),
+                np.bincount(plan.tgt_inv[:n], weights=draw, minlength=t)[:, None])
+    for src_counts, tgt_counts in ((plan.src_counts, counts), resample):
+        got = _assert_direct(plan, KernelSpec(), h, src_counts, tgt_counts, chunk)
+        assert isinstance(got, np.ndarray)
+
+
+def test_a_later_larger_cell_and_a_target_without_donor_are_direct_evaluation():
+    """Cells in key order whose blocks grow, so the buffers grow mid-call;
+    and the same plan with a target far from every source."""
+    rng = np.random.default_rng(50)
+    cell = np.repeat([0.0, 1.0, 2.0], [15, 200, 60])
+    x = np.column_stack([cell, rng.normal(size=cell.size), rng.normal(size=cell.size)])
+    xstar = x + np.array([0.0, 0.3, -0.2])
+    mask = np.array([True, False, False])
+    plan = kernel_plan(x, xstar, mask)
+    need = [si.size * min(ti.size, 64) for si, ti in plan.cells]
+    assert need[1] > need[0]
+    tgt_counts = np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0
+    h = np.array([1.0, 1.2, 0.9])
+    for kernel in (KernelSpec(), KernelSpec(family="gaussian_truncated")):
+        got = _assert_direct(plan, kernel, h, plan.src_counts, tgt_counts, 64)
+        assert isinstance(got, np.ndarray)
+    xstar[[20, 230], 2] = 50.0
+    plan = kernel_plan(x, xstar, mask)
+    tgt_counts = np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0
+    assert _assert_direct(plan, KernelSpec(), h, plan.src_counts, tgt_counts, 64) == [20, 230]
 
 
 def test_support_violation_indices():

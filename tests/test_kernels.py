@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,17 +54,22 @@ def test_kernel_vanishes_outside_support():
         assert kernel_1d(spec, np.array([-1.5, 1.01, 7.0])).tolist() == [0, 0, 0]
 
 
-def test_epanechnikov_is_the_masked_polynomial_bitwise():
-    """The kernel clamps 0.75 (1 - u^2) at zero; that is the polynomial on
-    |u| <= 1 and zero elsewhere, bit for bit, at the edges of the support,
-    at signed zeros, at overflow, NaN and the infinities, and on draws."""
+def _edge_values(rng):
+    """The edges of the support and ulps either side, signed zeros,
+    overflow, NaN and the infinities, and draws."""
     one = np.nextafter(1.0, [np.inf, -np.inf])
     edges = np.array([1.0, -1.0, 0.0, -0.0, 1e300, -1e300, np.nan, np.inf, -np.inf,
                       1e-300, 5e-324, 0.5, 2.0])
+    return np.concatenate([edges, one, -one, rng.normal(size=200_000),
+                           rng.uniform(-1.5, 1.5, size=200_000),
+                           np.nextafter(rng.uniform(-1, 1, size=1000), 2.0)])
+
+
+def test_epanechnikov_is_the_masked_polynomial_bitwise():
+    """The kernel clamps 0.75 (1 - u^2) at zero; that is the polynomial on
+    |u| <= 1 and zero elsewhere, bit for bit, at the edge values."""
     rng = np.random.default_rng(31)
-    u = np.concatenate([edges, one, -one, rng.normal(size=200_000),
-                        rng.uniform(-1.5, 1.5, size=200_000),
-                        np.nextafter(rng.uniform(-1, 1, size=1000), 2.0)])
+    u = _edge_values(rng)
     # u*u overflows at 1e300 in both forms
     with np.errstate(over="ignore"):
         masked = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
@@ -72,6 +79,40 @@ def test_epanechnikov_is_the_masked_polynomial_bitwise():
     block = rng.normal(size=(126, 1)) - rng.normal(size=(1, 126))
     assert (kernel_1d(KernelSpec(), block).tobytes()
             == np.where(np.abs(block) <= 1.0, 0.75 * (1.0 - block * block), 0.0).tobytes())
+
+
+def _masked_kernel(spec, u):
+    # every family as the polynomial or density on |u| <= 1, masked
+    inside = np.abs(u) <= 1.0
+    if spec.family == "epanechnikov":
+        vals = 0.75 * (1.0 - u * u)
+    elif spec.family == "gaussian_truncated":
+        vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * math.erf(1.0 / math.sqrt(2.0)))
+    else:
+        u2 = u * u
+        poly = np.zeros_like(u)
+        for a in reversed(spec._poly):
+            poly = poly * u2 + a
+        vals = poly * (0.75 * (1.0 - u2))
+    return np.where(inside, vals, 0.0)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(), KernelSpec(family="gaussian_truncated"),
+                                  KernelSpec(family="higher_order", order=4)],
+                         ids=["epanechnikov", "gaussian_truncated", "higher_order"])
+def test_kernel_into_out_and_in_place_is_the_kernel_bitwise(spec):
+    rng = np.random.default_rng(32)
+    for u in (_edge_values(rng), rng.normal(size=(126, 1)) - rng.normal(size=(1, 126))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _masked_kernel(spec, u)
+            got = kernel_1d(spec, u)
+            out = np.full_like(u, np.nan)
+            assert kernel_1d(spec, u, out=out) is out
+            same = u.copy()
+            assert kernel_1d(spec, same, out=same) is same
+        assert got.shape == out.shape == same.shape == u.shape
+        for values in (got, out, same):
+            assert values.tobytes() == want.tobytes()
 
 
 def test_kernel_spec_validation():
