@@ -85,61 +85,59 @@ def dgp_draw(n, rng):
 
 # --- analytic Gaussian copula grid -------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_Z_FLOOR = -8.6  # standard normal mass below is ~1e-18, under the 1e-8 target
-
-
-def _gl_panel(f, lo, hi):
-    half = 0.5 * (hi - lo)
-    z = 0.5 * (lo + hi) + half * _GL_NODES
-    return half * (f(z) @ _GL_WEIGHTS)
-
-
-def _adaptive_panel(f, lo, hi, tol, depth=0):
-    mid = 0.5 * (lo + hi)
-    whole = _gl_panel(f, lo, hi)
-    left = _gl_panel(f, lo, mid)
-    right = _gl_panel(f, mid, hi)
-    err = np.max(np.abs(left + right - whole))
-    if err <= tol or depth >= 24:
-        return left + right
-    return _adaptive_panel(f, lo, mid, 0.5 * tol, depth + 1) + _adaptive_panel(
-        f, mid, hi, 0.5 * tol, depth + 1
-    )
-
-
 def gaussian_copula_grid(r, m=100):
-    """Analytic Gaussian-copula values on the m-grid, 1e-8 per node.
+    """Analytic Gaussian-copula values on the m-grid, within 1e-14 per node.
 
-    Boundary rows use the exact limits C(0, v) = 0 and C(1, v) = v; interior
-    rows accumulate panel integrals between consecutive normal quantiles so
-    each quantile row is produced by one pass.
+    At the nodes u_i = i/m with normal quantiles a_i, Phi(a_i) Phi(a_j) is
+    u_i u_j, so (Drezner and Wesolowsky 1990; Genz 2004)
+
+        C(u_i, u_j) = u_i u_j + 1/(2 pi) int_0^{arcsin r}
+                      exp(-(a_i^2 + a_j^2 - 2 a_i a_j sin t) / (2 cos^2 t)) dt.
+
+    The integral is a composite 24-point Gauss-Legendre rule whose panels
+    halve toward arcsin r until the last is no wider than its distance to
+    the integrand's pole at +-pi/2 (one panel at the study's correlations,
+    ten at |r| = 0.99999), accumulated node by node over all interior nodes
+    at once.  The tests hold it within 1e-14 of adaptive quadratures of the
+    bivariate normal CDF over z for |r| <= 0.99999; r = 0 gives the product
+    u_i u_j exactly, and the boundary rows are the exact C(0, v) = 0 and
+    C(1, v) = v.
     """
-    from scipy.special import ndtr, ndtri
+    from statistics import NormalDist
 
     if not -1.0 < r < 1.0:
         raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
-    u = np.arange(1, m) / m
-    a = ndtri(u)
-    b = ndtri(u)
-    s = math.sqrt(1.0 - r * r)
-
-    def integrand(z):
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return ndtr((b[:, None] - r * z[None, :]) / s) * phi[None, :]
-
-    values = np.zeros((m + 1, m + 1))
-    if m >= 2:
-        # interior block: cumulative integrals over quantile segments
-        acc = _adaptive_panel(integrand, _Z_FLOOR, float(a[0]), 1e-10)
-        values[1, 1:m] = acc
-        for i in range(1, m - 1):
-            acc = acc + _adaptive_panel(integrand, float(a[i - 1]), float(a[i]), 1e-10)
-            values[i + 1, 1:m] = acc
-    # exact margins
-    values[m, 1:m] = u
-    values[1:m, m] = u
-    values[m, m] = 1.0
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"grid m must be an integer >= 1, got {m!r}")
+    u = np.arange(m + 1) / m
+    values = np.outer(u, u)
+    a = np.array([NormalDist().inv_cdf(p) for p in u[1:m]])
+    top = math.asin(r)
+    gap = math.acos(abs(r))
+    edges = [0.0]
+    while abs(top - edges[-1]) > gap:
+        edges.append(0.5 * (edges[-1] + top))
+    edges.append(top)
+    # Gauss-Legendre nodes and weights from the Jacobi matrix (Golub-Welsch)
+    k = np.arange(1.0, 24.0)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vec = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = (np.asarray(edges[:-1])[:, None] + half * (1.0 + x)).ravel()
+    weight = (half * (2.0 * vec[0] ** 2)).ravel()
+    sq = np.add.outer(a * a, a * a)
+    ab2 = 2.0 * np.multiply.outer(a, a)
+    acc = np.zeros_like(sq)
+    term = np.empty_like(sq)
+    for t, w in zip(theta, weight):
+        np.multiply(ab2, math.sin(t), out=term)
+        term -= sq
+        term *= 0.5 / math.cos(t) ** 2
+        np.exp(term, out=term)
+        term *= w
+        acc += term
+    acc /= 2.0 * math.pi
+    values[1:m, 1:m] += acc
     return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=True)
 
 

@@ -20,6 +20,7 @@ from cfcopula.association import AssociationReport, gaussian_measure
 from cfcopula.bootstrap import DegenerateReplicateError, _finish, multinomial_counts
 from cfcopula.copula import (
     BandwidthTooSmallError,
+    CopulaGrid,
     WeightVector,
     _atom_indices,
     kernel_plan,
@@ -27,7 +28,6 @@ from cfcopula.copula import (
     margin_ranks,
 )
 from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d, scale_from_sample
-from cfcopula.simulation import _Z_FLOOR, _adaptive_panel
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
@@ -200,6 +200,29 @@ def gaussian_report(r):
     )
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_Z_FLOOR = -8.6  # standard normal mass below is ~1e-18, under the 1e-8 target
+
+
+def _gl_panel(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    z = 0.5 * (lo + hi) + half * _GL_NODES
+    return half * (f(z) @ _GL_WEIGHTS)
+
+
+def _adaptive_panel(f, lo, hi, tol, depth=0):
+    mid = 0.5 * (lo + hi)
+    whole = _gl_panel(f, lo, hi)
+    left = _gl_panel(f, lo, mid)
+    right = _gl_panel(f, mid, hi)
+    err = np.max(np.abs(left + right - whole))
+    if err <= tol or depth >= 24:
+        return left + right
+    return _adaptive_panel(f, lo, mid, 0.5 * tol, depth + 1) + _adaptive_panel(
+        f, mid, hi, 0.5 * tol, depth + 1
+    )
+
+
 def bvn_cdf(a, b, r, tol=1e-10):
     """P(Z1 <= a, Z2 <= b) for standard bivariate normal with correlation r.
 
@@ -223,6 +246,43 @@ def bvn_cdf(a, b, r, tol=1e-10):
     if a <= _Z_FLOOR:
         return np.zeros_like(b)
     return _adaptive_panel(integrand, _Z_FLOOR, float(a), tol)
+
+
+def adaptive_gaussian_copula_grid(r, m=100):
+    """Gaussian-copula values on the m-grid by adaptive quadrature over z.
+
+    Boundary rows use the exact limits C(0, v) = 0 and C(1, v) = v; interior
+    rows accumulate the panel integrals of phi(z) Phi((b - r z) / sqrt(1 - r^2))
+    between consecutive normal quantiles, so each quantile row is produced by
+    one pass.  The package evaluates the one-dimensional integral over the
+    angle instead and must agree with these values within 1e-14.
+    """
+    from scipy.special import ndtr, ndtri
+
+    if not -1.0 < r < 1.0:
+        raise ValueError(f"correlation must lie strictly inside (-1, 1), got {r}")
+    u = np.arange(1, m) / m
+    a = ndtri(u)
+    b = ndtri(u)
+    s = math.sqrt(1.0 - r * r)
+
+    def integrand(z):
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return ndtr((b[:, None] - r * z[None, :]) / s) * phi[None, :]
+
+    values = np.zeros((m + 1, m + 1))
+    if m >= 2:
+        # interior block: cumulative integrals over quantile segments
+        acc = _adaptive_panel(integrand, _Z_FLOOR, float(a[0]), 1e-10)
+        values[1, 1:m] = acc
+        for i in range(1, m - 1):
+            acc = acc + _adaptive_panel(integrand, float(a[i - 1]), float(a[i]), 1e-10)
+            values[i + 1, 1:m] = acc
+    # exact margins
+    values[m, 1:m] = u
+    values[1:m, m] = u
+    values[m, m] = 1.0
+    return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=True)
 
 
 # --- the bootstrap one replicate at a time -----------------------------------

@@ -603,3 +603,19 @@ def test_cli_import_leaves_scipy_special_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cfcopula.cli import main\n"
+        "sys.exit(main(['simulate', '--sizes', '30', '--replications', '1',"
+        " '--boot-b', '20', '--out-dir', sys.argv[1]]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sim" / "simulation.csv").is_file()

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from oracles import (
+    adaptive_gaussian_copula_grid,
     bvn_cdf,
     counterfactual_weights,
     frechet_hoeffding_violation,
@@ -85,6 +87,37 @@ def test_gaussian_grid_measures_match_closed_forms():
     assert est["beta"] == pytest.approx(truth["beta"], abs=1e-6)
     for key in ("rho", "tau", "gamma"):
         assert est[key] == pytest.approx(truth[key], abs=0.01), key
+
+
+def test_gaussian_grid_is_the_adaptive_grid():
+    for r, m in ((R_ACTUAL, 100), (R_CF, 100), (0.55, 40)):
+        grid = gaussian_copula_grid(r, m=m)
+        oracle = adaptive_gaussian_copula_grid(r, m)
+        np.testing.assert_allclose(grid.values, oracle.values, rtol=0, atol=1e-14,
+                                   err_msg=f"r={r} m={m}")
+
+
+def test_gaussian_grid_matches_the_bivariate_normal_cdf():
+    m = 20
+    a = np.array([NormalDist().inv_cdf(i / m) for i in range(1, m)])
+    # the docstring's bound, out to |r| = 0.99999
+    for r in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99, 0.999, -0.999, 0.99999, -0.99999):
+        exact = np.array([bvn_cdf(ai, a, r) for ai in a])
+        interior = gaussian_copula_grid(r, m=m).values[1:m, 1:m]
+        np.testing.assert_allclose(interior, exact, rtol=0, atol=1e-14, err_msg=f"r={r}")
+
+
+def test_gaussian_grid_at_zero_correlation_is_the_product_bitwise():
+    for m in (1, 2, 20, 100):
+        nodes = np.arange(m + 1) / m
+        values = gaussian_copula_grid(0.0, m=m).values
+        assert values.tobytes() == np.outer(nodes, nodes).tobytes(), m
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.5])
+def test_gaussian_grid_needs_an_integer_m_of_at_least_one(m):
+    with pytest.raises(ValueError, match=r"grid m must be an integer >= 1, got "):
+        gaussian_copula_grid(0.3, m=m)
 
 
 # --- data generating process ----------------------------------------------------
@@ -257,7 +290,7 @@ def test_a_one_core_study_starts_no_process():
     code = (
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        # scipy.special, which the truth grids use, imports concurrent.futures
+        # a process pool would come from concurrent.futures
         "import concurrent.futures\n"
         "concurrent.futures.ProcessPoolExecutor = None\n"
         "from cfcopula.simulation import SimStudyConfig, run_study\n"
