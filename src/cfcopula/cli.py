@@ -276,9 +276,9 @@ def _write_measures(path, est, intervals=None):
                 writer.writerow(row)
 
 
-def _write_diagnostics(path, cfg, label, frac, est, extra=None):
+def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
+                       extra=None):
     wv = est.w
-    support_rows = support_violations(est.sample)
     rows = [
         ("version", __version__),
         ("n", est.sample.n),
@@ -294,7 +294,7 @@ def _write_diagnostics(path, cfg, label, frac, est, extra=None):
         ("negative_count", wv.negative_count),
         ("support_violations", support_rows.size),
         ("support_rows", ";".join(str(r) for r in support_rows[:50])),
-        ("kernel_order_check", "pass" if _order_check(est).passed else "warn"),
+        ("kernel_order_check", "pass" if order_check.passed else "warn"),
     ]
     if extra:
         rows.extend(extra)
@@ -304,10 +304,9 @@ def _write_diagnostics(path, cfg, label, frac, est, extra=None):
         writer.writerows(rows)
 
 
-def _summary_lines(cfg, label, frac, est, intervals=None, boot_note=None):
+def _summary_lines(cfg, label, frac, est, support_rows, order_check, intervals=None,
+                   boot_note=None):
     wv = est.w
-    support_rows = support_violations(est.sample)
-    order_check = _order_check(est)
     lines = [
         f"counterfactual copula report (cfcopula {__version__})",
         "",
@@ -335,24 +334,15 @@ def _summary_lines(cfg, label, frac, est, intervals=None, boot_note=None):
     if boot_note:
         lines.append(boot_note)
     lines.append("")
-    if intervals is None:
-        lines.append(f"{'target':16s}{'measure':9s}{'value':>10s}")
-        for target in TARGETS:
-            values = est.reports[target].as_dict()
-            for measure in MEASURES:
-                lines.append(f"{target:16s}{measure:9s}{values[measure]:>10.4f}")
-    else:
-        lines.append(
-            f"{'target':16s}{'measure':9s}{'value':>10s}{'lo':>10s}{'hi':>10s}"
-        )
-        for target in TARGETS:
-            values = est.reports[target].as_dict()
-            for measure in MEASURES:
-                lo, hi = intervals[(target, measure)]
-                lines.append(
-                    f"{target:16s}{measure:9s}{values[measure]:>10.4f}"
-                    f"{lo:>10.4f}{hi:>10.4f}"
-                )
+    ends = () if intervals is None else ("lo", "hi")
+    lines.append(f"{'target':16s}{'measure':9s}{'value':>10s}"
+                 + "".join(f"{e:>10s}" for e in ends))
+    for target in TARGETS:
+        values = est.reports[target].as_dict()
+        for measure in MEASURES:
+            bounds = () if intervals is None else intervals[(target, measure)]
+            lines.append(f"{target:16s}{measure:9s}{values[measure]:>10.4f}"
+                         + "".join(f"{b:>10.4f}" for b in bounds))
     return lines
 
 
@@ -362,8 +352,11 @@ def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
     write_grid_csv(est.grids["actual"], out / "grid_actual.csv")
     write_grid_csv(est.grids["counterfactual"], out / "grid_counterfactual.csv")
     _write_measures(out / "measures.csv", est, intervals=intervals)
-    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, extra=extra_diag)
-    summary = "\n".join(_summary_lines(cfg, label, frac, est, intervals, boot_note)) + "\n"
+    support_rows, order_check = support_violations(est.sample), _order_check(est)
+    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, support_rows,
+                       order_check, extra=extra_diag)
+    summary = "\n".join(_summary_lines(cfg, label, frac, est, support_rows, order_check,
+                                       intervals, boot_note)) + "\n"
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     return summary
 

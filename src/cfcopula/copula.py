@@ -30,6 +30,10 @@ from .kernels import kernel_1d
 # slack for float dust on cumulative sums of weights
 _EPS = 1e-9
 
+# kernel entries per block of ``kernel_weights``: its two block buffers of
+# 512 KB each fit together in one core's 2 MB L2 cache
+BLOCK = 2**16
+
 
 class BandwidthTooSmallError(ValueError):
     """Some counterfactual target has no sample donor within bandwidth.
@@ -279,7 +283,7 @@ def kernel_plan(x, xstar, discrete_mask=None):
     )
 
 
-def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
+def kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK):
     """Kernel-ratio weights of the distinct source rows of ``plan``.
 
     W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h): each target is
@@ -288,9 +292,12 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
     distinct row; rows of multiplicity zero are left out, and their weight
     is zero.  A product-kernel entry is zero unless source and target share
     an exact-match cell, so each cell forms the product kernel over the
-    continuous coordinates for blocks of at most ``chunk`` of its targets
-    of positive multiplicity, against its sources of positive multiplicity.
-    A coordinate with a table in the cell has ``kernel_1d`` evaluated once
+    continuous coordinates for blocks of its targets of positive
+    multiplicity against its sources of positive multiplicity.  A block
+    takes max(1, ``block`` // sources) targets, so it holds at most
+    ``block`` entries unless one target column alone is larger, and every
+    block is formed in two buffers that grow to the call's largest.  A
+    coordinate with a table in the cell has ``kernel_1d`` evaluated once
     on the table, and each block gathers its factor C-ordered, as a direct
     evaluation is, so the weights are bitwise those of evaluating every
     entry.
@@ -335,7 +342,8 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         si, present = cell_src[src_in], cell_tgt[tgt_in]
         if present.size == 0:
             continue
-        need = si.size * min(chunk, present.size)
+        step = max(1, block // max(si.size, 1))
+        need = si.size * min(step, present.size)
         if need > first.size:
             first = second = None  # the old pair goes before the new one comes
             first = np.empty(need)
@@ -348,8 +356,8 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
             )
             for c, t in enumerate(tables)
         ]
-        for start in range(0, present.size, chunk):
-            ti = present[start:start + chunk]
+        for start in range(0, present.size, step):
+            ti = present[start:start + step]
             # the product starts at its first factor, in kmat itself
             kmat = first[:si.size * ti.size].reshape(si.size, ti.size)
             for c, gather in enumerate(gathers):
@@ -362,7 +370,7 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
                     # the block's columns of the table, then its rows; the
                     # default mode="raise" would buffer ``out``
                     tab, src_codes, tgt_codes = gather
-                    np.take(tab[:, tgt_codes[start:start + chunk]], src_codes,
+                    np.take(tab[:, tgt_codes[start:start + step]], src_codes,
                             axis=0, out=kc, mode="clip")
                 if c:
                     kmat *= kc

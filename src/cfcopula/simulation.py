@@ -230,12 +230,6 @@ class SimReport:
     rows: list
     config: SimStudyConfig
 
-    def value(self, n, target, metric):
-        for rn, rt, rm, rv in self.rows:
-            if rn == n and rt == target and rm == metric:
-                return rv
-        raise KeyError(f"no row ({n}, {target}, {metric})")
-
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("n,target,metric,value\n")

@@ -19,6 +19,7 @@ from cfcopula import association, bootstrap
 from cfcopula.association import AssociationReport, gaussian_measure
 from cfcopula.bootstrap import DegenerateReplicateError, _finish, multinomial_counts
 from cfcopula.copula import (
+    BLOCK,
     BandwidthTooSmallError,
     CopulaGrid,
     WeightVector,
@@ -31,22 +32,24 @@ from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d, scale_from_sample
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
-                           chunk=512):
+                           block=BLOCK):
     """W_i = sum_j K((X_i - X*_j)/h) / sum_l K((X_l - X*_j)/h), on the rows of x."""
     plan = kernel_plan(x, xstar, discrete_mask)
     w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts,
                        np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])
-                       .astype(float)[:, None], chunk)
+                       .astype(float)[:, None], block)
     return WeightVector.from_array(w[plan.src_inv, 0])
 
 
-def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
+def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK,
+                          targets=None):
     """``kernel_weights`` with every kernel entry evaluated, no table.
 
-    Each cell's blocks of at most ``chunk`` targets form their product
-    kernel coordinate by coordinate from the differences of the rows; the
-    package gathers the factor of a coordinate with a kernel table from
-    the table instead, and must give these weights bitwise.
+    Each cell's blocks of max(1, ``block`` // sources) targets, or of
+    ``targets`` targets when given, form their product kernel coordinate
+    by coordinate from the differences of the rows; the package gathers
+    the factor of a coordinate with a kernel table from the table instead,
+    and must give these weights bitwise under the same ``block``.
     """
     mask = plan.discrete_mask
     hvec = np.broadcast_to(np.asarray(h, dtype=float), mask.shape)
@@ -61,8 +64,9 @@ def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk=512):
         si = cell_src[src_counts[cell_src] > 0]
         present = cell_tgt[(tgt_counts[cell_tgt] > 0).any(axis=1)]
         xs = plan.src[si]
-        for start in range(0, present.size, chunk):
-            ti = present[start:start + chunk]
+        step = targets or max(1, block // max(si.size, 1))
+        for start in range(0, present.size, step):
+            ti = present[start:start + step]
             kmat = None
             for c in range(hcont.size):
                 kc = kernel_1d(

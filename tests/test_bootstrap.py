@@ -37,6 +37,7 @@ from cfcopula.association import (
     policy_effect,
 )
 from cfcopula.copula import (
+    BLOCK,
     BandwidthTooSmallError,
     ObservationSample,
     WeightVector,
@@ -336,7 +337,7 @@ def test_count_form_replicates_are_bitwise_those_of_the_resample():
          BandwidthRule(constant=10.0), 25),
         (mixed, KernelSpec(family="gaussian_truncated"),
          BandwidthRule(constant=10.0), 25),
-        # more than `chunk` = 512 distinct targets in every resample
+        # one cell whose resampled sources and targets span several blocks
         (wide, KernelSpec(family="gaussian_truncated"), BandwidthRule(constant=10.0), 4),
     ]
     negative = False
@@ -345,7 +346,7 @@ def test_count_form_replicates_are_bitwise_those_of_the_resample():
         for b in range(reps):
             counts = multinomial_counts(sample.n, np.random.default_rng(100 + b))
             if sample is wide:
-                assert np.count_nonzero(counts) > 512
+                assert np.count_nonzero(counts) > BLOCK // np.count_nonzero(counts)
             v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
             ref = _resampled_multipliers(sample, plan, counts, kernel, rule)
             assert v_cf.tobytes() == ref.tobytes()

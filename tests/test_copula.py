@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
 
 from cfcopula.bootstrap import multinomial_counts
 from cfcopula.copula import (
+    BLOCK,
     BandwidthTooSmallError,
     ObservationSample,
     WeightVector,
@@ -128,9 +130,10 @@ def test_negative_weights_possible_under_higher_order_kernel():
     assert w.sum == pytest.approx(120.0, abs=1e-9)
 
 
-def _dense_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None, chunk=512):
-    # the n x n product kernel built literally, chunk target columns at a
-    # time: the reference for the distinct-row, exact-match-cell engine
+def _dense_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None, block=BLOCK):
+    # the n x n product kernel built literally, max(1, block // n) target
+    # columns at a time: the reference for the distinct-row,
+    # exact-match-cell engine
     X = np.asarray(x, dtype=float).reshape(len(x), -1)
     Xs = np.asarray(xstar, dtype=float).reshape(len(xstar), -1)
     n, d = X.shape
@@ -139,8 +142,9 @@ def _dense_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None, chunk=512):
     mask = np.zeros(d, dtype=bool) if discrete_mask is None else np.asarray(discrete_mask)
     w = np.zeros(n)
     bad = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    step = max(1, block // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         kmat = np.ones((n, stop - start))
         for c in range(d):
             block = Xs[start:stop, c][None, :]
@@ -186,9 +190,9 @@ def test_weights_match_dense_on_duplicated_mixed_covariates():
     xstar = x.copy()
     xstar[:, 2] = np.maximum(xstar[:, 2], 14.0)
     mask = np.array([True, True, False, False])
-    for chunk in (512, 7):
+    for block in (BLOCK, 500):
         _assert_matches_dense(x, xstar, h=np.array([1.0, 1.0, 3.0, 4.0]),
-                              discrete_mask=mask, chunk=chunk)
+                              discrete_mask=mask, block=block)
     # every coordinate matched exactly: the kernel is the cell indicator
     _assert_matches_dense(x, x[::-1], discrete_mask=np.ones(4, dtype=bool))
 
@@ -196,7 +200,8 @@ def test_weights_match_dense_on_duplicated_mixed_covariates():
 def test_weights_match_dense_on_distinct_continuous_covariates():
     rng = np.random.default_rng(32)
     x = rng.normal(size=(300, 3))
-    _assert_matches_dense(x, x + 0.1 * rng.normal(size=(300, 3)), h=1.4, chunk=64)
+    _assert_matches_dense(x, x + 0.1 * rng.normal(size=(300, 3)), h=1.4,
+                          block=2**14)
 
 
 def test_weights_match_dense_under_higher_order_kernel():
@@ -234,7 +239,7 @@ def test_weights_report_the_dense_rows_without_donor():
     # NaN never matches, itself included
     x[9, 0] = xstar[9, 0] = xstar[333, 0] = np.nan
     kwargs = dict(h=np.array([1.0, 1.0, 3.0, 4.0]),
-                  discrete_mask=np.array([True, True, False, False]), chunk=50)
+                  discrete_mask=np.array([True, True, False, False]), block=1000)
     with pytest.raises(BandwidthTooSmallError) as err:
         counterfactual_weights(x, xstar, **kwargs)
     with pytest.raises(BandwidthTooSmallError) as ref:
@@ -262,7 +267,7 @@ def test_recompute_replicate_weights_match_dense():
     assert np.max(np.abs(v_cf - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _stacked_weights(x, xstars, kernel=None, h=1.0, discrete_mask=None, chunk=512):
+def _stacked_weights(x, xstars, kernel=None, h=1.0, discrete_mask=None, block=BLOCK):
     # one plan on x and the stacked xstars, evaluated once with a (distinct
     # targets x values) multiplicity matrix; (n, V) weights on the rows of x
     n = len(x)
@@ -271,7 +276,7 @@ def _stacked_weights(x, xstars, kernel=None, h=1.0, discrete_mask=None, chunk=51
         np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=plan.tgt.shape[0])
         for v in range(len(xstars))
     ]).astype(float)
-    w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts, counts, chunk)
+    w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts, counts, block)
     assert w.shape == (plan.src.shape[0], len(xstars))
     return w[plan.src_inv]
 
@@ -299,9 +304,9 @@ def test_stacked_weights_match_dense_per_value_on_mixed_covariates():
     # the identity manipulation is a value like any other
     xstars.append(x.copy())
     mask = np.array([True, True, False, False])
-    for chunk in (512, 7):
+    for block in (BLOCK, 500):
         _assert_stack_matches(x, xstars, h=np.array([1.0, 1.0, 3.0, 4.0]),
-                              discrete_mask=mask, chunk=chunk)
+                              discrete_mask=mask, block=block)
     # every coordinate matched exactly: the kernel is the cell indicator
     _assert_stack_matches(x, [x[::-1], x, np.roll(x, 3, axis=0)],
                           discrete_mask=np.ones(4, dtype=bool))
@@ -313,7 +318,7 @@ def test_stacked_weights_match_dense_under_higher_order_kernel():
     w = _assert_stack_matches(
         x, [x + np.array([shift, 0.0]) for shift in (0.0, 0.2, 0.4, 0.6)],
         kernel=KernelSpec(family="higher_order", order=4), h=0.8,
-        discrete_mask=np.array([False, True]), chunk=64,
+        discrete_mask=np.array([False, True]), block=1024,
     )
     assert np.array_equal((w < 0).any(axis=0), [False, False, True, True])
 
@@ -322,7 +327,7 @@ def test_stacked_weights_name_the_stacked_rows_without_donor():
     rng = np.random.default_rng(44)
     x = _mixed_covariates(200, rng)
     mask = np.array([True, True, False, False])
-    kwargs = dict(h=np.array([1.0, 1.0, 3.0, 4.0]), discrete_mask=mask, chunk=50)
+    kwargs = dict(h=np.array([1.0, 1.0, 3.0, 4.0]), discrete_mask=mask, block=500)
     xstars = [x.copy() for _ in range(3)]
     # a NaN discrete target forms a cell of its own, without sources
     xstars[1][[3, 150], 0] = np.nan
@@ -362,14 +367,14 @@ def _table_cases(x, xstars, discrete_mask):
 
 
 def _assert_tables_match_direct(x, xstars, kernel=None, h=1.0, discrete_mask=None,
-                                chunk=512):
+                                block=BLOCK):
     """The weights of every case are bitwise those of the direct evaluation."""
     plan, cases = _table_cases(x, xstars, discrete_mask)
     assert any(t is not None for tables in plan.tables for t in tables)
     kernel = kernel or KernelSpec()
     for src_counts, tgt_counts in cases:
-        got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
-        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+        got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, block)
+        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block)
         assert got.tobytes() == ref.tobytes()
     return got
 
@@ -387,10 +392,10 @@ def test_kernel_tables_match_direct_evaluation_on_integer_coded_covariates():
     rng = np.random.default_rng(45)
     x = _mixed_covariates(600, rng)
     xstars = _raised_floors(x, 2, (12.0, 14.0, 16.0)) + [x.copy()]
-    for chunk in (512, 7):
+    for block in (BLOCK, 500):
         _assert_tables_match_direct(
             x, xstars, h=np.array([1.0, 1.0, 3.0, 4.0]),
-            discrete_mask=np.array([True, True, False, False]), chunk=chunk,
+            discrete_mask=np.array([True, True, False, False]), block=block,
         )
 
 
@@ -401,7 +406,7 @@ def test_kernel_tables_match_direct_evaluation_under_higher_order_kernel():
         x, _raised_floors(x, 2, (13.0, 15.0)),
         kernel=KernelSpec(family="higher_order", order=4),
         h=np.array([1.0, 1.0, 2.5, 3.0]),
-        discrete_mask=np.array([True, True, False, False]), chunk=64,
+        discrete_mask=np.array([True, True, False, False]), block=1024,
     )
     assert np.any(w < 0)
 
@@ -413,7 +418,7 @@ def test_kernel_tables_match_direct_evaluation_with_per_coordinate_bandwidth():
         x, _raised_floors(x, 3, (1953.0, 1957.0)),
         kernel=KernelSpec(family="gaussian_truncated"),
         h=np.array([1.0, 1.0, 2.5, 6.0]),
-        discrete_mask=np.array([True, True, False, False]), chunk=50,
+        discrete_mask=np.array([True, True, False, False]), block=1024,
     )
 
 
@@ -428,7 +433,7 @@ def test_kernel_tables_treat_negative_zero_as_zero():
     # both zeros sit in one table entry
     assert all(t[0].size <= 3 for tables in plan.tables for t in tables)
     for mask in (np.array([True, False, False]), None):
-        _assert_tables_match_direct(x, [xstar, x], h=1.5, discrete_mask=mask, chunk=40)
+        _assert_tables_match_direct(x, [xstar, x], h=1.5, discrete_mask=mask, block=24)
 
 
 def test_kernel_tables_name_the_rows_without_donor_of_direct_evaluation():
@@ -445,7 +450,7 @@ def test_kernel_tables_name_the_rows_without_donor_of_direct_evaluation():
     for src_counts, tgt_counts in cases:
         for weights in (kernel_weights, direct_kernel_weights):
             with pytest.raises(BandwidthTooSmallError) as err:
-                weights(plan, KernelSpec(), h, src_counts, tgt_counts, 50)
+                weights(plan, KernelSpec(), h, src_counts, tgt_counts, 1024)
             named.append(err.value.columns)
     assert named[0] == named[1] == list(range(0, 300, 25)) + [340, 341]
     assert named[2] == named[3] == list(range(0, 300, 25))
@@ -465,17 +470,17 @@ def _resample_counts(plan, n, rng):
             np.bincount(plan.tgt_inv, weights=draw, minlength=plan.tgt.shape[0])[:, None])
 
 
-def _assert_direct(plan, kernel, h, src_counts, tgt_counts, chunk):
+def _assert_direct(plan, kernel, h, src_counts, tgt_counts, block):
     """The weights are bitwise those of the direct evaluation, or name the
     same rows without donor; returns the weights or those rows."""
     try:
-        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+        ref = direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block)
     except BandwidthTooSmallError as err:
         with pytest.raises(BandwidthTooSmallError) as got:
-            kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+            kernel_weights(plan, kernel, h, src_counts, tgt_counts, block)
         assert got.value.columns == err.columns
         return err.columns
-    got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, chunk)
+    got = kernel_weights(plan, kernel, h, src_counts, tgt_counts, block)
     assert got.tobytes() == ref.tobytes()
     return got
 
@@ -483,7 +488,7 @@ def _assert_direct(plan, kernel, h, src_counts, tgt_counts, chunk):
 @pytest.mark.parametrize("n", [3, 50, 400])
 def test_simulation_weights_are_direct_evaluation_bitwise(n):
     """The study's plans, at the point and under resample counts, through
-    blocks that reuse one buffer across chunks."""
+    blocks that reuse one buffer across blocks."""
     sample = dgp_draw(n, np.random.default_rng(n)).sample
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
     h = bandwidth(BandwidthRule(scale=scale_from_sample(sample.x)), n)
@@ -492,16 +497,16 @@ def test_simulation_weights_are_direct_evaluation_bitwise(n):
               np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0)]
     cases += [_resample_counts(plan, n, rng) for _ in range(3)]
     for kernel in (KernelSpec(), KernelSpec(family="higher_order", order=4)):
-        for chunk in (512, 7):
+        for block in (BLOCK, 2000):
             for src_counts, tgt_counts in cases:
-                got = _assert_direct(plan, kernel, h, src_counts, tgt_counts, chunk)
+                got = _assert_direct(plan, kernel, h, src_counts, tgt_counts, block)
                 assert isinstance(got, np.ndarray) or n == 3
 
 
 def test_synthetic_file_weights_are_direct_evaluation_bitwise():
     """The sweep's stacked plan on the 3,895-row file, with kernel tables,
-    at a chunk below the target count of some cells: the blocks reuse
-    their buffers across chunks and cells."""
+    where some cells span several blocks: the blocks reuse their buffers
+    across blocks and cells."""
     table = synth_table(SynthConfig(n=3895, seed=5))
     roles = default_synth_roles()
     samples = [
@@ -512,8 +517,7 @@ def test_synthetic_file_weights_are_direct_evaluation_bitwise():
     sample, xstars = samples[0], [s.xstar for s in samples]
     plan = kernel_plan(sample.x, np.concatenate(xstars), sample.discrete_mask)
     assert any(t is not None for tables in plan.tables for t in tables)
-    chunk = 100
-    assert max(ti.size for _, ti in plan.cells) > chunk
+    assert any(ti.size > BLOCK // si.size for si, ti in plan.cells)
     n, t = sample.n, plan.tgt.shape[0]
     counts = np.column_stack([np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=t)
                               for v in range(2)]).astype(float)
@@ -524,7 +528,7 @@ def test_synthetic_file_weights_are_direct_evaluation_bitwise():
     resample = (np.bincount(plan.src_inv, weights=draw, minlength=plan.src.shape[0]),
                 np.bincount(plan.tgt_inv[:n], weights=draw, minlength=t)[:, None])
     for src_counts, tgt_counts in ((plan.src_counts, counts), resample):
-        got = _assert_direct(plan, KernelSpec(), h, src_counts, tgt_counts, chunk)
+        got = _assert_direct(plan, KernelSpec(), h, src_counts, tgt_counts, BLOCK)
         assert isinstance(got, np.ndarray)
 
 
@@ -537,17 +541,57 @@ def test_a_later_larger_cell_and_a_target_without_donor_are_direct_evaluation():
     xstar = x + np.array([0.0, 0.3, -0.2])
     mask = np.array([True, False, False])
     plan = kernel_plan(x, xstar, mask)
-    need = [si.size * min(ti.size, 64) for si, ti in plan.cells]
+    need = [si.size * min(ti.size, 4096 // si.size) for si, ti in plan.cells]
     assert need[1] > need[0]
     tgt_counts = np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0
     h = np.array([1.0, 1.2, 0.9])
     for kernel in (KernelSpec(), KernelSpec(family="gaussian_truncated")):
-        got = _assert_direct(plan, kernel, h, plan.src_counts, tgt_counts, 64)
+        got = _assert_direct(plan, kernel, h, plan.src_counts, tgt_counts, 4096)
         assert isinstance(got, np.ndarray)
     xstar[[20, 230], 2] = 50.0
     plan = kernel_plan(x, xstar, mask)
     tgt_counts = np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0
-    assert _assert_direct(plan, KernelSpec(), h, plan.src_counts, tgt_counts, 64) == [20, 230]
+    assert _assert_direct(plan, KernelSpec(), h, plan.src_counts, tgt_counts, 4096) == [20, 230]
+
+
+def _wide_cell_case():
+    """A plan of one cell with 1,600 distinct sources, and the (targets x 2)
+    multiplicities of two manipulations stacked on it."""
+    x = np.random.default_rng(51).normal(size=(1600, 2))
+    plan = kernel_plan(x, np.concatenate([x + 0.2, x - 0.2]))
+    counts = np.column_stack([
+        np.bincount(plan.tgt_inv[v * 1600:(v + 1) * 1600], minlength=plan.tgt.shape[0])
+        for v in range(2)
+    ]).astype(float)
+    assert len(plan.cells) == 1 and plan.cells[0][0].size == 1600
+    return plan, counts
+
+
+def test_a_wide_cell_keeps_the_weights_call_within_its_block_budget():
+    """Blocks of 512 targets held 2 x 1600 x 512 doubles here (13 MB)."""
+    plan, counts = _wide_cell_case()
+    kernel_weights(plan, KernelSpec(), 1.0, plan.src_counts, counts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = kernel_weights(plan, KernelSpec(), 1.0, plan.src_counts, counts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the two block buffers and the output; numpy's iterator buffers for
+    # the broadcast subtraction, two of np.getbufsize() doubles; and the
+    # call's arrays of one entry per row, about 95 KB here
+    assert peak < 2 * BLOCK * 8 + w.nbytes + 2 * np.getbufsize() * 8 + 128 * 1024
+
+
+def test_a_wide_cell_gives_the_weights_of_blocks_of_512_targets():
+    """More blocks add each source's terms in more groups; measured at most
+    9.2e-16 of the largest weight."""
+    plan, counts = _wide_cell_case()
+    w = kernel_weights(plan, KernelSpec(), 1.0, plan.src_counts, counts)
+    ref = direct_kernel_weights(plan, KernelSpec(), 1.0, plan.src_counts, counts,
+                                targets=512)
+    assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_support_violation_indices():

@@ -190,13 +190,21 @@ def test_study_sizes_are_some_and_distinct():
     assert bootstrap._run_blocks(lambda lo, hi: 1 / 0, 0) == []
 
 
+def _value(report, n, target, metric):
+    """The value of the report's (n, target, metric) row."""
+    for rn, rt, rm, rv in report.rows:
+        if rn == n and rt == target and rm == metric:
+            return rv
+    raise KeyError(f"no row ({n}, {target}, {metric})")
+
+
 def test_run_study_error_metrics_only(tmp_path):
     cfg = SimStudyConfig(sizes=(60,), replications=3, bootstrap_b=0, m=20, seed=5)
     report = run_study(cfg)
     targets = {row[1] for row in report.rows}
     assert {"empirical", "proposed", "oracle"} <= targets
     assert not any(row[2] == "coverage_tau" for row in report.rows)
-    assert report.value(60, "proposed", "miae_x100") > 0
+    assert _value(report, 60, "proposed", "miae_x100") > 0
     csv_path = tmp_path / "sim.csv"
     report.write_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -216,7 +224,7 @@ def test_run_study_with_coverage_rows():
     report = run_study(cfg)
     metrics = {row[2] for row in report.rows if row[1] == "actual_tau"}
     assert "coverage" in metrics
-    cov = report.value(40, "actual_tau", "coverage")
+    cov = _value(report, 40, "actual_tau", "coverage")
     assert 0.0 <= cov <= 1.0
 
 
