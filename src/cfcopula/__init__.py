@@ -26,7 +26,6 @@ from .bootstrap import (
 from .copula import (
     CopulaGrid,
     ObservationSample,
-    WeightVector,
     empirical_copula,
     support_violations,
 )

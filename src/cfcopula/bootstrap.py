@@ -61,7 +61,6 @@ from .copula import (
     BandwidthTooSmallError,
     KernelPlan,
     ObservationSample,
-    WeightVector,
     _point,
     kernel_plan,
     kernel_weights,
@@ -122,7 +121,6 @@ class BootstrapResult:
 
     runs: dict
     discarded: int
-    config: BootstrapConfig
 
     def __getitem__(self, key):
         return self.runs[key]
@@ -267,7 +265,7 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws):
         if failed is not None:
             error = failed
     else:
-        np.multiply(v[:R, 0], est.w.w, out=v[:R, 1])
+        np.multiply(v[:R, 0], est.w, out=v[:R, 1])
     v = v[:R]
     # The actual-side mass is exactly n, but the resampled counterfactual
     # mass is not: left unnormalized it fluctuates with sd of order
@@ -464,7 +462,7 @@ def _result(est, config, stats, discarded):
             lo=theta - half,
             hi=theta + half,
         )
-    return BootstrapResult(runs=runs, discarded=discarded, config=config)
+    return BootstrapResult(runs=runs, discarded=discarded)
 
 
 def _target_keys():
@@ -476,7 +474,8 @@ class Estimate:
     """One pass of the estimator over a sample.
 
     ``rule`` holds the covariate scale of the sample and ``h`` is its
-    bandwidth.  ``ranks`` holds the ``MarginRanks`` of y1 and y2, and
+    bandwidth.  ``w`` holds the kernel-ratio weights of the sample's rows,
+    which sum to n.  ``ranks`` holds the ``MarginRanks`` of y1 and y2, and
     ``plan`` the ``KernelPlan`` of the weights, which recompute-weights
     replicates evaluate again.  ``grids`` (actual, counterfactual) and
     ``reports`` (actual, counterfactual, effect) are keyed by target.
@@ -486,7 +485,7 @@ class Estimate:
     kernel: KernelSpec
     rule: BandwidthRule
     h: np.ndarray
-    w: WeightVector
+    w: np.ndarray
     ranks: tuple
     grids: dict
     reports: dict
@@ -503,11 +502,8 @@ def _finish(sample, kernel, rule, h, w, m, plan, ranks=None):
     if ranks is None:
         ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     grids, reports = {}, {}
-    for target, v, two_increasing in (
-        ("actual", np.ones(sample.n), True),
-        ("counterfactual", w.w, w.negative_count == 0),
-    ):
-        cells, grids[target] = _point(*ranks, v, m, two_increasing)
+    for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
+        cells, grids[target] = _point(*ranks, v, m)
         reports[target] = association.AssociationReport(
             *association.measures_from_cells(cells, m, sample.n))
     reports["effect"] = association.policy_effect(
@@ -547,6 +543,8 @@ def estimates(sample, xstars, kernel, rule, m):
         If some value leaves a row without a donor; its ``columns`` are
         rows of the xstar of the first such value, and its ``value`` is
         that value's index.
+    ValueError
+        If some weight of some value is not finite.
     """
     rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
     h = _bandwidth(rule, sample.n)
@@ -566,10 +564,12 @@ def estimates(sample, xstars, kernel, rule, m):
         )
         error.value = first
         raise error from None
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     return (
         _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
-                WeightVector.from_array(w[plan.src_inv, v]), m,
+                w[plan.src_inv, v], m,
                 replace(plan, tgt_inv=plan.tgt_inv[v * n:(v + 1) * n]), ranks)
         for v in range(V)
     )

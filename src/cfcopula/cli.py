@@ -24,7 +24,7 @@ import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ from .data import (
     write_table,
 )
 from .kernels import BandwidthRule, DegenerateCovariateError, KernelSpec, validate_order
-from .scenarios import ScenarioError, apply_scenario, parse_scenario
+from .scenarios import ScenarioError, ScenarioSpec, Transform, apply_scenario, parse_scenario
 from .simulation import SimStudyConfig, run_study
 
 
@@ -190,10 +190,10 @@ class RunConfig:
             raise UsageError(str(exc)) from exc
 
 
-def _resolve_run_config(args, need_input=True, default_scenario=None):
+def _resolve_run_config(args, default_scenario=None):
     config = read_config(args.config) if getattr(args, "config", None) else {}
     input_path = _merge(args, config, "input", str, None)
-    if need_input and input_path is None:
+    if input_path is None:
         raise UsageError("no input file: pass --input or set input= in the config")
     x = _merge(args, config, "x", _csv_list, None)
     y1 = _merge(args, config, "y1", str, None)
@@ -232,8 +232,8 @@ def _resolve_run_config(args, need_input=True, default_scenario=None):
 
 # --- shared estimation plumbing ------------------------------------------------
 
-def _scenario_sample(cfg, table):
-    """Scenario label, affected fraction and the sample of one pass."""
+def _estimate(cfg, table):
+    """Scenario label, affected fraction and the estimate of one pass."""
     if cfg.scenario_text:
         spec = parse_scenario(cfg.scenario_text)
         xstar_columns, frac = apply_scenario(table, cfg.roles, spec)
@@ -244,12 +244,6 @@ def _scenario_sample(cfg, table):
         changed = np.any(sample.xstar != sample.x, axis=1)
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
-    return label, frac, sample
-
-
-def _estimate(cfg, table):
-    """Scenario label, affected fraction and the estimate of one pass."""
-    label, frac, sample = _scenario_sample(cfg, table)
     return label, frac, estimate(
         sample, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
     )
@@ -278,7 +272,7 @@ def _write_measures(path, est, intervals=None):
 
 def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
                        extra=None):
-    wv = est.w
+    w = est.w
     rows = [
         ("version", __version__),
         ("n", est.sample.n),
@@ -288,10 +282,10 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
         ("bandwidth", ";".join(repr(float(v)) for v in est.h)),
         ("scenario", label),
         ("affected_fraction", repr(frac)),
-        ("weight_sum", repr(float(wv.sum))),
-        ("weight_min", repr(float(wv.w.min()))),
-        ("weight_max", repr(float(wv.w.max()))),
-        ("negative_count", wv.negative_count),
+        ("weight_sum", repr(float(w.sum()))),
+        ("weight_min", repr(float(w.min()))),
+        ("weight_max", repr(float(w.max()))),
+        ("negative_count", int((w < 0).sum())),
         ("support_violations", support_rows.size),
         ("support_rows", ";".join(str(r) for r in support_rows[:50])),
         ("kernel_order_check", "pass" if order_check.passed else "warn"),
@@ -306,7 +300,7 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
 
 def _summary_lines(cfg, label, frac, est, support_rows, order_check, intervals=None,
                    boot_note=None):
-    wv = est.w
+    w = est.w
     lines = [
         f"counterfactual copula report (cfcopula {__version__})",
         "",
@@ -319,8 +313,8 @@ def _summary_lines(cfg, label, frac, est, support_rows, order_check, intervals=N
         f"kernel: {est.kernel.family} (order {est.kernel.order}), "
         f"bandwidth c={cfg.bandwidth_c}, grid m={cfg.grid_m}",
         "",
-        f"weights: sum={wv.sum:.6f}, range [{wv.w.min():.4f}, {wv.w.max():.4f}], "
-        f"negative={wv.negative_count}",
+        f"weights: sum={w.sum():.6f}, range [{w.min():.4f}, {w.max():.4f}], "
+        f"negative={int((w < 0).sum())}",
     ]
     if support_rows.size:
         shown = ", ".join(str(r) for r in support_rows[:10])
@@ -452,10 +446,11 @@ def cmd_sweep(args):
     xstars, fracs = None, []
     for index, value in enumerate(values):
         if param == "s":
-            text = f"max_with({column}, {value})"
+            change = Transform("max_with", column, float(value))
         else:
-            text = f"conditional_max({column}, {trigger}, {value}, floor={int(floor) if floor == int(floor) else floor})"
-        _, frac, sample = _scenario_sample(replace(cfg, scenario_text=text), table)
+            change = Transform("conditional_max", column, float(value), trigger, floor)
+        xstar_columns, frac = apply_scenario(table, cfg.roles, ScenarioSpec((change,)))
+        sample = build_sample(table, cfg.roles, xstar_columns=xstar_columns)
         if xstars is None:
             xstars = np.empty((len(values),) + sample.xstar.shape)
         xstars[index] = sample.xstar

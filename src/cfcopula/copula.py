@@ -133,26 +133,6 @@ def support_violations(sample):
     return np.flatnonzero(outside.any(axis=1))
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Counterfactual weights with their diagnostics.
-
-    ``w`` sums to n by construction: each target column of the kernel-ratio
-    matrix is normalized to one before summing over targets.
-    """
-
-    w: np.ndarray
-    negative_count: int
-    sum: float
-
-    @classmethod
-    def from_array(cls, w):
-        w = np.asarray(w, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        return cls(w=w, negative_count=int(np.sum(w < 0)), sum=float(w.sum()))
-
-
 # --- counterfactual weights -------------------------------------------------
 
 def _row_keys(a):
@@ -188,7 +168,8 @@ def _kernel_tables(src, tgt):
 
     A coordinate whose (distinct source values x distinct target values)
     is at most a quarter of the (sources x targets) block gets a table,
-    which leaves room for resamples keeping about 63% of each side.
+    which leaves room for resamples keeping about 63% of each side, if
+    the table also holds at most ``BLOCK`` entries, as a block does.
     """
     tables = []
     for c in range(src.shape[1]):
@@ -198,7 +179,8 @@ def _kernel_tables(src, tgt):
         # simulation run uses nowhere else (about 0.15 MB of peak RSS)
         src_vals, src_codes, _ = _distinct_rows(src[:, c:c + 1])
         tgt_vals, tgt_codes, _ = _distinct_rows(tgt[:, c:c + 1])
-        small = 4 * src_vals.size * tgt_vals.size <= src.shape[0] * tgt.shape[0]
+        size = src_vals.size * tgt_vals.size
+        small = size <= BLOCK and 4 * size <= src.shape[0] * tgt.shape[0]
         tables.append((src_vals[:, 0], tgt_vals[:, 0], src_codes, tgt_codes)
                       if small else None)
     return tuple(tables)
@@ -227,7 +209,8 @@ class KernelPlan:
         coordinate form a cell of their own, without sources.
     tables : tuple of tuple
         For every cell and continuous coordinate, None where the values
-        are mostly distinct (integer-coded ones are not), else the table
+        are mostly distinct (integer-coded ones are not) or the table
+        would exceed ``BLOCK`` entries, else the table
         (distinct source values, the same for targets, the code of each of
         the cell's source rows, the same for its targets).
     discrete_mask : array of bool, shape (d,)
@@ -406,7 +389,6 @@ class MarginRanks:
 
     order: np.ndarray
     pos: np.ndarray
-    max_tie_run: int
     n: int
 
     def pseudo_obs(self, v):
@@ -422,9 +404,7 @@ def margin_ranks(y):
     order = np.argsort(y, kind="stable")
     sy = y[order]
     pos = np.searchsorted(sy, y, side="right") - 1
-    boundaries = np.flatnonzero(np.r_[True, sy[1:] != sy[:-1], True])
-    max_tie_run = int(np.max(np.diff(boundaries)))
-    return MarginRanks(order=order, pos=pos, max_tie_run=max_tie_run, n=y.shape[0])
+    return MarginRanks(order=order, pos=pos, n=y.shape[0])
 
 
 def _atom_indices(u, m):
@@ -491,32 +471,15 @@ def _atom_grid(cells, m, n):
 
 @dataclass(frozen=True)
 class CopulaGrid:
-    """Copula values on the uniform grid {(i/m, j/m)}.
-
-    Flags record distributional validity: ``two_increasing`` is set when all
-    rectangle increments are nonnegative (guaranteed under nonnegative
-    weights), ``margins_uniform`` when both grid margins track the uniform
-    within the largest marginal atom.
-    """
+    """Copula values on the uniform grid {(i/m, j/m)}."""
 
     m: int
     values: np.ndarray
-    two_increasing: bool
-    margins_uniform: bool
-
-
-def _margins_uniform(values, m, jump_bound):
-    nodes = np.arange(m + 1) / m
-    dev = max(
-        float(np.max(np.abs(values[:, m] - nodes))),
-        float(np.max(np.abs(values[m, :] - nodes))),
-    )
-    return dev <= jump_bound + _EPS
 
 
 # --- grid estimators ---------------------------------------------------------
 
-def _point(ranks1, ranks2, v, m, two_increasing):
+def _point(ranks1, ranks2, v, m):
     """Atom histogram and copula grid of the point estimate under weights v.
 
     The mass is pinned to exactly n, so the grid is a copula at (1, 1);
@@ -530,17 +493,7 @@ def _point(ranks1, ranks2, v, m, two_increasing):
     cells = next(weighted_rank_atoms(
         ranks1.pseudo_obs(pinned), ranks2.pseudo_obs(pinned), pinned, m
     ))
-    values = _atom_grid(cells, m, n)
-    # the largest marginal atom: the heaviest weight share on the longest
-    # tie run
-    jump = (float(np.max(np.abs(v))) / v.sum()
-            * max(ranks1.max_tie_run, ranks2.max_tie_run))
-    return cells, CopulaGrid(
-        m=m,
-        values=values,
-        two_increasing=two_increasing,
-        margins_uniform=_margins_uniform(values, m, jump),
-    )
+    return cells, CopulaGrid(m=m, values=_atom_grid(cells, m, n))
 
 
 def empirical_copula(sample, m=100):
@@ -550,4 +503,4 @@ def empirical_copula(sample, m=100):
     marginal CDFs evaluated at the data points (rank pseudo-observations).
     """
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    return _point(*ranks, np.ones(sample.n), m, True)[1]
+    return _point(*ranks, np.ones(sample.n), m)[1]

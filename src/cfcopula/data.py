@@ -26,7 +26,7 @@ microdata; it exists so the scenario machinery is runnable end to end.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,25 +196,28 @@ def write_grid_csv(grid, path):
 
 # --- synthetic generator ------------------------------------------------------
 
+# the synthetic design; its values echo a PSID-like sample
+_PARENT_EDU_MEAN = 13.1
+_PARENT_EDU_SD = 2.85
+_CHILD_EDU_BASE = 14.45
+_CHILD_EDU_SD = 1.9
+_EDU_PERSISTENCE = 0.35
+_LOG_INCOME_BASE = 4.304  # log median income, thousands
+_PARENT_EDU_RETURN = 0.06
+_CHILD_EDU_RETURN = 0.05
+_PARENT_LOG_SD = 0.46
+_CHILD_LOG_SD = 0.58
+# loading of child log income on the parent income shock, by child edu
+_MOBILITY_INTERCEPT = 0.30
+_MOBILITY_SLOPE = 0.025
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs of the synthetic design; defaults echo a PSID-like sample."""
+    """Size and seed of one synthetic dataset."""
 
     n: int = 3895
     seed: int = 20240801
-    parent_edu_mean: float = 13.1
-    parent_edu_sd: float = 2.85
-    child_edu_base: float = 14.45
-    child_edu_sd: float = 1.9
-    edu_persistence: float = 0.35
-    log_income_base: float = 4.304  # log median income, thousands
-    parent_edu_return: float = 0.06
-    child_edu_return: float = 0.05
-    parent_log_sd: float = 0.46
-    child_log_sd: float = 0.58
-    # loading of child log income on the parent income shock, by child edu
-    mobility_intercept: float = 0.30
-    mobility_slope: float = 0.025
 
     def __post_init__(self):
         # DataError is a ValueError, so the CLI reports both as usage errors
@@ -230,12 +233,12 @@ def synth_table(config=None):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
 
-    pedu = np.clip(np.rint(rng.normal(cfg.parent_edu_mean, cfg.parent_edu_sd, n)), 0, 17)
+    pedu = np.clip(np.rint(rng.normal(_PARENT_EDU_MEAN, _PARENT_EDU_SD, n)), 0, 17)
     cedu = np.clip(
         np.rint(
-            cfg.child_edu_base
-            + cfg.edu_persistence * (pedu - cfg.parent_edu_mean)
-            + rng.normal(0.0, cfg.child_edu_sd, n)
+            _CHILD_EDU_BASE
+            + _EDU_PERSISTENCE * (pedu - _PARENT_EDU_MEAN)
+            + rng.normal(0.0, _CHILD_EDU_SD, n)
         ),
         7,
         17,
@@ -247,19 +250,19 @@ def synth_table(config=None):
 
     z_parent = rng.standard_normal(n)
     log_p = (
-        cfg.log_income_base
-        + cfg.parent_edu_return * (pedu - cfg.parent_edu_mean)
+        _LOG_INCOME_BASE
+        + _PARENT_EDU_RETURN * (pedu - _PARENT_EDU_MEAN)
         + 0.05 * pmale
-        + cfg.parent_log_sd * z_parent
+        + _PARENT_LOG_SD * z_parent
     )
     # association between the incomes declines with child schooling
     loading = np.clip(
-        cfg.mobility_intercept - cfg.mobility_slope * (cedu - 12.0), 0.02, 0.45
+        _MOBILITY_INTERCEPT - _MOBILITY_SLOPE * (cedu - 12.0), 0.02, 0.45
     )
-    resid_sd = np.sqrt(cfg.child_log_sd ** 2 - loading ** 2)
+    resid_sd = np.sqrt(_CHILD_LOG_SD ** 2 - loading ** 2)
     log_c = (
-        cfg.log_income_base
-        + cfg.child_edu_return * (cedu - cfg.child_edu_base)
+        _LOG_INCOME_BASE
+        + _CHILD_EDU_RETURN * (cedu - _CHILD_EDU_BASE)
         + 0.03 * cmale
         + loading * z_parent
         + resid_sd * rng.standard_normal(n)

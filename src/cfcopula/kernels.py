@@ -80,11 +80,6 @@ class KernelSpec:
             coeffs = tuple(higher_order_coefficients(self.order))
             object.__setattr__(self, "_poly", coeffs)
 
-    @property
-    def nonnegative(self):
-        """Whether the kernel is nonnegative everywhere (order-2 families)."""
-        return self.family != HIGHER_ORDER or self.order <= 2
-
 
 def kernel_1d(spec, u, out=None):
     """Evaluate the one-dimensional kernel of ``spec`` at ``u`` (vectorized).

@@ -25,7 +25,7 @@ Scenario text is a semicolon-separated list of calls, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

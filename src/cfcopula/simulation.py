@@ -138,7 +138,7 @@ def gaussian_copula_grid(r, m=100):
         acc += term
     acc /= 2.0 * math.pi
     values[1:m, 1:m] += acc
-    return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=True)
+    return CopulaGrid(m=m, values=values)
 
 
 def oracle_estimator(y1_star, y2_star, m=100):
@@ -236,7 +236,7 @@ class SimReport:
             for rn, rt, rm, rv in self.rows:
                 fh.write(f"{rn},{rt},{rm},{rv!r}\n")
 
-    def write_manifest(self, path, extra=None):
+    def write_manifest(self, path):
         from . import __version__
 
         cfg = self.config
@@ -253,8 +253,6 @@ class SimReport:
             f"bandwidth_exponent={BandwidthRule().exponent!r}",
             f"recompute_weights={cfg.recompute_weights}",
         ]
-        if extra:
-            lines.extend(f"{k}={v}" for k, v in extra.items())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -5,8 +5,9 @@ of a sample against its own manipulation, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
 sums over them, the measures of an atom histogram set up per call, the
-Frechet-Hoeffding bounds, the Gaussian-copula closed forms as one report,
-the bivariate normal CDF, and the bootstrap replicates one at a time.
+Frechet-Hoeffding bounds, two-increasingness, the Gaussian-copula closed
+forms as one report, the bivariate normal CDF, and the bootstrap
+replicates one at a time.
 """
 
 import math
@@ -22,7 +23,6 @@ from cfcopula.copula import (
     BLOCK,
     BandwidthTooSmallError,
     CopulaGrid,
-    WeightVector,
     _atom_indices,
     kernel_plan,
     kernel_weights,
@@ -38,7 +38,7 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
     w = kernel_weights(plan, kernel or KernelSpec(), h, plan.src_counts,
                        np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])
                        .astype(float)[:, None], block)
-    return WeightVector.from_array(w[plan.src_inv, 0])
+    return w[plan.src_inv, 0]
 
 
 def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK,
@@ -118,6 +118,12 @@ def frechet_hoeffding_violation(grid):
     )
 
 
+def two_increasing(grid, tol=1e-12):
+    """Whether every rectangle increment of the grid is at least -tol."""
+    v = grid.values
+    return float(np.min(v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1])) >= -tol
+
+
 @dataclass(frozen=True)
 class PseudoObservations:
     """Marginal-CDF values of the data points plus the weights attached to them."""
@@ -130,7 +136,7 @@ class PseudoObservations:
 def pseudo_observations(sample, w=None):
     """Rank pseudo-observations of (y1, y2); weighted marginals when w is given."""
     n = sample.n
-    v = np.ones(n) if w is None else (w.w if isinstance(w, WeightVector) else np.asarray(w, float))
+    v = np.ones(n) if w is None else np.asarray(w, float)
     u1 = margin_ranks(sample.y1).pseudo_obs(v)
     u2 = margin_ranks(sample.y2).pseudo_obs(v)
     return PseudoObservations(u1=u1, u2=u2, w=v)
@@ -286,7 +292,7 @@ def adaptive_gaussian_copula_grid(r, m=100):
     values[m, 1:m] = u
     values[1:m, m] = u
     values[m, m] = 1.0
-    return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=True)
+    return CopulaGrid(m=m, values=values)
 
 
 # --- the bootstrap one replicate at a time -----------------------------------
@@ -407,7 +413,7 @@ def _replicate_block(lo, hi, *, runs, starts):
                                            est.kernel, est.rule)
         else:
             def cf_multipliers(counts, est=est):
-                return counts * est.w.w
+                return counts * est.w
         rng = np.random.default_rng(bootstrap._replicate_seed(seed, t - starts[k]))
         counts, v_cf, redraws[t - lo] = _draw_replicate(est.sample.n, rng, cf_multipliers)
         reports = _reports(*est.ranks, counts, v_cf, est.grids["actual"].m)

@@ -91,7 +91,7 @@ def assert_reports_close(got, want, tol):
 
 def _grid_from(values):
     m = values.shape[0] - 1
-    return CopulaGrid(m=m, values=values, two_increasing=True, margins_uniform=True)
+    return CopulaGrid(m=m, values=values)
 
 
 def _independence(m):

@@ -95,6 +95,32 @@ def test_actual_grid_matches_in_process_estimate(dataset, tmp_path):
     assert np.array_equal(values, grid.values)  # CSV round trip cannot drift
 
 
+@pytest.mark.parametrize("family, order", [("epanechnikov", 2), ("higher_order", 4)])
+def test_weight_rows_are_those_of_the_in_process_estimate(dataset, tmp_path,
+                                                          family, order):
+    path, table = dataset
+    out = tmp_path / "out"
+    assert main(["estimate", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
+                 "--kernel", family, "--kernel-order", str(order),
+                 "--out-dir", str(out)]) == 0
+    sample = ObservationSample(
+        y1=table.columns["wage"], y2=table.columns["spend"],
+        x=table.columns["x"], xstar=table.columns["xs"],
+    )
+    w = estimate(sample, KernelSpec(family=family, order=order),
+                 BandwidthRule(constant=5.5), 20).w
+    negative = int((w < 0).sum())
+    assert (negative > 0) == (order > 2)
+    diagnostics = dict(_read_rows(out / "diagnostics.csv")[1:])
+    assert diagnostics["weight_sum"] == repr(float(w.sum()))
+    assert diagnostics["weight_min"] == repr(float(w.min()))
+    assert diagnostics["weight_max"] == repr(float(w.max()))
+    assert diagnostics["negative_count"] == str(negative)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert (f"weights: sum={w.sum():.6f}, range [{w.min():.4f}, {w.max():.4f}], "
+            f"negative={negative}") in summary
+
+
 def test_identity_scenario_with_huge_bandwidth_reproduces_actual(dataset, tmp_path):
     path, table = dataset
     out = tmp_path / "out"

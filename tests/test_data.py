@@ -177,8 +177,7 @@ def test_grid_csv_bytes_are_those_of_the_per_cell_writer(tmp_path, m):
     values[0] = -0.0
     values[:, m] = 1.0
     values[m, 0] = 5e-324
-    grids.append(CopulaGrid(m=m, values=values, two_increasing=False,
-                            margins_uniform=False))
+    grids.append(CopulaGrid(m=m, values=values))
     for grid in grids:
         write_grid_csv(grid, tmp_path / "fast.csv")
         _write_grid_csv_per_cell(grid, tmp_path / "cell.csv")
