@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .association import (
     AssociationReport,
     gaussian_measure,
-    measures_from_grid,
     policy_effect,
 )
 from .bootstrap import (

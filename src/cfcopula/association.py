@@ -6,10 +6,9 @@ the simulation study.
 
 On grids, rho and gamma are integrals of the copula itself (a bilinear cell
 rule and diagonal trapezoids), tau is a Stieltjes sum against the grid's
-cell masses, and beta is a node read.  One function evaluates them from
-the node values and the cell masses: ``measures_from_cells`` takes both
-from an atom histogram (the point estimate and every bootstrap replicate),
-``measures_from_grid`` from a grid.  The value-based forms matter for
+cell masses, and beta is a node read.  ``measures_from_cells`` evaluates
+them from an atom histogram (the point estimate and every bootstrap
+replicate) without forming the grid.  The value-based forms matter for
 weighted estimates: a weighted sample's pseudo-observation margins are only
 approximately uniform, and position-weighted mass sums for rho and gamma
 pick up a bias of order sum(w^2)/n^2 that the value integrals do not.
@@ -97,24 +96,12 @@ def measures_from_cells(cells, m, n):
     * gamma integrates both diagonals of V by the trapezoid rule;
     * beta reads V[m/2, m/2].
 
-    These are the grid functionals of ``measures_from_grid`` without
-    forming, normalising or differencing the grid.
+    These are the functionals of the grid V/n without forming, normalising
+    or differencing it.
     """
     V = cells[: m + 1, : m + 1].cumsum(axis=0)
     V.cumsum(axis=1, out=V)
     return _measures(V, cells[1 : m + 1, 1 : m + 1], m, n)
-
-
-def measures_from_grid(grid):
-    """All four measures of one grid as an AssociationReport.
-
-    rho and gamma integrate C over the unit square and its diagonals, tau
-    is a Stieltjes sum of C against the grid's cell masses, and beta is a
-    node read; see ``measures_from_cells``.
-    """
-    v = grid.values
-    masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
-    return AssociationReport(*_measures(v, masses, grid.m, 1.0))
 
 
 MEASURES = ("rho", "tau", "gamma", "beta")

@@ -10,7 +10,8 @@ Subcommands:
 
 Options can come from a flat key=value config file (keys mirror the flag
 names with underscores; '#' starts a comment) with command-line flags
-taking precedence.  All commands are deterministic given their options,
+taking precedence; an option given by neither takes the default of the
+configuration the command builds.  All commands are deterministic given their options,
 including the seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
@@ -71,52 +72,6 @@ class _Parser(argparse.ArgumentParser):
 
 # --- configuration -------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "input", "out_dir", "scenario", "seed",
-    "y1", "y2", "x", "discrete", "xstar",
-    "grid_m", "bandwidth_c", "kernel", "kernel_order",
-    "boot_b", "level", "recompute_weights",
-    "sizes", "replications",
-    "param", "from", "to", "column", "trigger", "floor",
-    "n",
-}
-
-
-def read_config(path):
-    """Parse a flat key=value file into a string dict; unknown keys fail."""
-    entries = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        entries[key] = value.strip()
-    return entries
-
-
-def _merge(args, config, key, cast, default):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if config and key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {key}={raw!r}: {exc}") from exc
-    return default
-
-
 def _csv_list(text):
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
@@ -137,6 +92,67 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# every config key and the function that reads its text
+_KEYS = {
+    "input": str, "out_dir": str, "scenario": str, "seed": int,
+    "y1": str, "y2": str, "x": _csv_list, "discrete": _csv_list, "xstar": _csv_list,
+    "grid_m": int, "bandwidth_c": float, "kernel": str, "kernel_order": int,
+    "boot_b": int, "level": float, "recompute_weights": _bool,
+    "sizes": _int_list, "replications": int,
+    "param": str, "from": int, "to": int, "column": str, "trigger": str, "floor": float,
+    "n": int,
+}
+
+# the defaults of the options that no configuration class holds; sweep's
+# param, from and to have none
+_OUT_DIR = "."
+_SWEEP_DEFAULTS = {"column": "cedu", "trigger": "pedu", "floor": 16.0}
+
+
+def read_config(path):
+    """Parse a flat key=value file into a string dict; unknown keys fail.
+
+    No path gives an empty dict.
+    """
+    entries = {}
+    if not path:
+        return entries
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in _KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        entries[key] = value.strip()
+    return entries
+
+
+def _given(args, config, keys):
+    """The options among ``keys`` that were given: the flag value if the
+    flag was passed, else the config value read through ``_KEYS``.  Keys
+    given by neither are left out, so the defaults of the config a command
+    builds apply to them."""
+    given = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None and key in config:
+            try:
+                value = _KEYS[key](config[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config key {key}={config[key]!r}: {exc}") from exc
+        if value is not None:
+            given[key] = value
+    return given
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved options of one estimation-style command."""
@@ -147,7 +163,7 @@ class RunConfig:
     scenario_text: str
     grid_m: int = 100
     bandwidth_c: float = 5.5
-    kernel_family: str = "epanechnikov"
+    kernel: str = "epanechnikov"
     kernel_order: int = 2
     boot_b: int = 1000
     level: float = 0.95
@@ -163,7 +179,7 @@ class RunConfig:
             )
         # check the kernel, bootstrap and scenario options now, before any
         # command reads its input or creates its output directory
-        self.kernel()
+        self.kernel_spec()
         self.bootstrap_config(self.seed)
         parse_scenario(self.scenario_text)
         if bool(self.scenario_text) == bool(self.roles.xstar):
@@ -172,9 +188,9 @@ class RunConfig:
                 "a --scenario or explicit --xstar columns"
             )
 
-    def kernel(self):
+    def kernel_spec(self):
         try:
-            return KernelSpec(family=self.kernel_family, order=self.kernel_order)
+            return KernelSpec(family=self.kernel, order=self.kernel_order)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -190,16 +206,20 @@ class RunConfig:
             raise UsageError(str(exc)) from exc
 
 
+_RUN_KEYS = (
+    "input", "out_dir", "scenario", "seed", "y1", "y2", "x", "discrete", "xstar",
+    "grid_m", "bandwidth_c", "kernel", "kernel_order", "boot_b", "level",
+    "recompute_weights",
+)
+
+
 def _resolve_run_config(args, default_scenario=None):
-    config = read_config(args.config) if getattr(args, "config", None) else {}
-    input_path = _merge(args, config, "input", str, None)
-    if input_path is None:
+    config = read_config(args.config)
+    given = _given(args, config, _RUN_KEYS)
+    if "input" not in given:
         raise UsageError("no input file: pass --input or set input= in the config")
-    x = _merge(args, config, "x", _csv_list, None)
-    y1 = _merge(args, config, "y1", str, None)
-    y2 = _merge(args, config, "y2", str, None)
-    discrete = _merge(args, config, "discrete", _csv_list, ())
-    xstar = _merge(args, config, "xstar", _csv_list, ())
+    x, y1, y2 = (given.pop(key, None) for key in ("x", "y1", "y2"))
+    discrete, xstar = given.pop("discrete", ()), given.pop("xstar", ())
     if x is None and y1 is None and y2 is None:
         roles = default_synth_roles()
         if discrete or xstar:
@@ -211,23 +231,11 @@ def _resolve_run_config(args, default_scenario=None):
             roles = ColumnRoles(y1=y1, y2=y2, x=x, discrete=discrete, xstar=xstar)
         except DataError as exc:
             raise UsageError(str(exc)) from exc
-    scenario_text = _merge(args, config, "scenario", str, "")
+    scenario_text = given.pop("scenario", "")
     if not scenario_text and not roles.xstar and default_scenario is not None:
         scenario_text = default_scenario
-    return RunConfig(
-        input=input_path,
-        out_dir=_merge(args, config, "out_dir", str, "."),
-        roles=roles,
-        scenario_text=scenario_text,
-        grid_m=_merge(args, config, "grid_m", int, 100),
-        bandwidth_c=_merge(args, config, "bandwidth_c", float, 5.5),
-        kernel_family=_merge(args, config, "kernel", str, "epanechnikov"),
-        kernel_order=_merge(args, config, "kernel_order", int, 2),
-        boot_b=_merge(args, config, "boot_b", int, 1000),
-        level=_merge(args, config, "level", float, 0.95),
-        seed=_merge(args, config, "seed", int, 0),
-        recompute_weights=_merge(args, config, "recompute_weights", _bool, False),
-    ), config
+    return RunConfig(out_dir=given.pop("out_dir", _OUT_DIR), roles=roles,
+                     scenario_text=scenario_text, **given), config
 
 
 # --- shared estimation plumbing ------------------------------------------------
@@ -245,7 +253,7 @@ def _estimate(cfg, table):
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
     return label, frac, estimate(
-        sample, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
+        sample, cfg.kernel_spec(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
     )
 
 
@@ -384,22 +392,21 @@ def cmd_bootstrap(args):
     return 0
 
 
+# the study's field of each option that simulate reads
+_STUDY_FIELDS = {
+    "sizes": "sizes", "replications": "replications", "boot_b": "bootstrap_b",
+    "level": "level", "grid_m": "m", "bandwidth_c": "bandwidth_constant",
+    "seed": "seed", "recompute_weights": "recompute_weights",
+}
+
+
 def cmd_simulate(args):
-    config = read_config(args.config) if args.config else {}
+    given = _given(args, read_config(args.config), (*_STUDY_FIELDS, "out_dir"))
+    out = Path(given.pop("out_dir", _OUT_DIR))
     try:
-        study = SimStudyConfig(
-            sizes=_merge(args, config, "sizes", _int_list, (100, 200, 400)),
-            replications=_merge(args, config, "replications", int, 1000),
-            bootstrap_b=_merge(args, config, "boot_b", int, 1000),
-            level=_merge(args, config, "level", float, 0.95),
-            m=_merge(args, config, "grid_m", int, 100),
-            bandwidth_constant=_merge(args, config, "bandwidth_c", float, 5.5),
-            seed=_merge(args, config, "seed", int, 20240801),
-            recompute_weights=_merge(args, config, "recompute_weights", _bool, True),
-        )
+        study = SimStudyConfig(**{_STUDY_FIELDS[key]: v for key, v in given.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = Path(_merge(args, config, "out_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     report = run_study(study)
     report.write_csv(out / "simulation.csv")
@@ -410,15 +417,7 @@ def cmd_simulate(args):
     return 0
 
 
-def _sweep_values(args, config):
-    lo = _merge(args, config, "from", int, None)
-    hi = _merge(args, config, "to", int, None)
-    if lo is None or hi is None:
-        raise UsageError("sweep needs --from and --to")
-    values = list(range(lo, hi + 1))
-    if not values:
-        raise UsageError(f"empty sweep range: from {lo} to {hi}")
-    return values
+_SWEEP_KEYS = ("param", "from", "to", "column", "trigger", "floor")
 
 
 def cmd_sweep(args):
@@ -427,15 +426,17 @@ def cmd_sweep(args):
         raise UsageError("sweep builds its own scenarios; drop --xstar")
     if cfg.scenario_text != "identity":
         raise UsageError("sweep builds its own scenarios; drop --scenario")
-    param = _merge(args, config, "param", str, None)
+    sweep = {**_SWEEP_DEFAULTS, **_given(args, config, _SWEEP_KEYS)}
+    param, lo, hi, column, trigger, floor = (sweep.get(key) for key in _SWEEP_KEYS)
     if param not in ("s", "sprime"):
         raise UsageError("--param must be s (max_with) or sprime (conditional_max)")
-    column = _merge(args, config, "column", str, "cedu")
-    trigger = _merge(args, config, "trigger", str, "pedu")
-    floor = _merge(args, config, "floor", float, 16.0)
     if not math.isfinite(floor):
         raise UsageError(f"--floor must be finite, got {floor}")
-    values = _sweep_values(args, config)
+    if lo is None or hi is None:
+        raise UsageError("sweep needs --from and --to")
+    values = list(range(lo, hi + 1))
+    if not values:
+        raise UsageError(f"empty sweep range: from {lo} to {hi}")
     configs = [cfg.bootstrap_config(derived_seed(cfg.seed, (index,)))
                for index in range(len(values))]
 
@@ -457,7 +458,7 @@ def cmd_sweep(args):
         fracs.append(frac)
     try:
         family = estimates(
-            sample, xstars, cfg.kernel(), BandwidthRule(constant=cfg.bandwidth_c),
+            sample, xstars, cfg.kernel_spec(), BandwidthRule(constant=cfg.bandwidth_c),
             cfg.grid_m,
         )
     except BandwidthTooSmallError as err:
@@ -491,15 +492,12 @@ def cmd_sweep(args):
 
 
 def cmd_synth_data(args):
-    config = read_config(args.config) if args.config else {}
+    given = _given(args, read_config(args.config), ("n", "seed", "out_dir"))
+    out = Path(given.pop("out_dir", _OUT_DIR))
     try:
-        synth = SynthConfig(
-            n=_merge(args, config, "n", int, 3895),
-            seed=_merge(args, config, "seed", int, 20240801),
-        )
+        synth = SynthConfig(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = Path(_merge(args, config, "out_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
     write_table(synth_table(synth), path)

@@ -81,11 +81,17 @@ class KernelSpec:
             object.__setattr__(self, "_poly", coeffs)
 
 
+# entries per piece of the kernels evaluated piecewise, so that their
+# temporaries take a few times 32 KB however large ``u`` is
+_PIECE = 4096
+
+
 def kernel_1d(spec, u, out=None):
     """Evaluate the one-dimensional kernel of ``spec`` at ``u`` (vectorized).
 
     ``out``, an array of u's shape and possibly ``u`` itself, receives the
-    same doubles and is returned.
+    same doubles and is returned.  Epanechnikov is computed in ``out``; the
+    other families ``_PIECE`` entries at a time.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
@@ -98,16 +104,20 @@ def kernel_1d(spec, u, out=None):
         np.subtract(1.0, out, out=out)
         out *= 0.75
         return np.fmax(out, 0.0, out=out)
-    inside = np.abs(u) <= 1.0
-    if spec.family == GAUSSIAN_TRUNCATED:
-        vals = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _PHI_NORM)
-    else:
-        u2 = u * u
-        poly = np.zeros_like(u)
-        for a in reversed(spec._poly):
-            poly = poly * u2 + a
-        vals = poly * (0.75 * (1.0 - u2))
-    out[...] = np.where(inside, vals, 0.0)
+    # a piece is read whole before it is written, so ``out`` may be ``u``
+    with np.nditer([u, out], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"], ["writeonly"]],
+                   buffersize=_PIECE) as pieces:
+        for x, y in pieces:
+            if spec.family == GAUSSIAN_TRUNCATED:
+                vals = np.exp(-0.5 * x * x) / (np.sqrt(2.0 * np.pi) * _PHI_NORM)
+            else:
+                x2 = x * x
+                poly = np.zeros_like(x)
+                for a in reversed(spec._poly):
+                    poly = poly * x2 + a
+                vals = poly * (0.75 * (1.0 - x2))
+            y[...] = np.where(np.abs(x) <= 1.0, vals, 0.0)
     return out
 
 

@@ -4,10 +4,10 @@ These are the textbook forms the estimator replaces: kernel-ratio weights
 of a sample against its own manipulation, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
-sums over them, the measures of an atom histogram set up per call, the
-Frechet-Hoeffding bounds, two-increasingness, the Gaussian-copula closed
-forms as one report, the bivariate normal CDF, and the bootstrap
-replicates one at a time.
+sums over them, the measures of an atom histogram set up per call and of
+a grid, the Frechet-Hoeffding bounds, two-increasingness, the
+Gaussian-copula closed forms as one report, the bivariate normal CDF, and
+the bootstrap replicates one at a time.
 """
 
 import math
@@ -198,6 +198,18 @@ def measures_report_from_cells(cells, m, n):
         gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
         beta=float(4.0 * V[m // 2, m // 2] / n - 1.0),
     )
+
+
+def measures_from_grid(grid):
+    """All four measures of one grid as an AssociationReport.
+
+    rho and gamma integrate C over the unit square and its diagonals, tau
+    is a Stieltjes sum of C against the grid's cell masses, and beta is a
+    node read; see ``association.measures_from_cells``.
+    """
+    v = grid.values
+    masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
+    return AssociationReport(*association._measures(v, masses, grid.m, 1.0))
 
 
 def gaussian_report(r):

@@ -17,12 +17,12 @@ from oracles import (
     estimate_under,
     frechet_hoeffding_violation,
     gaussian_report,
+    measures_from_grid,
     measures_from_pseudo_obs,
     pseudo_observations,
     two_increasing,
 )
 
-from cfcopula.association import measures_from_grid
 from cfcopula.bootstrap import BootstrapConfig, run_bootstrap
 from cfcopula.cli import main
 from cfcopula.copula import ObservationSample, empirical_copula

@@ -5,6 +5,7 @@ from oracles import (
     counterfactual_copula,
     counterfactual_weights,
     gaussian_report,
+    measures_from_grid,
     measures_from_pseudo_obs,
     measures_report_from_cells,
     pseudo_observations,
@@ -16,7 +17,6 @@ from cfcopula.association import (
     GridResolutionError,
     gaussian_measure,
     measures_from_cells,
-    measures_from_grid,
     policy_effect,
 )
 from cfcopula.copula import CopulaGrid, ObservationSample, empirical_copula

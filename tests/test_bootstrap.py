@@ -16,6 +16,7 @@ from oracles import (
     counterfactual_copula,
     counterfactual_weights,
     estimate_under,
+    measures_from_grid,
 )
 from test_copula import _add_at_atoms, _mixed_covariates
 
@@ -33,7 +34,6 @@ from cfcopula.bootstrap import (
 from cfcopula.association import (
     AssociationReport,
     measures_from_cells,
-    measures_from_grid,
     policy_effect,
 )
 from cfcopula.copula import (

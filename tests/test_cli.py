@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(argv) in process."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from cfcopula.data import (
     synth_table, write_table,
 )
 from cfcopula.kernels import BandwidthRule, KernelSpec
-from cfcopula.scenarios import apply_scenario, parse_scenario
+from cfcopula.scenarios import Transform, apply_scenario, parse_scenario
 from cfcopula.simulation import run_study
 
 
@@ -186,6 +187,110 @@ def test_config_file_with_flag_override(dataset, tmp_path):
     diag = {r[0]: r[1] for r in _read_rows(out / "diagnostics.csv")}
     assert float(diag["bandwidth_c"]) == 3.5  # flag beats config
     assert int(diag["grid_m"]) == 10          # config beats default
+
+
+class _Built(Exception):
+    """Stops a command once it has built its configuration."""
+
+
+# (config key, field of the built configuration, config text and value,
+# flag and value) of each option
+_RUN_OPTIONS = [
+    ("grid_m", "grid_m", "10", 10, ["--grid-m", "20"], 20),
+    ("bandwidth_c", "bandwidth_c", "2.5", 2.5, ["--bandwidth-c", "3.5"], 3.5),
+    ("kernel", "kernel", "higher_order", "higher_order",
+     ["--kernel", "gaussian_truncated"], "gaussian_truncated"),
+    ("kernel_order", "kernel_order", "4", 4, ["--kernel-order", "2"], 2),
+    ("seed", "seed", "3", 3, ["--seed", "4"], 4),
+]
+_BOOT_OPTIONS = [
+    ("boot_b", "boot_b", "30", 30, ["--boot-b", "40"], 40),
+    ("level", "level", "0.9", 0.9, ["--level", "0.8"], 0.8),
+    # the flag can only switch it on
+    ("recompute_weights", "recompute_weights", "yes", True,
+     ["--recompute-weights"], True),
+]
+_SWEEP_OPTIONS = [
+    ("column", "column", "pincome", "pincome", ["--column", "cincome"], "cincome"),
+    ("trigger", "trigger", "cedu", "cedu", ["--trigger", "pincome"], "pincome"),
+    ("floor", "floor", "15.5", 15.5, ["--floor", "14"], 14.0),
+]
+_STUDY_OPTIONS = [
+    ("sizes", "sizes", "30,40", (30, 40), ["--sizes", "50"], (50,)),
+    ("replications", "replications", "2", 2, ["--replications", "3"], 3),
+    ("boot_b", "bootstrap_b", "0", 0, ["--boot-b", "20"], 20),
+    ("level", "level", "0.9", 0.9, ["--level", "0.8"], 0.8),
+    ("grid_m", "m", "20", 20, ["--grid-m", "30"], 30),
+    ("bandwidth_c", "bandwidth_constant", "2.5", 2.5, ["--bandwidth-c", "3.5"], 3.5),
+    ("seed", "seed", "3", 3, ["--seed", "4"], 4),
+    # a config file is the only way to freeze the weights
+    ("recompute_weights", "recompute_weights", "no", False, [], False),
+]
+_SYNTH_OPTIONS = [
+    ("n", "n", "100", 100, ["--n", "200"], 200),
+    ("seed", "seed", "3", 3, ["--seed", "4"], 4),
+]
+# command: (configuration class, the call that stops it, arguments, options)
+_COMMANDS = {
+    "estimate": ("RunConfig", "ingest", ["--scenario", "identity"], _RUN_OPTIONS),
+    "bootstrap": ("RunConfig", "ingest", ["--scenario", "identity"],
+                  _RUN_OPTIONS + _BOOT_OPTIONS),
+    "sweep": ("RunConfig", "apply_scenario",
+              ["--param", "sprime", "--from", "8", "--to", "9"],
+              _RUN_OPTIONS + _BOOT_OPTIONS + _SWEEP_OPTIONS),
+    "simulate": ("SimStudyConfig", "run_study", [], _STUDY_OPTIONS),
+    "synth-data": ("SynthConfig", "synth_table", [], _SYNTH_OPTIONS),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_an_option_is_its_flag_else_its_config_value_else_its_default(
+        command, synth_600, tmp_path, monkeypatch):
+    name, stop, argv, options = _COMMANDS[command]
+    if name == "RunConfig":
+        argv = ["--input", str(synth_600), *argv]
+    cls = getattr(cli, name)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    if command == "sweep":
+        # the sweep's scenario options have no configuration class
+        defaults.update(column="cedu", trigger="pedu", floor=16.0)
+
+    seen = []
+
+    def recording(real):
+        def build(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+        return build
+
+    def stopping(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(cli, name, recording(cls))
+    monkeypatch.setattr(cli, "Transform", recording(Transform))
+    monkeypatch.setattr(cli, stop, stopping)
+
+    def built(*extra):
+        seen.clear()
+        with pytest.raises(_Built):
+            main([command, *argv, *extra, "--out-dir", str(tmp_path / "out")])
+        return {f.name: getattr(obj, f.name)
+                for obj in seen for f in dataclasses.fields(obj)}
+
+    got = built()
+    for _, field, _, _, _, _ in options:
+        assert got[field] == defaults[field], field
+    config = tmp_path / "options.cfg"
+    config.write_text("".join(f"{key} = {text}\n" for key, _, text, *_ in options),
+                      encoding="utf-8")
+    got = built("--config", str(config))
+    for _, field, _, value, _, _ in options:
+        assert value != defaults[field], field
+        assert got[field] == value, field
+    flags = [arg for *_, flag, _ in options for arg in flag]
+    got = built("--config", str(config), *flags)
+    for _, field, _, _, _, value in options:
+        assert got[field] == value, field
 
 
 def test_simulate_config_can_freeze_the_weights(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from cfcopula.kernels import (
     BandwidthRule,
     DegenerateCovariateError,
     KernelSpec,
+    _PIECE,
     bandwidth,
     higher_order_coefficients,
     kernel_1d,
@@ -112,6 +113,26 @@ def test_kernel_into_out_and_in_place_is_the_kernel_bitwise(spec):
         assert got.shape == out.shape == same.shape == u.shape
         for values in (got, out, same):
             assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(family="gaussian_truncated"),
+                                  KernelSpec(family="higher_order", order=6)],
+                         ids=["gaussian_truncated", "higher_order"])
+def test_kernel_in_pieces_is_the_kernel_bitwise_on_any_layout(spec):
+    """These families are evaluated a fixed number of entries at a time;
+    every piece, layout and aliasing gives the whole-array expressions."""
+    rng = np.random.default_rng(33)
+    block = rng.uniform(-1.5, 1.5, size=(97, 3 * _PIECE // 97 + 5))
+    want = _masked_kernel(spec, block)
+    transposed = block.T.copy().T  # Fortran order
+    strided = np.full((block.shape[0], 2 * block.shape[1]), np.nan)[:, ::2]
+    for u, out in ((block, None), (transposed, None), (block, strided),
+                   (transposed, transposed), (block[:, ::3], None)):
+        got = kernel_1d(spec, u, out=out)
+        expected = want if u.shape == want.shape else _masked_kernel(spec, u)
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+    assert kernel_1d(spec, np.float64(0.25)) == _masked_kernel(spec, np.float64(0.25))
+    assert kernel_1d(spec, np.empty((0, 4))).shape == (0, 4)
 
 
 def test_kernel_spec_validation():

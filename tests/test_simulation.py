@@ -14,10 +14,10 @@ from oracles import (
     counterfactual_weights,
     frechet_hoeffding_violation,
     gaussian_report,
+    measures_from_grid,
 )
 
 from cfcopula import bootstrap, simulation
-from cfcopula.association import measures_from_grid
 from cfcopula.bootstrap import estimate
 from cfcopula.copula import CopulaGrid
 from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth
