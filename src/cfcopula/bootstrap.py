@@ -122,13 +122,6 @@ class BootstrapResult:
     runs: dict
     discarded: int
 
-    def __getitem__(self, key):
-        return self.runs[key]
-
-    def interval(self, target, measure):
-        r = self.runs[(target, measure)]
-        return r.lo, r.hi
-
 
 def multinomial_counts(n, rng):
     """One multinomial draw of n trials over n equiprobable cells."""
@@ -492,15 +485,13 @@ class Estimate:
     plan: KernelPlan
 
 
-def _finish(sample, kernel, rule, h, w, m, plan, ranks=None):
+def _finish(sample, kernel, rule, h, w, m, plan, ranks):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
 
     Each copula's grid and measures come from one atom histogram, as a
     bootstrap replicate's measures do.  ``ranks`` are the margin ranks of
-    the sample's outcomes, computed here when not given.
+    the sample's outcomes.
     """
-    if ranks is None:
-        ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     grids, reports = {}, {}
     for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
         cells, grids[target] = _point(*ranks, v, m)

@@ -10,9 +10,10 @@ Subcommands:
 
 Options can come from a flat key=value config file (keys mirror the flag
 names with underscores; '#' starts a comment) with command-line flags
-taking precedence; an option given by neither takes the default of the
-configuration the command builds.  All commands are deterministic given their options,
-including the seed.
+taking precedence; a command reads the keys it has flags for and ignores
+the others, and an option given by neither takes the default of the
+configuration the command builds.  All commands are deterministic given
+their options, including the seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
 (degenerate kernel weights or resamples).
@@ -25,7 +26,7 @@ import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,21 +93,60 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# every config key and the function that reads its text
-_KEYS = {
-    "input": str, "out_dir": str, "scenario": str, "seed": int,
-    "y1": str, "y2": str, "x": _csv_list, "discrete": _csv_list, "xstar": _csv_list,
-    "grid_m": int, "bandwidth_c": float, "kernel": str, "kernel_order": int,
-    "boot_b": int, "level": float, "recompute_weights": _bool,
-    "sizes": _int_list, "replications": int,
-    "param": str, "from": int, "to": int, "column": str, "trigger": str, "floor": float,
-    "n": int,
+# every option: the function that reads its text, and its help.  Its flag is
+# the key with dashes for underscores; a command lists the keys it takes
+_OPTIONS = {
+    "input": (str, "headered CSV input file"),
+    "out_dir": (str, "output directory"),
+    "seed": (int, "master RNG seed"),
+    "y1": (str, "first outcome column"),
+    "y2": (str, "second outcome column"),
+    "x": (_csv_list, "covariate columns, comma-separated"),
+    "discrete": (_csv_list, "covariate columns matched exactly instead of smoothed"),
+    "xstar": (_csv_list, "explicit counterfactual covariate columns"),
+    "scenario": (str, 'e.g. "max_with(cedu, 16)"'),
+    "grid_m": (int, "copula grid resolution"),
+    "bandwidth_c": (float, "bandwidth constant c in h = c * scale * n^(-1/3)"),
+    "kernel": (str, "kernel family: epanechnikov, gaussian_truncated or higher_order"),
+    "kernel_order": (int, "moment order for the higher_order family"),
+    "boot_b": (int, "bootstrap replicates (per repetition in simulate, where 0 skips)"),
+    "level": (float, "interval level"),
+    "recompute_weights": (_bool, "resample rows and rebuild kernel weights per replicate"),
+    "sizes": (_int_list, "sample sizes, comma-separated"),
+    "replications": (int, "Monte Carlo repetitions"),
+    "param": (str, "s: max_with sweep; sprime: conditional_max sweep"),
+    "from": (int, "first parameter value (inclusive)"),
+    "to": (int, "last parameter value (inclusive)"),
+    "column": (str, "column the scenario raises"),
+    "trigger": (str, "trigger column for sprime"),
+    "floor": (float, "conditional_max floor"),
+    "n": (int, "number of rows"),
 }
+
+_RUN = ("input", "out_dir", "y1", "y2", "x", "discrete", "xstar", "scenario",
+        "grid_m", "bandwidth_c", "kernel", "kernel_order")
+_BOOTSTRAP = ("boot_b", "level", "seed", "recompute_weights")
+# the options each command has a flag for, and reads from a config file
+_FLAGS = {
+    "estimate": _RUN,
+    "bootstrap": _RUN + _BOOTSTRAP,
+    "simulate": ("out_dir", "seed", "sizes", "replications", "boot_b", "level",
+                 "grid_m", "bandwidth_c"),
+    "sweep": _RUN + _BOOTSTRAP + ("param", "from", "to", "column", "trigger", "floor"),
+    "synth-data": ("out_dir", "seed", "n"),
+}
+# simulate recomputes the weights by default, so a flag could only repeat
+# that; a config file can still freeze them
+_CONFIG_ONLY = {"simulate": ("recompute_weights",)}
 
 # the defaults of the options that no configuration class holds; sweep's
 # param, from and to have none
 _OUT_DIR = "."
 _SWEEP_DEFAULTS = {"column": "cedu", "trigger": "pedu", "floor": 16.0}
+# the fields of the configuration classes whose option keys differ
+_BOOTSTRAP_FIELDS = {"boot_b": "B"}
+_STUDY_FIELDS = {"boot_b": "bootstrap_b", "grid_m": "m", "bandwidth_c": "bandwidth_constant"}
+_KERNEL_FIELDS = {"kernel": "family", "kernel_order": "order"}
 
 
 def read_config(path):
@@ -129,7 +169,7 @@ def read_config(path):
         key = key.strip().replace("-", "_")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key not in _KEYS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         entries[key] = value.strip()
     return entries
@@ -137,7 +177,7 @@ def read_config(path):
 
 def _given(args, config, keys):
     """The options among ``keys`` that were given: the flag value if the
-    flag was passed, else the config value read through ``_KEYS``.  Keys
+    flag was passed, else the config value read through ``_OPTIONS``.  Keys
     given by neither are left out, so the defaults of the config a command
     builds apply to them."""
     given = {}
@@ -145,7 +185,7 @@ def _given(args, config, keys):
         value = getattr(args, key, None)
         if value is None and key in config:
             try:
-                value = _KEYS[key](config[key])
+                value = _OPTIONS[key][0](config[key])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"config key {key}={config[key]!r}: {exc}") from exc
         if value is not None:
@@ -153,22 +193,29 @@ def _given(args, config, keys):
     return given
 
 
+def _build(cls, given, renames=None):
+    """``cls`` built from the options in ``given`` that name its fields, each
+    key renamed through ``renames`` first; its ValueError is a usage error."""
+    renames = renames or {}
+    names = {f.name for f in fields(cls)}
+    values = {renames.get(key, key): value for key, value in given.items()}
+    try:
+        return cls(**{key: value for key, value in values.items() if key in names})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved options of one estimation-style command."""
 
     input: str
-    out_dir: str
     roles: ColumnRoles
     scenario_text: str
+    kernel: KernelSpec
+    out_dir: str = _OUT_DIR
     grid_m: int = 100
     bandwidth_c: float = 5.5
-    kernel: str = "epanechnikov"
-    kernel_order: int = 2
-    boot_b: int = 1000
-    level: float = 0.95
-    seed: int = 0
-    recompute_weights: bool = False
 
     def __post_init__(self):
         if self.grid_m < 2 or self.grid_m % 2:
@@ -177,10 +224,8 @@ class RunConfig:
             raise UsageError(
                 f"bandwidth_c must be positive and finite, got {self.bandwidth_c}"
             )
-        # check the kernel, bootstrap and scenario options now, before any
-        # command reads its input or creates its output directory
-        self.kernel_spec()
-        self.bootstrap_config(self.seed)
+        # check the scenario now, before any command reads its input or
+        # creates its output directory
         parse_scenario(self.scenario_text)
         if bool(self.scenario_text) == bool(self.roles.xstar):
             raise UsageError(
@@ -188,54 +233,26 @@ class RunConfig:
                 "a --scenario or explicit --xstar columns"
             )
 
-    def kernel_spec(self):
-        try:
-            return KernelSpec(family=self.kernel, order=self.kernel_order)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
 
-    def bootstrap_config(self, seed):
-        try:
-            return BootstrapConfig(
-                B=self.boot_b,
-                level=self.level,
-                seed=seed,
-                recompute_weights=self.recompute_weights,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
-_RUN_KEYS = (
-    "input", "out_dir", "scenario", "seed", "y1", "y2", "x", "discrete", "xstar",
-    "grid_m", "bandwidth_c", "kernel", "kernel_order", "boot_b", "level",
-    "recompute_weights",
-)
-
-
-def _resolve_run_config(args, default_scenario=None):
-    config = read_config(args.config)
-    given = _given(args, config, _RUN_KEYS)
+def _run_config(given, default_scenario=None):
+    """The ``RunConfig`` of the options ``given``, checked before any input is read."""
     if "input" not in given:
         raise UsageError("no input file: pass --input or set input= in the config")
-    x, y1, y2 = (given.pop(key, None) for key in ("x", "y1", "y2"))
-    discrete, xstar = given.pop("discrete", ()), given.pop("xstar", ())
+    x, y1, y2 = (given.get(key) for key in ("x", "y1", "y2"))
     if x is None and y1 is None and y2 is None:
         roles = default_synth_roles()
-        if discrete or xstar:
+        if "discrete" in given or "xstar" in given:
             raise UsageError("--discrete/--xstar need explicit --y1/--y2/--x roles")
     elif x is None or y1 is None or y2 is None:
         raise UsageError("column roles are all-or-none: give --y1, --y2 and --x")
     else:
-        try:
-            roles = ColumnRoles(y1=y1, y2=y2, x=x, discrete=discrete, xstar=xstar)
-        except DataError as exc:
-            raise UsageError(str(exc)) from exc
-    scenario_text = given.pop("scenario", "")
+        roles = _build(ColumnRoles, given)
+    scenario_text = given.get("scenario", "")
     if not scenario_text and not roles.xstar and default_scenario is not None:
         scenario_text = default_scenario
-    return RunConfig(out_dir=given.pop("out_dir", _OUT_DIR), roles=roles,
-                     scenario_text=scenario_text, **given), config
+    kernel = _build(KernelSpec, given, _KERNEL_FIELDS)
+    return _build(RunConfig, {**given, "roles": roles, "scenario_text": scenario_text,
+                              "kernel": kernel})
 
 
 # --- shared estimation plumbing ------------------------------------------------
@@ -253,7 +270,7 @@ def _estimate(cfg, table):
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
     return label, frac, estimate(
-        sample, cfg.kernel_spec(), BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
+        sample, cfg.kernel, BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
     )
 
 
@@ -365,48 +382,36 @@ def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
 
 # --- commands ------------------------------------------------------------------
 
-def cmd_estimate(args):
-    cfg, _ = _resolve_run_config(args)
+def cmd_estimate(given):
+    cfg = _run_config(given)
     label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
     summary = _write_estimate_outputs(cfg, label, frac, est, Path(cfg.out_dir))
     sys.stdout.write(summary)
     return 0
 
 
-def cmd_bootstrap(args):
-    cfg, _ = _resolve_run_config(args)
+def cmd_bootstrap(given):
+    cfg = _run_config(given)
+    boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS)
     label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
-    result = run_bootstrap(est, cfg.bootstrap_config(cfg.seed))
+    result = run_bootstrap(est, boot)
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
-        f"bootstrap: B={cfg.boot_b}, level={cfg.level}, seed={cfg.seed}, "
-        f"recompute_weights={cfg.recompute_weights}, "
+        f"bootstrap: B={boot.B}, level={boot.level}, seed={boot.seed}, "
+        f"recompute_weights={boot.recompute_weights}, "
         f"degenerate redraws={result.discarded}"
     )
     summary = _write_estimate_outputs(
         cfg, label, frac, est, Path(cfg.out_dir), intervals=intervals, boot_note=note,
-        extra_diag=[("bootstrap_b", cfg.boot_b), ("level", cfg.level),
-                    ("seed", cfg.seed)],
+        extra_diag=[("bootstrap_b", boot.B), ("level", boot.level), ("seed", boot.seed)],
     )
     sys.stdout.write(summary)
     return 0
 
 
-# the study's field of each option that simulate reads
-_STUDY_FIELDS = {
-    "sizes": "sizes", "replications": "replications", "boot_b": "bootstrap_b",
-    "level": "level", "grid_m": "m", "bandwidth_c": "bandwidth_constant",
-    "seed": "seed", "recompute_weights": "recompute_weights",
-}
-
-
-def cmd_simulate(args):
-    given = _given(args, read_config(args.config), (*_STUDY_FIELDS, "out_dir"))
-    out = Path(given.pop("out_dir", _OUT_DIR))
-    try:
-        study = SimStudyConfig(**{_STUDY_FIELDS[key]: v for key, v in given.items()})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_simulate(given):
+    study = _build(SimStudyConfig, given, _STUDY_FIELDS)
+    out = Path(given.get("out_dir", _OUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
     report = run_study(study)
     report.write_csv(out / "simulation.csv")
@@ -417,17 +422,16 @@ def cmd_simulate(args):
     return 0
 
 
-_SWEEP_KEYS = ("param", "from", "to", "column", "trigger", "floor")
-
-
-def cmd_sweep(args):
-    cfg, config = _resolve_run_config(args, default_scenario="identity")
+def cmd_sweep(given):
+    cfg = _run_config(given, default_scenario="identity")
+    boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS)
     if cfg.roles.xstar:
         raise UsageError("sweep builds its own scenarios; drop --xstar")
     if cfg.scenario_text != "identity":
         raise UsageError("sweep builds its own scenarios; drop --scenario")
-    sweep = {**_SWEEP_DEFAULTS, **_given(args, config, _SWEEP_KEYS)}
-    param, lo, hi, column, trigger, floor = (sweep.get(key) for key in _SWEEP_KEYS)
+    param, lo, hi = (given.get(key) for key in ("param", "from", "to"))
+    column, trigger, floor = (given.get(key, default)
+                              for key, default in _SWEEP_DEFAULTS.items())
     if param not in ("s", "sprime"):
         raise UsageError("--param must be s (max_with) or sprime (conditional_max)")
     if not math.isfinite(floor):
@@ -437,7 +441,7 @@ def cmd_sweep(args):
     values = list(range(lo, hi + 1))
     if not values:
         raise UsageError(f"empty sweep range: from {lo} to {hi}")
-    configs = [cfg.bootstrap_config(derived_seed(cfg.seed, (index,)))
+    configs = [replace(boot, seed=derived_seed(boot.seed, (index,)))
                for index in range(len(values))]
 
     table = ingest(cfg.input, roles=cfg.roles)
@@ -458,7 +462,7 @@ def cmd_sweep(args):
         fracs.append(frac)
     try:
         family = estimates(
-            sample, xstars, cfg.kernel_spec(), BandwidthRule(constant=cfg.bandwidth_c),
+            sample, xstars, cfg.kernel, BandwidthRule(constant=cfg.bandwidth_c),
             cfg.grid_m,
         )
     except BandwidthTooSmallError as err:
@@ -491,13 +495,9 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_synth_data(args):
-    given = _given(args, read_config(args.config), ("n", "seed", "out_dir"))
-    out = Path(given.pop("out_dir", _OUT_DIR))
-    try:
-        synth = SynthConfig(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_synth_data(given):
+    synth = _build(SynthConfig, given)
+    out = Path(given.get("out_dir", _OUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
     write_table(synth_table(synth), path)
@@ -507,42 +507,6 @@ def cmd_synth_data(args):
 
 # --- argument wiring -----------------------------------------------------------
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-
-
-def _add_roles(parser):
-    parser.add_argument("--input", help="headered CSV input file")
-    parser.add_argument("--y1", help="first outcome column")
-    parser.add_argument("--y2", help="second outcome column")
-    parser.add_argument("--x", type=_csv_list, help="covariate columns, comma-separated")
-    parser.add_argument("--discrete", type=_csv_list,
-                        help="covariate columns matched exactly instead of smoothed")
-    parser.add_argument("--xstar", type=_csv_list,
-                        help="explicit counterfactual covariate columns")
-    parser.add_argument("--scenario", help='e.g. "max_with(cedu, 16)"')
-    parser.add_argument("--grid-m", dest="grid_m", type=int,
-                        help="copula grid resolution (default 100)")
-    parser.add_argument("--bandwidth-c", dest="bandwidth_c", type=float,
-                        help="bandwidth constant c in h = c * scale * n^(-1/3)")
-    parser.add_argument("--kernel", dest="kernel",
-                        choices=("epanechnikov", "gaussian_truncated", "higher_order"),
-                        help="kernel family (default epanechnikov)")
-    parser.add_argument("--kernel-order", dest="kernel_order", type=int,
-                        help="moment order for the higher_order family")
-
-
-def _add_bootstrap(parser):
-    parser.add_argument("--boot-b", dest="boot_b", type=int,
-                        help="bootstrap replicates (default 1000)")
-    parser.add_argument("--level", type=float, help="interval level (default 0.95)")
-    parser.add_argument("--recompute-weights", dest="recompute_weights",
-                        action="store_const", const=True,
-                        help="resample rows and rebuild kernel weights per replicate")
-
-
 def build_parser():
     parser = _Parser(
         prog="cfcopula",
@@ -550,49 +514,25 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p_est = sub.add_parser("estimate", help="point estimates and measures")
-    _add_common(p_est)
-    _add_roles(p_est)
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_boot = sub.add_parser("bootstrap", help="estimates plus bootstrap intervals")
-    _add_common(p_boot)
-    _add_roles(p_boot)
-    _add_bootstrap(p_boot)
-    p_boot.set_defaults(func=cmd_bootstrap)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo study")
-    _add_common(p_sim)
-    p_sim.add_argument("--sizes", type=_int_list, help="sample sizes, comma-separated")
-    p_sim.add_argument("--replications", type=int, help="Monte Carlo repetitions")
-    p_sim.add_argument("--boot-b", dest="boot_b", type=int,
-                       help="bootstrap replicates per repetition (0 skips)")
-    p_sim.add_argument("--level", type=float)
-    p_sim.add_argument("--grid-m", dest="grid_m", type=int)
-    p_sim.add_argument("--bandwidth-c", dest="bandwidth_c", type=float)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="scenario-family sweep table")
-    _add_common(p_sweep)
-    _add_roles(p_sweep)
-    _add_bootstrap(p_sweep)
-    p_sweep.add_argument("--param", choices=("s", "sprime"),
-                         help="s: max_with sweep; sprime: conditional_max sweep")
-    p_sweep.add_argument("--from", dest="from", type=int,
-                         help="first parameter value (inclusive)")
-    p_sweep.add_argument("--to", dest="to", type=int,
-                         help="last parameter value (inclusive)")
-    p_sweep.add_argument("--column", help="column the scenario raises (default cedu)")
-    p_sweep.add_argument("--trigger", help="trigger column for sprime (default pedu)")
-    p_sweep.add_argument("--floor", type=float,
-                         help="conditional_max floor (default 16)")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_synth = sub.add_parser("synth-data", help="write the synthetic dataset")
-    _add_common(p_synth)
-    p_synth.add_argument("--n", type=int, help="number of rows (default 3895)")
-    p_synth.set_defaults(func=cmd_synth_data)
+    for name, func, about in (
+        ("estimate", cmd_estimate, "point estimates and measures"),
+        ("bootstrap", cmd_bootstrap, "estimates plus bootstrap intervals"),
+        ("simulate", cmd_simulate, "Monte Carlo study"),
+        ("sweep", cmd_sweep, "scenario-family sweep table"),
+        ("synth-data", cmd_synth_data, "write the synthetic dataset"),
+    ):
+        command = sub.add_parser(name, help=about)
+        command.add_argument("--config", help="flat key=value config file")
+        for key in _FLAGS[name]:
+            read, text = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if read is _bool:
+                # the flag can only switch it on
+                command.add_argument(flag, dest=key, action="store_const", const=True,
+                                     help=text)
+            else:
+                command.add_argument(flag, dest=key, type=read, help=text)
+        command.set_defaults(func=func, keys=_FLAGS[name] + _CONFIG_ONLY.get(name, ()))
     return parser
 
 
@@ -606,15 +546,12 @@ def main(argv=None):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                return args.func(args)
+                return args.func(_given(args, read_config(args.config), args.keys))
             finally:
                 for warning in caught:
                     print(f"warning: {warning.category.__name__}: {warning.message}",
                           file=sys.stderr)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
+    except (UsageError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:

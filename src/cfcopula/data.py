@@ -107,6 +107,9 @@ def ingest(path, roles=None):
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         header = [name.strip() for name in header]
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise DataError(f"column {name!r} appears twice in the header of {path}")
         if roles is not None:
             missing = [c for c in roles.required_columns() if c not in header]
             if missing:

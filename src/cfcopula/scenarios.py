@@ -109,15 +109,9 @@ def parse_scenario(text):
             raise ScenarioError(f"cannot parse scenario term {piece!r}")
         name, body = match.group(1), match.group(2)
         args = _split_args(body)
-        if name == "set_constant":
+        if name in ("set_constant", "max_with"):
             if len(args) != 2:
-                raise ScenarioError(f"set_constant takes (column, value): {piece!r}")
-            transforms.append(
-                Transform(kind=name, column=args[0], value=_parse_number(args[1], piece))
-            )
-        elif name == "max_with":
-            if len(args) != 2:
-                raise ScenarioError(f"max_with takes (column, value): {piece!r}")
+                raise ScenarioError(f"{name} takes (column, value): {piece!r}")
             transforms.append(
                 Transform(kind=name, column=args[0], value=_parse_number(args[1], piece))
             )

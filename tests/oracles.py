@@ -98,7 +98,8 @@ def estimate_under(sample, w, m, kernel=None, rule=None):
     bootstrap can run on it.
     """
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
-    return _finish(sample, kernel or KernelSpec(), rule, None, w, m, plan=plan)
+    ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
+    return _finish(sample, kernel or KernelSpec(), rule, None, w, m, plan, ranks)
 
 
 def counterfactual_copula(sample, w, m=100):

@@ -182,8 +182,6 @@ def test_run_bootstrap_targets_and_interval_shape():
         assert run.replicates.shape == (40,)
         assert run.lo <= run.point <= run.hi  # symmetric around the point
         assert run.q >= 0
-    lo, hi = result.interval("actual", "tau")
-    assert (lo, hi) == (result[("actual", "tau")].lo, result[("actual", "tau")].hi)
 
 
 def test_run_bootstrap_is_deterministic_given_seed():
@@ -205,10 +203,10 @@ def test_run_bootstrap_is_deterministic_given_seed():
 def test_effect_replicates_are_coupled_differences():
     sample = _sample(40, 7)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    res = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=15, seed=3))
+    runs = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=15, seed=3)).runs
     np.testing.assert_allclose(
-        res[("effect", "tau")].replicates,
-        res[("counterfactual", "tau")].replicates - res[("actual", "tau")].replicates,
+        runs[("effect", "tau")].replicates,
+        runs[("counterfactual", "tau")].replicates - runs[("actual", "tau")].replicates,
         atol=1e-12,
     )
 
@@ -221,10 +219,10 @@ def test_recompute_weights_mode_reruns_kernel_per_replicate():
     redone = run_bootstrap(est, BootstrapConfig(B=12, seed=9, recompute_weights=True))
     assert all(np.all(np.isfinite(r.replicates)) for r in redone.runs.values())
     key = ("counterfactual", "tau")
-    assert not np.array_equal(fixed[key].replicates, redone[key].replicates)
+    assert not np.array_equal(fixed.runs[key].replicates, redone.runs[key].replicates)
     # both modes share the multinomial stream, so the actual side agrees
     # whenever a replicate needs no redraw
-    assert fixed[("actual", "tau")].point == redone[("actual", "tau")].point
+    assert fixed.runs[("actual", "tau")].point == redone.runs[("actual", "tau")].point
 
 
 def test_bootstrap_replicate_single_draw():
@@ -651,9 +649,8 @@ def test_a_one_core_run_starts_no_process():
 def test_covers_helper():
     sample = _sample(35, 12)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    run = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=10, seed=1))[
-        ("actual", "tau")
-    ]
+    result = run_bootstrap(estimate_under(sample, w, 10), BootstrapConfig(B=10, seed=1))
+    run = result.runs[("actual", "tau")]
     assert run.covers(run.point)
     assert not run.covers(run.hi + 1.0)
 

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv) in process."""
 
+import argparse
 import csv
 import dataclasses
 import os
@@ -198,14 +199,14 @@ class _Built(Exception):
 _RUN_OPTIONS = [
     ("grid_m", "grid_m", "10", 10, ["--grid-m", "20"], 20),
     ("bandwidth_c", "bandwidth_c", "2.5", 2.5, ["--bandwidth-c", "3.5"], 3.5),
-    ("kernel", "kernel", "higher_order", "higher_order",
+    ("kernel", "family", "higher_order", "higher_order",
      ["--kernel", "gaussian_truncated"], "gaussian_truncated"),
-    ("kernel_order", "kernel_order", "4", 4, ["--kernel-order", "2"], 2),
-    ("seed", "seed", "3", 3, ["--seed", "4"], 4),
+    ("kernel_order", "order", "4", 4, ["--kernel-order", "2"], 2),
 ]
 _BOOT_OPTIONS = [
-    ("boot_b", "boot_b", "30", 30, ["--boot-b", "40"], 40),
+    ("boot_b", "B", "30", 30, ["--boot-b", "40"], 40),
     ("level", "level", "0.9", 0.9, ["--level", "0.8"], 0.8),
+    ("seed", "seed", "3", 3, ["--seed", "4"], 4),
     # the flag can only switch it on
     ("recompute_weights", "recompute_weights", "yes", True,
      ["--recompute-weights"], True),
@@ -230,31 +231,24 @@ _SYNTH_OPTIONS = [
     ("n", "n", "100", 100, ["--n", "200"], 200),
     ("seed", "seed", "3", 3, ["--seed", "4"], 4),
 ]
-# command: (configuration class, the call that stops it, arguments, options)
+# command: (the call that stops it, arguments, options)
 _COMMANDS = {
-    "estimate": ("RunConfig", "ingest", ["--scenario", "identity"], _RUN_OPTIONS),
-    "bootstrap": ("RunConfig", "ingest", ["--scenario", "identity"],
-                  _RUN_OPTIONS + _BOOT_OPTIONS),
-    "sweep": ("RunConfig", "apply_scenario",
-              ["--param", "sprime", "--from", "8", "--to", "9"],
+    "estimate": ("ingest", ["--scenario", "identity"], _RUN_OPTIONS),
+    "bootstrap": ("ingest", ["--scenario", "identity"], _RUN_OPTIONS + _BOOT_OPTIONS),
+    "sweep": ("apply_scenario", ["--param", "sprime", "--from", "8", "--to", "9"],
               _RUN_OPTIONS + _BOOT_OPTIONS + _SWEEP_OPTIONS),
-    "simulate": ("SimStudyConfig", "run_study", [], _STUDY_OPTIONS),
-    "synth-data": ("SynthConfig", "synth_table", [], _SYNTH_OPTIONS),
+    "simulate": ("run_study", [], _STUDY_OPTIONS),
+    "synth-data": ("synth_table", [], _SYNTH_OPTIONS),
 }
 
 
-@pytest.mark.parametrize("command", list(_COMMANDS))
-def test_an_option_is_its_flag_else_its_config_value_else_its_default(
-        command, synth_600, tmp_path, monkeypatch):
-    name, stop, argv, options = _COMMANDS[command]
-    if name == "RunConfig":
+def _stopped_run(command, synth_600, monkeypatch):
+    """The arguments ``command`` needs, and a function that runs it with the
+    given arguments up to the call that stops it and returns every
+    configuration and ``Transform`` it built."""
+    stop, argv, _ = _COMMANDS[command]
+    if stop in ("ingest", "apply_scenario"):
         argv = ["--input", str(synth_600), *argv]
-    cls = getattr(cli, name)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    if command == "sweep":
-        # the sweep's scenario options have no configuration class
-        defaults.update(column="cedu", trigger="pedu", floor=16.0)
-
     seen = []
 
     def recording(real):
@@ -266,31 +260,100 @@ def test_an_option_is_its_flag_else_its_config_value_else_its_default(
     def stopping(*args, **kwargs):
         raise _Built
 
-    monkeypatch.setattr(cli, name, recording(cls))
+    monkeypatch.setattr(cli, "_build", recording(cli._build))
     monkeypatch.setattr(cli, "Transform", recording(Transform))
     monkeypatch.setattr(cli, stop, stopping)
 
-    def built(*extra):
+    def run(*args):
         seen.clear()
         with pytest.raises(_Built):
-            main([command, *argv, *extra, "--out-dir", str(tmp_path / "out")])
-        return {f.name: getattr(obj, f.name)
-                for obj in seen for f in dataclasses.fields(obj)}
+            main([command, *args])
+        return list(seen)
 
-    got = built()
+    return run, argv
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_an_option_is_its_flag_else_its_config_value_else_its_default(
+        command, synth_600, tmp_path, monkeypatch):
+    options = _COMMANDS[command][2]
+    run, argv = _stopped_run(command, synth_600, monkeypatch)
+
+    def built(*extra):
+        objs = run(*argv, *extra, "--out-dir", str(tmp_path / "out"))
+        return {f.name: getattr(obj, f.name)
+                for obj in objs for f in dataclasses.fields(obj)}, objs
+
+    got, objs = built()
+    # the defaults are those of the classes the command builds
+    defaults = {f.name: f.default for obj in objs for f in dataclasses.fields(obj)}
+    if command == "sweep":
+        # the sweep's scenario options have no configuration class
+        defaults.update(column="cedu", trigger="pedu", floor=16.0)
     for _, field, _, _, _, _ in options:
         assert got[field] == defaults[field], field
     config = tmp_path / "options.cfg"
     config.write_text("".join(f"{key} = {text}\n" for key, _, text, *_ in options),
                       encoding="utf-8")
-    got = built("--config", str(config))
+    got, _ = built("--config", str(config))
     for _, field, _, value, _, _ in options:
         assert value != defaults[field], field
         assert got[field] == value, field
     flags = [arg for *_, flag, _ in options for arg in flag]
-    got = built("--config", str(config), *flags)
+    got, _ = built("--config", str(config), *flags)
     for _, field, _, _, _, value in options:
         assert got[field] == value, field
+
+
+def _flag_keys(command):
+    """The option keys ``command`` has a flag for, read off its parser."""
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in commands.choices[command]._actions} - {
+        "help", "config"}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_reads_the_config_keys_it_has_flags_for(command, synth_600,
+                                                          tmp_path, monkeypatch, capsys):
+    run, argv = _stopped_run(command, synth_600, monkeypatch)
+    flags = _flag_keys(command)
+    assert flags <= set(cli._OPTIONS)
+    # every key whose reader can fail; "," is no int, float, boolean or list
+    for key in [key for key, (read, _) in cli._OPTIONS.items() if read is not str]:
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = ,\n", encoding="utf-8")
+        args = [*argv, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        flag = "--" + key.replace("_", "-")
+        if flag in args:
+            # a flag wins over its config value, so leave it out
+            del args[args.index(flag):args.index(flag) + 2]
+        if key in flags or (command, key) == ("simulate", "recompute_weights"):
+            assert main([command, *args]) == 1, key
+            assert capsys.readouterr().err.startswith(f"error: config key {key}=','"), key
+        else:
+            # a key the command has no flag for is never read
+            run(*args)
+
+
+def test_estimate_ignores_the_bootstrap_options_of_a_shared_config(dataset, tmp_path,
+                                                                   capsys):
+    path, _ = dataset
+    argv = ["estimate", *_roles_args(path), "--xstar", "xs", "--grid-m", "20"]
+    assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+    config = tmp_path / "shared.cfg"
+    config.write_text("boot_b = 1\nlevel = 2\nseed = -1\n", encoding="utf-8")
+    assert main(argv + ["--config", str(config),
+                        "--out-dir", str(tmp_path / "shared")]) == 0
+    for name in ("grid_actual.csv", "grid_counterfactual.csv", "measures.csv",
+                 "diagnostics.csv", "summary.txt"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "shared" / name).read_bytes()), name
+    capsys.readouterr()
+    # estimate draws nothing at random, so it has no seed
+    assert main(argv + ["--seed", "3", "--out-dir", str(tmp_path / "seeded")]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "seeded").exists()
 
 
 def test_simulate_config_can_freeze_the_weights(tmp_path, monkeypatch):
@@ -634,6 +697,13 @@ def test_data_errors_exit_two(tmp_path, capsys):
                  "--y2", "spend", "--x", "x", "--xstar", "xs",
                  "--out-dir", str(tmp_path)]) == 2
     assert "(row 2, wage)" in capsys.readouterr().err
+
+    twice = tmp_path / "twice.csv"
+    twice.write_text("wage,spend,x,xs,x\n1,2,3,4,5\n6,7,8,9,1\n", encoding="utf-8")
+    assert main(["estimate", "--input", str(twice), "--y1", "wage",
+                 "--y2", "spend", "--x", "x", "--xstar", "xs",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "column 'x' appears twice in the header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("constant", ["nan", "inf"])

@@ -69,6 +69,12 @@ def test_ingest_missing_required_column(tmp_path):
         ingest(path, roles=roles)
 
 
+def test_ingest_rejects_a_repeated_column_name(tmp_path):
+    path = _write(tmp_path, "a,b, a\n1,2,3\n4,5,6\n")
+    with pytest.raises(DataError, match="column 'a' appears twice in the header"):
+        ingest(path)
+
+
 def test_ingest_needs_two_rows(tmp_path):
     path = _write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(DataError, match="at least 2"):
