@@ -37,7 +37,7 @@ from .data import (
     ingest,
     synth_table,
 )
-from .kernels import BandwidthRule, KernelSpec, bandwidth
+from .kernels import KernelSpec, bandwidth
 from .scenarios import ScenarioSpec, Transform, apply_scenario, parse_scenario
 from .simulation import (
     SimReport,

@@ -1,14 +1,15 @@
 """The estimator and its multinomial bootstrap.
 
 ``estimates`` runs the estimator for every value of a scenario family:
-the bandwidth rule at the covariate scale of the sample gives h, one
+the bandwidth at the covariate scale of the sample gives h, one
 kernel pass gives the kernel-ratio weights of all values, and each value
 gets the atom histograms of the actual and counterfactual copulas, their
 grids and association measures, and the policy effect.  ``estimate`` is
 ``estimates`` with the sample's own xstar as the one value.
 ``run_bootstrap(est, config)`` takes the point reports, weights, kernel,
-rule, grid size and margin ranks from the ``Estimate``, so the point
-estimate and every replicate share one bandwidth rule and one ranking.
+bandwidth constant, grid size and margin ranks from the ``Estimate``, so
+the point estimate and every replicate share one bandwidth constant and
+one ranking.
 
 Each replicate draws multinomial counts M with equal cell probabilities and
 multiplies them into the estimators: the actual-copula replicate weights
@@ -19,7 +20,7 @@ where the counts sum to n by construction), so every replicate is a
 copula at (1, 1) just like the point estimate.  A replicate takes its
 measures from its two atom histograms and builds no grid.  Kernel weights
 W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
-them for every resample, with the bandwidth rule at the covariate scale of
+them for every resample, with the bandwidth at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on the estimate's kernel plan with the counts as
 multiplicities, and folded back onto the original rows.  Both modes place
@@ -67,8 +68,7 @@ from .copula import (
     margin_ranks,
     weighted_rank_atoms,
 )
-from .kernels import BandwidthRule, KernelSpec, scale_from_sample
-from .kernels import bandwidth as _bandwidth
+from .kernels import KernelSpec, bandwidth
 
 TARGETS = ("actual", "counterfactual", "effect")
 MEASURES = association.MEASURES
@@ -177,25 +177,24 @@ def _draw(n, rng, attempt):
 
 
 def _resamples(est, counts):
-    """Rows (R, n), covariate scales and bandwidths (R, d), and distinct
-    source and target multiplicities of the R resamples with these counts.
+    """Rows (R, n), bandwidths (R, d), and distinct source and target
+    multiplicities of the R resamples with these counts.
 
-    The bandwidth is the estimate's rule at the covariate scale of the
-    resampled rows, as the point bandwidth is the rule at that of the sample.
+    The bandwidth is the estimate's constant at the covariate scale of the
+    resampled rows, as the point bandwidth is at that of the sample.
     """
-    plan, sample, rule = est.plan, est.sample, est.rule
+    plan, sample = est.plan, est.sample
     R, n = len(counts), sample.n
     flat = np.concatenate(counts)
     rows = np.repeat(np.tile(np.arange(n), R), flat).reshape(R, n)
-    scale = np.where(sample.discrete_mask, 1.0, sample.x[rows].std(axis=1, ddof=1))
-    h = rule.constant * scale * float(n) ** rule.exponent
+    h = bandwidth(est.bandwidth_c, sample.x[rows], sample.discrete_mask)
     offsets = np.arange(R)[:, None]
     S, T = plan.src.shape[0], plan.tgt.shape[0]
     src = np.bincount((plan.src_inv + S * offsets).ravel(), weights=flat,
                       minlength=R * S).reshape(R, S)
     tgt = np.bincount((plan.tgt_inv + T * offsets).ravel(), weights=flat,
                       minlength=R * T).reshape(R, T)
-    return rows, scale, h, src, tgt
+    return rows, h, src, tgt
 
 
 def _recompute(est, counts, rngs, redraws, v):
@@ -206,15 +205,15 @@ def _recompute(est, counts, rngs, redraws, v):
     folded back: row i gets the summed weight of its copies, bitwise the
     weights of the resampled rows folded the same way.  A resample leaving a
     row without a donor is redrawn from its own generator into ``counts[j]``
-    and ``v[j, 0]``.  Returns the replicates done and the first error or None.
+    and ``v[j, 0]``.  A resample leaving a smoothed covariate constant
+    fails in ``kernel_weights``.  Returns the replicates done and the first
+    error or None.
     """
     plan, n = est.plan, est.sample.n
-    pieces = rows, scale, h, src, tgt = _resamples(est, counts)
+    pieces = rows, h, src, tgt = _resamples(est, counts)
     for j in range(len(counts)):
         try:
             while True:
-                if (scale[j] <= 0).any():
-                    _bandwidth(replace(est.rule, scale=scale[j]), n)
                 try:
                     w = kernel_weights(plan, est.kernel, h[j], src[j],
                                        tgt[j][:, None])[:, 0]
@@ -409,7 +408,7 @@ def run_bootstrap(est, config):
     pair.  The whole run is a pure function of (est, config).  Under
     ``config.recompute_weights`` each replicate rebuilds its weights on the
     estimate's kernel plan with the estimate's kernel, and its bandwidth
-    from the estimate's rule at the covariate scale of the resample.
+    from the estimate's constant at the covariate scale of the resample.
     """
     return run_bootstraps([(est, config)])[0]
 
@@ -466,17 +465,17 @@ def _target_keys():
 class Estimate:
     """One pass of the estimator over a sample.
 
-    ``rule`` holds the covariate scale of the sample and ``h`` is its
-    bandwidth.  ``w`` holds the kernel-ratio weights of the sample's rows,
-    which sum to n.  ``ranks`` holds the ``MarginRanks`` of y1 and y2, and
-    ``plan`` the ``KernelPlan`` of the weights, which recompute-weights
-    replicates evaluate again.  ``grids`` (actual, counterfactual) and
+    ``h`` is the bandwidth of constant ``bandwidth_c`` at the covariate
+    scale of the sample.  ``w`` holds the kernel-ratio weights of the
+    sample's rows, which sum to n.  ``ranks`` holds the ``MarginRanks`` of
+    y1 and y2, and ``plan`` the ``KernelPlan`` of the weights, which
+    recompute-weights replicates evaluate again.  ``grids`` (actual, counterfactual) and
     ``reports`` (actual, counterfactual, effect) are keyed by target.
     """
 
     sample: ObservationSample
     kernel: KernelSpec
-    rule: BandwidthRule
+    bandwidth_c: float
     h: np.ndarray
     w: np.ndarray
     ranks: tuple
@@ -485,7 +484,7 @@ class Estimate:
     plan: KernelPlan
 
 
-def _finish(sample, kernel, rule, h, w, m, plan, ranks):
+def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
 
     Each copula's grid and measures come from one atom histogram, as a
@@ -500,22 +499,23 @@ def _finish(sample, kernel, rule, h, w, m, plan, ranks):
     reports["effect"] = association.policy_effect(
         reports["counterfactual"], reports["actual"]
     )
-    return Estimate(sample=sample, kernel=kernel, rule=rule, h=h, w=w,
+    return Estimate(sample=sample, kernel=kernel, bandwidth_c=bandwidth_c, h=h, w=w,
                     ranks=ranks, grids=grids, reports=reports, plan=plan)
 
 
-def estimate(sample, kernel, rule, m):
+def estimate(sample, kernel, bandwidth_c, m):
     """Weights, copula grids on the m-grid, measures and policy effect.
 
-    The bandwidth is ``rule`` at ``scale_from_sample(sample.x,
-    sample.discrete_mask)``: one per coordinate, the sample standard
-    deviation of a smoothed coordinate and 1 at a discrete one.  This is
-    ``estimates`` with the sample's own xstar as its one value.
+    The bandwidth is ``kernels.bandwidth(bandwidth_c, sample.x,
+    sample.discrete_mask)``: one per coordinate, ``bandwidth_c`` times the
+    sample standard deviation of a smoothed coordinate (1 at a discrete
+    one) times n**(-1/3).  This is ``estimates`` with the sample's own
+    xstar as its one value.
     """
-    return next(estimates(sample, sample.xstar[None], kernel, rule, m))
+    return next(estimates(sample, sample.xstar[None], kernel, bandwidth_c, m))
 
 
-def estimates(sample, xstars, kernel, rule, m):
+def estimates(sample, xstars, kernel, bandwidth_c, m):
     """The ``estimate`` of ``sample`` with its xstar replaced by each of ``xstars``.
 
     ``xstars`` has shape (V, n, d), one manipulation of the covariates per
@@ -534,11 +534,12 @@ def estimates(sample, xstars, kernel, rule, m):
         If some value leaves a row without a donor; its ``columns`` are
         rows of the xstar of the first such value, and its ``value`` is
         that value's index.
+    DegenerateCovariateError
+        If a smoothed covariate of the sample is constant.
     ValueError
         If some weight of some value is not finite.
     """
-    rule = replace(rule, scale=scale_from_sample(sample.x, sample.discrete_mask))
-    h = _bandwidth(rule, sample.n)
+    h = bandwidth(bandwidth_c, sample.x, sample.discrete_mask)
     V, n = xstars.shape[0], sample.n
     plan = kernel_plan(sample.x, xstars.reshape(V * n, -1), sample.discrete_mask)
     t = plan.tgt.shape[0]
@@ -559,7 +560,7 @@ def estimates(sample, xstars, kernel, rule, m):
         raise ValueError("weights must be finite")
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
     return (
-        _finish(replace(sample, xstar=xstars[v]), kernel, rule, h,
+        _finish(replace(sample, xstar=xstars[v]), kernel, bandwidth_c, h,
                 w[plan.src_inv, v], m,
                 replace(plan, tgt_inv=plan.tgt_inv[v * n:(v + 1) * n]), ranks)
         for v in range(V)

@@ -55,7 +55,7 @@ from .data import (
     write_grid_csv,
     write_table,
 )
-from .kernels import BandwidthRule, DegenerateCovariateError, KernelSpec, validate_order
+from .kernels import DegenerateCovariateError, KernelSpec, validate_order
 from .scenarios import ScenarioError, ScenarioSpec, Transform, apply_scenario, parse_scenario
 from .simulation import SimStudyConfig, run_study
 
@@ -150,11 +150,12 @@ _KERNEL_FIELDS = {"kernel": "family", "kernel_order": "order"}
 
 
 def read_config(path):
-    """Parse a flat key=value file into a string dict; unknown keys fail.
+    """Parse a flat key=value file into a string dict; unknown and
+    repeated keys fail.
 
     No path gives an empty dict.
     """
-    entries = {}
+    entries, first_line = {}, {}
     if not path:
         return entries
     try:
@@ -171,6 +172,10 @@ def read_config(path):
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} repeats "
+                             f"line {first_line[key]}")
+        first_line[key] = lineno
         entries[key] = value.strip()
     return entries
 
@@ -269,13 +274,7 @@ def _estimate(cfg, table):
         changed = np.any(sample.xstar != sample.x, axis=1)
         frac = float(changed.mean())
         label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
-    return label, frac, estimate(
-        sample, cfg.kernel, BandwidthRule(constant=cfg.bandwidth_c), cfg.grid_m
-    )
-
-
-def _order_check(est):
-    return validate_order(est.kernel, int((~est.sample.discrete_mask).sum()))
+    return label, frac, estimate(sample, cfg.kernel, cfg.bandwidth_c, cfg.grid_m)
 
 
 def _write_measures(path, est, intervals=None):
@@ -295,7 +294,7 @@ def _write_measures(path, est, intervals=None):
                 writer.writerow(row)
 
 
-def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
+def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_warning,
                        extra=None):
     w = est.w
     rows = [
@@ -313,7 +312,7 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
         ("negative_count", int((w < 0).sum())),
         ("support_violations", support_rows.size),
         ("support_rows", ";".join(str(r) for r in support_rows[:50])),
-        ("kernel_order_check", "pass" if order_check.passed else "warn"),
+        ("kernel_order_check", "pass" if order_warning is None else "warn"),
     ]
     if extra:
         rows.extend(extra)
@@ -323,7 +322,7 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_check,
         writer.writerows(rows)
 
 
-def _summary_lines(cfg, label, frac, est, support_rows, order_check, intervals=None,
+def _summary_lines(cfg, label, frac, est, support_rows, order_warning, intervals=None,
                    boot_note=None):
     w = est.w
     lines = [
@@ -348,8 +347,8 @@ def _summary_lines(cfg, label, frac, est, support_rows, order_check, intervals=N
             f"warning: {support_rows.size} manipulated rows fall outside "
             f"the sampled covariate box (rows {shown}{more}); weights extrapolate"
         )
-    if not order_check.passed:
-        lines.append(f"warning: {order_check.message}")
+    if order_warning is not None:
+        lines.append(f"warning: {order_warning}")
     if boot_note:
         lines.append(boot_note)
     lines.append("")
@@ -371,10 +370,11 @@ def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
     write_grid_csv(est.grids["actual"], out / "grid_actual.csv")
     write_grid_csv(est.grids["counterfactual"], out / "grid_counterfactual.csv")
     _write_measures(out / "measures.csv", est, intervals=intervals)
-    support_rows, order_check = support_violations(est.sample), _order_check(est)
+    support_rows = support_violations(est.sample)
+    order_warning = validate_order(est.kernel, int((~est.sample.discrete_mask).sum()))
     _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, support_rows,
-                       order_check, extra=extra_diag)
-    summary = "\n".join(_summary_lines(cfg, label, frac, est, support_rows, order_check,
+                       order_warning, extra=extra_diag)
+    summary = "\n".join(_summary_lines(cfg, label, frac, est, support_rows, order_warning,
                                        intervals, boot_note)) + "\n"
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     return summary
@@ -461,10 +461,7 @@ def cmd_sweep(given):
         xstars[index] = sample.xstar
         fracs.append(frac)
     try:
-        family = estimates(
-            sample, xstars, cfg.kernel, BandwidthRule(constant=cfg.bandwidth_c),
-            cfg.grid_m,
-        )
+        family = estimates(sample, xstars, cfg.kernel, cfg.bandwidth_c, cfg.grid_m)
     except BandwidthTooSmallError as err:
         raise BandwidthTooSmallError(
             err.columns, err.h, where=f"{param}={values[err.value]}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_1d
+from .kernels import DegenerateCovariateError, kernel_1d
 
 # slack for float dust on cumulative sums of weights
 _EPS = 1e-9
@@ -295,6 +295,9 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK):
 
     Raises
     ------
+    DegenerateCovariateError
+        If the bandwidth of some continuous coordinate is zero, as the
+        bandwidth rule makes it at a covariate without variation.
     ValueError
         If the bandwidth of some continuous coordinate is not positive and
         finite.
@@ -308,9 +311,13 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK):
              else hvec.repeat(plan.src.shape[1])).tolist()
     # written so that a NaN bandwidth (h=None reads as NaN) fails as well
     if not all(0.0 < hc < math.inf for hc in hcont):
-        raise ValueError(
-            "bandwidth must be positive and finite for continuous coordinates"
-        )
+        message = "bandwidth must be positive and finite for continuous coordinates"
+        if 0.0 in hcont:
+            # the bandwidth rule gives zero exactly at a constant covariate
+            raise DegenerateCovariateError(
+                f"{message}, got h={h}: a smoothed covariate is constant "
+                "(degenerate covariate)")
+        raise ValueError(message)
 
     # one row of weights per column of tgt_counts, transposed on return
     w = np.zeros((tgt_counts.shape[1], plan.src.shape[0]))

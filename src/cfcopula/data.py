@@ -63,10 +63,12 @@ class Table:
 class ColumnRoles:
     """Which columns play which role when assembling an ObservationSample.
 
-    ``discrete`` must be a subset of ``x``; those coordinates are matched
-    exactly by the kernel weights instead of smoothed.  ``xstar`` names
-    explicit counterfactual columns, one per entry of ``x`` and in the same
-    order; leave it empty when a scenario produces the manipulation instead.
+    ``x`` names each covariate column once: a repeated column would square
+    its kernel.  ``discrete`` must be a subset of ``x``; those coordinates
+    are matched exactly by the kernel weights instead of smoothed.
+    ``xstar`` names explicit counterfactual columns, one per entry of ``x``
+    and in the same order; leave it empty when a scenario produces the
+    manipulation instead.
     """
 
     y1: str
@@ -76,6 +78,9 @@ class ColumnRoles:
     xstar: tuple = ()
 
     def __post_init__(self):
+        for j, name in enumerate(self.x):
+            if name in self.x[:j]:
+                raise DataError(f"covariate column {name!r} appears twice in x")
         extra = [c for c in self.discrete if c not in self.x]
         if extra:
             raise DataError(f"discrete columns {extra} are not covariate columns")

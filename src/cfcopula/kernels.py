@@ -1,4 +1,4 @@
-"""Kernel functions, product kernels and bandwidth rules for weight construction.
+"""Kernel functions, product kernels and the bandwidth rule for weight construction.
 
 All kernels are symmetric, integrate to one and vanish outside [-1, 1] in
 each coordinate.  Multivariate evaluation is the product of one-dimensional
@@ -24,7 +24,7 @@ _PHI_NORM = math.erf(1.0 / math.sqrt(2.0))
 
 
 class DegenerateCovariateError(ValueError):
-    """A covariate has zero sample variation, so no bandwidth can be formed."""
+    """A smoothed covariate has zero sample variation, so its bandwidth is zero."""
 
 
 def _epanechnikov_even_moment(p):
@@ -121,73 +121,38 @@ def kernel_1d(spec, u, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class BandwidthRule:
-    """Bandwidth of the form ``constant * scale * n**exponent``.
+# the bandwidth's rate in n, h = c * sd * n**EXPONENT
+EXPONENT = -1.0 / 3.0
 
-    ``scale`` is the per-coordinate sample standard deviation; a vector scale
-    yields one bandwidth per coordinate (equivalent to standardizing every
-    coordinate and sharing a single bandwidth).
+
+def bandwidth(constant, x, discrete_mask):
+    """Bandwidths ``constant * sd * n**EXPONENT`` of the covariates ``x``.
+
+    ``x`` has shape (n, d), or (R, n, d) for R resamples of n rows each;
+    sd is the sample standard deviation (ddof=1) of each coordinate over
+    the rows, and 1 at a discrete coordinate, which is matched exactly
+    rather than smoothed.  Returns one bandwidth per coordinate, shape (d,)
+    or (R, d).  A constant smoothed covariate gets bandwidth zero, which
+    ``copula.kernel_weights`` rejects as a ``DegenerateCovariateError``.
     """
-
-    constant: float = 5.5
-    exponent: float = -1.0 / 3.0
-    scale: float | np.ndarray = 1.0
-
-
-def bandwidth(rule, n):
-    """Bandwidth(s) for a sample of size ``n`` under ``rule``.
-
-    Returns a scalar for scalar scale, else one bandwidth per coordinate.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2 to form a bandwidth, got n={n}")
-    if not (rule.constant > 0 and math.isfinite(rule.constant)):
+    if not (constant > 0 and math.isfinite(constant)):
         raise ValueError("bandwidth constant must be positive and finite")
-    scale = np.asarray(rule.scale, dtype=float)
-    if np.any(scale <= 0):
-        raise DegenerateCovariateError(
-            "covariate standard deviation must be positive; got "
-            f"scale={rule.scale!r} (degenerate covariate)"
-        )
-    h = rule.constant * scale * float(n) ** rule.exponent
-    return float(h) if h.ndim == 0 else h
-
-
-def scale_from_sample(x, discrete_mask=None):
-    """Per-coordinate sample standard deviations, with 1.0 at discrete coordinates.
-
-    Discrete coordinates are matched exactly rather than smoothed, so their
-    scale never enters a kernel argument.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    s = x.std(axis=0, ddof=1)
-    if discrete_mask is not None:
-        s = np.where(np.asarray(discrete_mask, dtype=bool), 1.0, s)
-    return s
-
-
-@dataclass(frozen=True)
-class OrderCheck:
-    passed: bool
-    message: str
-
-    def __bool__(self):
-        return self.passed
+    sd = np.where(discrete_mask, 1.0, x.std(axis=-2, ddof=1))
+    return constant * sd * float(x.shape[-2]) ** EXPONENT
 
 
 def validate_order(spec, d):
-    """Check that the kernel order exceeds the continuous covariate dimension.
+    """The warning that the kernel order does not exceed the continuous
+    covariate dimension, or None when it does.
 
-    This is the condition under which undersmoothing and uniform convergence
-    rates can hold simultaneously; it is a diagnostic, not a computational
-    precondition.
+    Exceeding it is the condition under which undersmoothing and uniform
+    convergence rates can hold simultaneously; it is a diagnostic, not a
+    computational precondition.
     """
     if spec.order > d:
-        return OrderCheck(True, f"kernel order {spec.order} > covariate dimension {d}")
-    return OrderCheck(
-        False,
+        return None
+    return (
         f"kernel order {spec.order} must exceed covariate dimension {d}; "
         "increase the kernel order (higher_order family) or reduce the "
-        "number of smoothed covariates",
+        "number of smoothed covariates"
     )

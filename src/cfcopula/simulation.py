@@ -39,7 +39,7 @@ from .bootstrap import (
     run_bootstrap,
 )
 from .copula import CopulaGrid, ObservationSample, empirical_copula
-from .kernels import BandwidthRule, KernelSpec
+from .kernels import EXPONENT, KernelSpec
 
 R_ACTUAL = math.sqrt(65.0) / 13.0
 R_COUNTERFACTUAL = math.sqrt(2.0) / 10.0
@@ -250,7 +250,7 @@ class SimReport:
             f"m={cfg.m}",
             f"kernel={_KERNEL.family}:{_KERNEL.order}",
             f"bandwidth_constant={cfg.bandwidth_constant}",
-            f"bandwidth_exponent={BandwidthRule().exponent!r}",
+            f"bandwidth_exponent={EXPONENT!r}",
             f"recompute_weights={cfg.recompute_weights}",
         ]
         with open(path, "w", encoding="utf-8") as fh:
@@ -272,10 +272,7 @@ def _replication(config, truths, truth_grids, size_index, rep):
     n = config.sizes[size_index]
     rng = np.random.default_rng(_replication_seed(config.seed, n, rep))
     draw = dgp_draw(n, rng)
-    point = estimate(
-        draw.sample, _KERNEL, BandwidthRule(constant=config.bandwidth_constant),
-        config.m,
-    )
+    point = estimate(draw.sample, _KERNEL, config.bandwidth_constant, config.m)
     grids = {
         "empirical": point.grids["actual"],
         "proposed": point.grids["counterfactual"],

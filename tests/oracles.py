@@ -1,7 +1,7 @@
 """Reference code the tests check the package against.
 
-These are the textbook forms the estimator replaces: kernel-ratio weights
-of a sample against its own manipulation, a kernel plan's weights with
+These are the textbook forms the estimator replaces: the bandwidth rule,
+kernel-ratio weights of a sample against its own manipulation, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
 sums over them, the measures of an atom histogram set up per call and of
@@ -12,7 +12,7 @@ the bootstrap replicates one at a time.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from cfcopula.copula import (
     kernel_weights,
     margin_ranks,
 )
-from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d, scale_from_sample
+from cfcopula.kernels import KernelSpec, kernel_1d
 
 
 def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
@@ -91,7 +91,15 @@ def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK,
     return w.T
 
 
-def estimate_under(sample, w, m, kernel=None, rule=None):
+def bandwidth_rule(constant, x, discrete_mask):
+    """h = constant * sd * n**(-1/3) for the rows of ``x``, shape (n, d):
+    sd is each coordinate's sample standard deviation (ddof=1), and 1 at a
+    discrete coordinate."""
+    sd = np.where(discrete_mask, 1.0, np.std(x, axis=0, ddof=1))
+    return constant * sd * float(x.shape[0]) ** (-1.0 / 3.0)
+
+
+def estimate_under(sample, w, m, kernel=None, bandwidth_c=None):
     """The ``Estimate`` of ``sample`` under the given weights, no bandwidth.
 
     It carries the kernel plan of the sample, so a recompute-weights
@@ -99,7 +107,7 @@ def estimate_under(sample, w, m, kernel=None, rule=None):
     """
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    return _finish(sample, kernel or KernelSpec(), rule, None, w, m, plan, ranks)
+    return _finish(sample, kernel or KernelSpec(), bandwidth_c, None, w, m, plan, ranks)
 
 
 def counterfactual_copula(sample, w, m=100):
@@ -374,13 +382,14 @@ def _reports(ranks1, ranks2, counts, v_cf, m):
     }
 
 
-def bootstrap_replicate(sample, plan, counts, kernel, rule):
+def bootstrap_replicate(sample, plan, counts, kernel, bandwidth_c):
     """Counterfactual multipliers of one recompute-weights replicate.
 
     The kernel weights of the resample are evaluated on ``plan`` with the
-    counts as the multiplicities of its distinct rows, at ``rule`` at the
-    covariate scale of the resampled rows, and folded back onto the
-    original rows: row i gets the summed weight of its copies.
+    counts as the multiplicities of its distinct rows, at the bandwidth of
+    constant ``bandwidth_c`` at the covariate scale of the resampled rows,
+    and folded back onto the original rows: row i gets the summed weight of
+    its copies.
 
     Raises
     ------
@@ -389,10 +398,7 @@ def bootstrap_replicate(sample, plan, counts, kernel, rule):
         are original rows of the sample.
     """
     rows = np.repeat(np.arange(sample.n), counts)
-    h = bandwidth(
-        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
-        sample.n,
-    )
+    h = bandwidth_rule(bandwidth_c, sample.x[rows], sample.discrete_mask)
     try:
         w = kernel_weights(
             plan, kernel, h,
@@ -423,7 +429,7 @@ def _replicate_block(lo, hi, *, runs, starts):
         if recompute:
             def cf_multipliers(counts, est=est):
                 return bootstrap_replicate(est.sample, est.plan, counts,
-                                           est.kernel, est.rule)
+                                           est.kernel, est.bandwidth_c)
         else:
             def cf_multipliers(counts, est=est):
                 return counts * est.w

@@ -12,6 +12,7 @@ from oracles import (
     _draw_replicate,
     _rank_atoms,
     _reports,
+    bandwidth_rule,
     bootstrap_replicate,
     counterfactual_copula,
     counterfactual_weights,
@@ -47,7 +48,7 @@ from cfcopula.copula import (
     weighted_rank_atoms,
 )
 from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
-from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, scale_from_sample
+from cfcopula.kernels import DegenerateCovariateError, KernelSpec
 from cfcopula.scenarios import apply_scenario, parse_scenario
 from cfcopula.simulation import dgp_draw
 
@@ -214,7 +215,7 @@ def test_effect_replicates_are_coupled_differences():
 def test_recompute_weights_mode_reruns_kernel_per_replicate():
     sample = _sample(40, 8)
     w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
-    est = estimate_under(sample, w, 10, rule=BandwidthRule(constant=3.0))
+    est = estimate_under(sample, w, 10, bandwidth_c=3.0)
     fixed = run_bootstrap(est, BootstrapConfig(B=12, seed=9))
     redone = run_bootstrap(est, BootstrapConfig(B=12, seed=9, recompute_weights=True))
     assert all(np.all(np.isfinite(r.replicates)) for r in redone.runs.values())
@@ -229,9 +230,7 @@ def test_bootstrap_replicate_single_draw():
     sample = _sample(30, 10)
     counts = multinomial_counts(30, np.random.default_rng(2))
     plan = kernel_plan(sample.x, sample.xstar)
-    v_cf = bootstrap_replicate(
-        sample, plan, counts, KernelSpec(), BandwidthRule(constant=9.0)
-    )
+    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 9.0)
     # recomputed weights live on the resampled rows only and keep mass n
     assert v_cf.shape == (30,)
     assert np.all(v_cf[counts == 0] == 0.0)
@@ -245,7 +244,7 @@ def test_bootstrap_replicate_single_draw():
         assert _atom_grid(cells, 10, 30)[10, 10] == pytest.approx(1.0, abs=1e-12)
 
 
-def _resample_and_rerank(sample, counts, kernel, rule, m):
+def _resample_and_rerank(sample, counts, kernel, constant, m):
     # the recompute replicate built literally: expand the counts into a row
     # resample, rebuild bandwidth and weights on it, and rank it afresh
     n = sample.n
@@ -254,9 +253,7 @@ def _resample_and_rerank(sample, counts, kernel, rule, m):
         y1=sample.y1[rows], y2=sample.y2[rows], x=sample.x[rows],
         xstar=sample.xstar[rows], discrete_mask=sample.discrete_mask,
     )
-    h = bandwidth(
-        replace(rule, scale=scale_from_sample(resample.x, resample.discrete_mask)), n
-    )
+    h = bandwidth_rule(constant, resample.x, resample.discrete_mask)
     wb = counterfactual_weights(resample.x, resample.xstar, kernel=kernel, h=h,
                                 discrete_mask=resample.discrete_mask)
     r1 = margin_ranks(resample.y1)
@@ -286,33 +283,30 @@ def test_recompute_replicate_matches_resample_and_rerank():
     )
     cases = [
         (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(),
-         BandwidthRule(), 100),
+         5.5, 100),
         (tied, KernelSpec(family="higher_order", order=4),
-         BandwidthRule(constant=8.0), 20),
+         8.0, 20),
     ]
-    for sample, kernel, rule, m in cases:
+    for sample, kernel, constant, m in cases:
         r1 = margin_ranks(sample.y1)
         r2 = margin_ranks(sample.y2)
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         for b in range(30):
             counts = multinomial_counts(sample.n, np.random.default_rng(b))
-            v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, constant)
             act = _atom_grid(_rank_atoms(r1, r2, counts.astype(float), m), m, sample.n)
             cf = _atom_grid(_rank_atoms(r1, r2, v_cf, m), m, sample.n)
-            act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, rule, m)
+            act_ref, cf_ref = _resample_and_rerank(sample, counts, kernel, constant, m)
             assert np.array_equal(act, act_ref)
             assert np.max(np.abs(cf - cf_ref)) <= 1e-12
 
 
-def _resampled_multipliers(sample, plan, counts, kernel, rule):
+def _resampled_multipliers(sample, plan, counts, kernel, constant):
     # the recompute replicate built on the resampled rows: kernel weights
     # of x[rows] against xstar[rows], folded onto the original rows; the
     # reference for the count form on the kernel plan, which it ignores
     rows = np.repeat(np.arange(sample.n), counts)
-    h = bandwidth(
-        replace(rule, scale=scale_from_sample(sample.x[rows], sample.discrete_mask)),
-        sample.n,
-    )
+    h = bandwidth_rule(constant, sample.x[rows], sample.discrete_mask)
     wb = counterfactual_weights(sample.x[rows], sample.xstar[rows], kernel=kernel,
                                 h=h, discrete_mask=sample.discrete_mask)
     return np.bincount(rows, weights=wb, minlength=sample.n)
@@ -328,24 +322,24 @@ def test_count_form_replicates_are_bitwise_those_of_the_resample():
     wide = _sample(1500, 42, shift=0.3)
     cases = [
         (dgp_draw(100, np.random.default_rng(4)).sample, KernelSpec(),
-         BandwidthRule(), 25),
-        (mixed, KernelSpec(), BandwidthRule(constant=10.0), 25),
+         5.5, 25),
+        (mixed, KernelSpec(), 10.0, 25),
         (mixed, KernelSpec(family="higher_order", order=4),
-         BandwidthRule(constant=10.0), 25),
+         10.0, 25),
         (mixed, KernelSpec(family="gaussian_truncated"),
-         BandwidthRule(constant=10.0), 25),
+         10.0, 25),
         # one cell whose resampled sources and targets span several blocks
-        (wide, KernelSpec(family="gaussian_truncated"), BandwidthRule(constant=10.0), 4),
+        (wide, KernelSpec(family="gaussian_truncated"), 10.0, 4),
     ]
     negative = False
-    for sample, kernel, rule, reps in cases:
+    for sample, kernel, constant, reps in cases:
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         for b in range(reps):
             counts = multinomial_counts(sample.n, np.random.default_rng(100 + b))
             if sample is wide:
                 assert np.count_nonzero(counts) > BLOCK // np.count_nonzero(counts)
-            v_cf = bootstrap_replicate(sample, plan, counts, kernel, rule)
-            ref = _resampled_multipliers(sample, plan, counts, kernel, rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, kernel, constant)
+            ref = _resampled_multipliers(sample, plan, counts, kernel, constant)
             assert v_cf.tobytes() == ref.tobytes()
             negative |= bool(np.any(v_cf < 0))
     assert negative  # the order-4 kernel case reached negative weights
@@ -359,20 +353,20 @@ def test_count_form_replicates_without_donor_fail_on_the_same_rows():
         xstar=x + np.array([0.4, 0.0]), discrete_mask=np.array([False, True]),
     )
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
-    rule = BandwidthRule(constant=1.7)
+    constant = 1.7
     failed = passed = 0
     for b in range(40):
         counts = multinomial_counts(80, np.random.default_rng(200 + b))
         rows = np.repeat(np.arange(80), counts)
         try:
-            ref = _resampled_multipliers(sample, plan, counts, KernelSpec(), rule)
+            ref = _resampled_multipliers(sample, plan, counts, KernelSpec(), constant)
         except BandwidthTooSmallError as err:
             with pytest.raises(BandwidthTooSmallError) as mine:
-                bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
+                bootstrap_replicate(sample, plan, counts, KernelSpec(), constant)
             assert mine.value.columns == sorted(set(rows[err.columns].tolist()))
             failed += 1
         else:
-            v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
+            v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), constant)
             assert v_cf.tobytes() == ref.tobytes()
             passed += 1
     assert failed > 0 and passed > 0
@@ -381,13 +375,13 @@ def test_count_form_replicates_without_donor_fail_on_the_same_rows():
 def test_recompute_bootstrap_is_bitwise_that_of_the_resample(monkeypatch):
     """A whole recompute run, redraws included, with the resample as oracle."""
     sample = dgp_draw(12, np.random.default_rng(0)).sample
-    rule = BandwidthRule(constant=2.0)
-    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    constant = 2.0
+    h = bandwidth_rule(constant, sample.x, sample.discrete_mask)
     w = counterfactual_weights(sample.x, sample.xstar, h=h)
 
     def run():
         return run_bootstrap(
-            estimate_under(sample, w, 20, rule=rule),
+            estimate_under(sample, w, 20, bandwidth_c=constant),
             BootstrapConfig(B=60, seed=3, recompute_weights=True),
         )
 
@@ -421,14 +415,14 @@ def test_replicate_without_donor_names_original_rows_and_a_scalar_h():
     # row 1, with the same target, is not resampled
     counts = np.array([0, 0, 2, 1, 1, 1, 1, 2, 1, 1])
     plan = kernel_plan(sample.x, sample.xstar)
-    rule = BandwidthRule(constant=1.5)
+    constant = 1.5
     with pytest.raises(BandwidthTooSmallError) as err:
-        bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
+        bootstrap_replicate(sample, plan, counts, KernelSpec(), constant)
     assert err.value.columns == [7]
     assert "rows [7]" in str(err.value)
     # the one-coordinate bandwidth of the resample reads as a scalar
     rows = np.repeat(np.arange(10), counts)
-    h = bandwidth(replace(rule, scale=scale_from_sample(sample.x[rows])), 10)
+    h = bandwidth_rule(constant, sample.x[rows], sample.discrete_mask)
     assert h.shape == (1,)
     assert f"h={float(h[0])};" in str(err.value)
 
@@ -437,11 +431,11 @@ def test_recompute_bootstrap_redraws_a_replicate_without_donor():
     """At n=12 and a narrow bandwidth some resamples leave a counterfactual
     row without a kernel donor; they are redrawn, not fatal."""
     sample = dgp_draw(12, np.random.default_rng(0)).sample
-    rule = BandwidthRule(constant=2.0)
-    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    constant = 2.0
+    h = bandwidth_rule(constant, sample.x, sample.discrete_mask)
     w = counterfactual_weights(sample.x, sample.xstar, h=h)
     result = run_bootstrap(
-        estimate_under(sample, w, 100, rule=rule),
+        estimate_under(sample, w, 100, bandwidth_c=constant),
         BootstrapConfig(B=200, seed=0, recompute_weights=True),
     )
     assert result.discarded > 0
@@ -461,7 +455,7 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
     def runs():
         return [
             run_bootstrap(
-                estimate_under(sample, w, 10, kernel, BandwidthRule(constant=2.0)),
+                estimate_under(sample, w, 10, kernel, 2.0),
                 BootstrapConfig(B=30, seed=8, recompute_weights=redo),
             )
             for redo in (False, True)
@@ -498,11 +492,11 @@ def _frozen_case(B):
 
 def _recompute_case_with_redraws():
     sample = dgp_draw(12, np.random.default_rng(0)).sample
-    rule = BandwidthRule(constant=1.0)
-    h = bandwidth(replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), 12)
+    constant = 1.0
+    h = bandwidth_rule(constant, sample.x, sample.discrete_mask)
     return dict(
         est=estimate_under(sample, counterfactual_weights(sample.x, sample.xstar, h=h),
-                           20, rule=rule),
+                           20, bandwidth_c=constant),
         config=BootstrapConfig(B=7, seed=4, recompute_weights=True),
     )
 
@@ -610,7 +604,7 @@ def test_the_threaded_fork_warning_is_ignored_and_no_other(monkeypatch):
 def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
     """The points are the estimate's reports: a run builds the two
     histogram rows of each replicate and none for the point."""
-    est = estimate(_sample(50, 53), KernelSpec(), BandwidthRule(constant=8.0), 10)
+    est = estimate(_sample(50, 53), KernelSpec(), 8.0, 10)
     calls = []
 
     def counting(*args):
@@ -630,13 +624,13 @@ def test_a_one_core_run_starts_no_process():
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import numpy as np\n"
-        "from cfcopula import BandwidthRule, KernelSpec, estimate\n"
+        "from cfcopula import KernelSpec, estimate\n"
         "from cfcopula.bootstrap import BootstrapConfig, run_bootstrap\n"
         "from cfcopula.copula import ObservationSample\n"
         "x, e = np.random.default_rng(0).normal(size=(2, 40, 1))\n"
         "s = ObservationSample(y1=x[:, 0] + e[:, 0], y2=e[:, 0] - x[:, 0], x=x,"
         " xstar=x + 0.1)\n"
-        "est = estimate(s, KernelSpec(), BandwidthRule(constant=5.5), 10)\n"
+        "est = estimate(s, KernelSpec(), 5.5, 10)\n"
         "run_bootstrap(est, BootstrapConfig(B=8))\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
@@ -665,12 +659,10 @@ def test_estimate_is_the_chain_at_its_bandwidth_bitwise():
                                y2=x[:, 3] + rng.normal(size=200), x=x, xstar=xstar,
                                discrete_mask=mask)
     kernel = KernelSpec(family="higher_order", order=4)
-    rule = BandwidthRule(constant=10.0)
-    est = estimate(sample, kernel, rule, 20)
+    est = estimate(sample, kernel, 10.0, 20)
 
-    scale = scale_from_sample(x, mask)
-    h = bandwidth(replace(rule, scale=scale), 200)
-    assert est.rule.scale.tobytes() == scale.tobytes()
+    h = bandwidth_rule(10.0, x, mask)
+    assert est.bandwidth_c == 10.0
     assert est.h.tobytes() == h.tobytes()
     w = counterfactual_weights(x, xstar, kernel=kernel, h=h, discrete_mask=mask)
     assert (w < 0).any()
@@ -708,7 +700,7 @@ def test_bootstrap_points_are_the_estimate_reports_bitwise(family, order, recomp
     from the bootstrap runs, so the two points must be the same doubles."""
     sample = _sample(60, 52)
     est = estimate(sample, KernelSpec(family=family, order=order),
-                   BandwidthRule(constant=8.0), 20)
+                   8.0, 20)
     if order > 2:
         assert (est.w < 0).any()
     result = run_bootstrap(est, BootstrapConfig(B=6, seed=3, recompute_weights=recompute))
@@ -727,11 +719,11 @@ def test_estimates_name_the_rows_of_the_first_value_without_donor():
     xstars = np.stack([x] * 4)
     xstars[1, [7, 90], 3] = 2100.0
     xstars[3, 5, 3] = 2100.0
-    rule = BandwidthRule(constant=10.0)
+    constant = 10.0
     with pytest.raises(BandwidthTooSmallError) as err:
-        estimates(sample, xstars, KernelSpec(), rule, 20)
+        estimates(sample, xstars, KernelSpec(), constant, 20)
     with pytest.raises(BandwidthTooSmallError) as ref:
-        estimate(replace(sample, xstar=xstars[1]), KernelSpec(), rule, 20)
+        estimate(replace(sample, xstar=xstars[1]), KernelSpec(), constant, 20)
     assert err.value.columns == ref.value.columns == [7, 90]
     assert str(err.value) == str(ref.value)
 
@@ -749,7 +741,7 @@ def test_estimates_refuse_non_finite_weights(monkeypatch):
     monkeypatch.setattr(bootstrap, "kernel_weights", one_nan)
     with pytest.raises(ValueError, match="weights must be finite"):
         estimates(sample, np.stack([sample.xstar] * 2), KernelSpec(),
-                  BandwidthRule(), 10)
+                  5.5, 10)
 
 
 def test_a_sweep_value_plan_gives_the_multipliers_of_its_own_plan():
@@ -764,29 +756,31 @@ def test_a_sweep_value_plan_gives_the_multipliers_of_its_own_plan():
     xstars = np.stack([x] * 3)
     for v, s in enumerate((12.0, 14.0, 16.0)):
         xstars[v, :, 2] = np.maximum(x[:, 2], s)
-    rule = BandwidthRule(constant=8.0)
+    constant = 8.0
     failed = 0
-    for v, est in enumerate(estimates(sample, xstars, KernelSpec(), rule, 20)):
+    for v, est in enumerate(estimates(sample, xstars, KernelSpec(), constant, 20)):
         own = kernel_plan(x, xstars[v], sample.discrete_mask)
         assert est.plan.tgt_inv.shape == (300,)
         assert any(t is not None for tables in est.plan.tables for t in tables)
         for b in range(15):
             counts = multinomial_counts(300, np.random.default_rng(b))
             try:
-                ref = bootstrap_replicate(est.sample, own, counts, KernelSpec(), rule)
+                ref = bootstrap_replicate(est.sample, own, counts, KernelSpec(), constant)
             except BandwidthTooSmallError as err:
                 with pytest.raises(BandwidthTooSmallError) as mine:
-                    bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(), rule)
+                    bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(),
+                                        constant)
                 assert mine.value.columns == err.value.columns
                 failed += 1
             else:
-                got = bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(), rule)
+                got = bootstrap_replicate(est.sample, est.plan, counts, KernelSpec(),
+                                          constant)
                 assert got.tobytes() == ref.tobytes()
     assert failed < 45
 
 
 def test_a_recompute_bootstrap_builds_no_second_plan(monkeypatch):
-    est = estimate(_sample(60, 56), KernelSpec(), BandwidthRule(constant=6.0), 10)
+    est = estimate(_sample(60, 56), KernelSpec(), 6.0, 10)
 
     def no_plan(*args, **kwargs):
         raise AssertionError("the bootstrap built a kernel plan")
@@ -822,12 +816,12 @@ def synth_estimate():
     roles = default_synth_roles()
     xstar, _ = apply_scenario(table, roles, parse_scenario("max_with(cedu, 16)"))
     sample = build_sample(table, roles, xstar_columns=xstar)
-    return estimate(sample, KernelSpec(), BandwidthRule(constant=30.0), 100)
+    return estimate(sample, KernelSpec(), 30.0, 100)
 
 
 def _dgp_estimate(n, m=20, constant=5.5):
     sample = dgp_draw(n, np.random.default_rng(n)).sample
-    return estimate(sample, KernelSpec(), BandwidthRule(constant=constant), m)
+    return estimate(sample, KernelSpec(), constant, m)
 
 
 def _outcome(run):
@@ -902,7 +896,7 @@ def test_sweep_runs_ending_mid_batch_are_the_one_at_a_time_loop(monkeypatch):
     batch of 20, and the blocks cut the runs elsewhere."""
     sample = dgp_draw(100, np.random.default_rng(8)).sample
     xstars = np.stack([sample.xstar, sample.xstar + 0.1, sample.x + 0.2])
-    values = list(estimates(sample, xstars, KernelSpec(), BandwidthRule(), 20))
+    values = list(estimates(sample, xstars, KernelSpec(), 5.5, 20))
     pairs = [
         (values[0], BootstrapConfig(B=27, seed=1)),
         (values[1], BootstrapConfig(B=13, seed=2, recompute_weights=True)),
@@ -978,6 +972,44 @@ def test_the_first_failing_replicate_in_a_batch_decides_the_error(monkeypatch, l
     assert ("counterfactual mass is zero" in ref[1]) == later
     assert (f"replicate {b - 1} in" in ref[1]) == (not later)
     _pin_workers(monkeypatch, 1)
+    assert _outcome(lambda: bootstrap.run_bootstraps(pairs)) == ref
+
+
+def _constant_resample_case():
+    """A smoothed covariate constant but for row 0: a recompute-weights
+    resample without row 0 leaves it constant.  Returns the estimate, config
+    and the first replicate that does."""
+    rng = np.random.default_rng(8)
+    n = 12
+    z = rng.normal(size=n)
+    x = np.column_stack([np.r_[1.0, np.zeros(n - 1)], z])
+    sample = ObservationSample(y1=z + rng.normal(size=n), y2=z + rng.normal(size=n),
+                               x=x, xstar=x)
+    est = estimate(sample, KernelSpec(), 5.5, 10)
+    config = BootstrapConfig(B=40, seed=3, recompute_weights=True)
+    for b in range(config.B):
+        rng = np.random.default_rng(bootstrap._replicate_seed(config.seed, b))
+        counts, _, _ = _draw_replicate(n, rng, lambda c: c)
+        if counts[0] == 0:
+            return est, config, b
+    raise AssertionError("no resample missed row 0")
+
+
+@pytest.mark.parametrize("later", [True, False], ids=["draws-later", "draws-earlier"])
+def test_a_resample_with_a_constant_covariate_is_degenerate(monkeypatch, later):
+    """A recompute-weights resample that leaves a smoothed covariate
+    constant has no bandwidth: the run fails with its
+    DegenerateCovariateError, unless an earlier replicate failed first."""
+    est, config, b = _constant_resample_case()
+    assert b > 0  # room for an earlier failure
+    pairs = [(est, config)]
+    _pin_workers(monkeypatch, 1)
+    with pytest.raises(DegenerateCovariateError, match="degenerate covariate"):
+        bootstrap.run_bootstraps(pairs)
+    _fail_replicates(monkeypatch, {b + 1} if later else {b - 1})
+    ref = _one_at_a_time(monkeypatch, pairs)
+    assert ref[0] is (DegenerateCovariateError if later else DegenerateReplicateError)
+    assert (f"replicate {b - 1} in" in ref[1]) == (not later)
     assert _outcome(lambda: bootstrap.run_bootstraps(pairs)) == ref
 
 

@@ -20,7 +20,7 @@ from cfcopula.data import (
     DataError, SynthConfig, Table, build_sample, default_synth_roles, ingest,
     synth_table, write_table,
 )
-from cfcopula.kernels import BandwidthRule, KernelSpec
+from cfcopula.kernels import KernelSpec
 from cfcopula.scenarios import Transform, apply_scenario, parse_scenario
 from cfcopula.simulation import run_study
 
@@ -109,8 +109,7 @@ def test_weight_rows_are_those_of_the_in_process_estimate(dataset, tmp_path,
         y1=table.columns["wage"], y2=table.columns["spend"],
         x=table.columns["x"], xstar=table.columns["xs"],
     )
-    w = estimate(sample, KernelSpec(family=family, order=order),
-                 BandwidthRule(constant=5.5), 20).w
+    w = estimate(sample, KernelSpec(family=family, order=order), 5.5, 20).w
     negative = int((w < 0).sum())
     assert (negative > 0) == (order > 2)
     diagnostics = dict(_read_rows(out / "diagnostics.csv")[1:])
@@ -462,7 +461,7 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
                 else f"conditional_max(cedu, pedu, {value}, floor=16)")
         xstar_columns, frac = apply_scenario(table, roles, parse_scenario(text))
         ref = estimate(build_sample(table, roles, xstar_columns=xstar_columns),
-                       KernelSpec(), BandwidthRule(constant=30.0), 20)
+                       KernelSpec(), 30.0, 20)
         assert est.h.tobytes() == ref.h.tobytes()
         assert est.sample.xstar.tobytes() == ref.sample.xstar.tobytes()
         for target, grid in ref.grids.items():
@@ -559,6 +558,29 @@ def test_sweep_without_donor_exits_three_before_any_value(tmp_path, capsys):
     # the weights of every value come before any value's output
     assert captured.out == ""
     assert not (out / "sweep.csv").exists()
+
+
+def test_a_constant_smoothed_covariate_exits_three(tmp_path, capsys):
+    """A smoothed covariate without variation has no bandwidth, whether it
+    is constant in the sample or in a recompute-weights resample."""
+    rng = np.random.default_rng(8)
+    n = 12
+    z = rng.normal(size=n)
+    columns = {"y1": z + rng.normal(size=n), "y2": z + rng.normal(size=n),
+               "flat": np.ones(n), "x": np.r_[1.0, np.zeros(n - 1)], "z": z}
+    path = tmp_path / "flat.csv"
+    write_table(Table(names=tuple(columns), columns=columns), path)
+    common = ["--input", str(path), "--y1", "y1", "--y2", "y2", "--grid-m", "10",
+              "--out-dir", str(tmp_path / "out")]
+    assert main(["estimate", *common, "--x", "flat,z", "--xstar", "flat,z"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "degenerate covariate" in err
+    # x is constant but for row 0, so a resample without row 0 fails
+    assert main(["bootstrap", *common, "--x", "x,z", "--xstar", "x,z",
+                 "--boot-b", "40", "--seed", "3", "--recompute-weights"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "degenerate covariate" in err
+    assert err.count("\n") == 1
 
 
 def test_warnings_are_reported_on_stderr(monkeypatch, capsys):
@@ -664,6 +686,23 @@ def test_usage_errors_exit_one(dataset, tmp_path, capsys):
                      "--to", "1", "--column", "x", "--trigger", "x",
                      "--floor", floor, "--out-dir", str(fresh)]) == 1
         assert "--floor must be finite" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_a_repeated_config_key_or_covariate_is_a_usage_error(dataset, tmp_path, capsys):
+    path, _ = dataset
+    fresh = tmp_path / "never"
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"input = {path}\ny1 = wage\ny2 = spend\nx = x\nxstar = xs\n"
+                   "grid_m = 10\n# the second value used to win\ngrid-m = 20\n",
+                   encoding="utf-8")
+    assert main(["estimate", "--config", str(cfg), "--out-dir", str(fresh)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {cfg}:8: config key 'grid_m' repeats line 6\n")
+    # a covariate named twice would square its kernel
+    assert main(["estimate", *_roles_args(path)[:-1], "x,x", "--xstar", "xs,xs",
+                 "--out-dir", str(fresh)]) == 1
+    assert capsys.readouterr().err == "error: covariate column 'x' appears twice in x\n"
     assert not fresh.exists()
 
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from cfcopula.copula import (
     weighted_rank_atoms,
 )
 from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
-from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth, kernel_1d, scale_from_sample
+from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d
 from cfcopula.scenarios import apply_scenario, parse_scenario
 from cfcopula.simulation import dgp_draw
 
@@ -253,14 +252,13 @@ def test_recompute_replicate_weights_match_dense():
     xstar = x.copy()
     xstar[:, 2] = np.maximum(xstar[:, 2], 13.0)
     mask = np.array([True, True, False, False])
-    rule = BandwidthRule(constant=10.0)
     sample = ObservationSample(y1=rng.normal(size=150), y2=rng.normal(size=150),
                                x=x, xstar=xstar, discrete_mask=mask)
     counts = multinomial_counts(150, np.random.default_rng(7))
     rows = np.repeat(np.arange(150), counts)
     plan = kernel_plan(x, xstar, mask)
-    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), rule)
-    h = bandwidth(replace(rule, scale=scale_from_sample(x[rows], mask)), 150)
+    v_cf = bootstrap_replicate(sample, plan, counts, KernelSpec(), 10.0)
+    h = bandwidth(10.0, x[rows], mask)
     ref = np.bincount(rows, weights=_dense_weights(x[rows], xstar[rows], h=h,
                                                    discrete_mask=mask),
                       minlength=150)
@@ -491,7 +489,7 @@ def test_simulation_weights_are_direct_evaluation_bitwise(n):
     blocks that reuse one buffer across blocks."""
     sample = dgp_draw(n, np.random.default_rng(n)).sample
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
-    h = bandwidth(BandwidthRule(scale=scale_from_sample(sample.x)), n)
+    h = bandwidth(5.5, sample.x, sample.discrete_mask)
     rng = np.random.default_rng(7 + n)
     cases = [(plan.src_counts,
               np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0)]
@@ -521,8 +519,7 @@ def test_synthetic_file_weights_are_direct_evaluation_bitwise():
     n, t = sample.n, plan.tgt.shape[0]
     counts = np.column_stack([np.bincount(plan.tgt_inv[v * n:(v + 1) * n], minlength=t)
                               for v in range(2)]).astype(float)
-    h = bandwidth(BandwidthRule(constant=30.0,
-                                scale=scale_from_sample(sample.x, sample.discrete_mask)), n)
+    h = bandwidth(30.0, sample.x, sample.discrete_mask)
     rng = np.random.default_rng(3)
     draw = multinomial_counts(n, rng)
     resample = (np.bincount(plan.src_inv, weights=draw, minlength=plan.src.shape[0]),

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
+from cfcopula.bootstrap import estimate
+from cfcopula.copula import ObservationSample
 from cfcopula.kernels import (
-    BandwidthRule,
+    EXPONENT,
     DegenerateCovariateError,
     KernelSpec,
     _PIECE,
     bandwidth,
     higher_order_coefficients,
     kernel_1d,
-    scale_from_sample,
     validate_order,
 )
 
@@ -160,58 +161,76 @@ def test_higher_order_coefficients_reduce_at_order_two():
 
 
 def test_bandwidth_rule_formula():
-    rule = BandwidthRule(constant=5.5, exponent=-1.0 / 3.0, scale=2.0)
-    n = 125
-    assert bandwidth(rule, n) == pytest.approx(5.5 * 2.0 * 125 ** (-1.0 / 3.0))
+    x = np.array([[0.0], [1.0], [5.0]])
+    h = bandwidth(5.5, x, np.array([False]))
+    assert EXPONENT == -1.0 / 3.0
+    assert h == pytest.approx([5.5 * math.sqrt(7.0) * 3 ** (-1.0 / 3.0)])
 
 
 def test_bandwidth_vector_scale():
-    rule = BandwidthRule(constant=2.0, exponent=-0.5, scale=np.array([1.0, 3.0]))
-    h = bandwidth(rule, 100)
-    np.testing.assert_allclose(h, [2.0 * 0.1, 6.0 * 0.1])
+    # one bandwidth per coordinate, each that of its column alone
+    x = np.random.default_rng(0).normal(size=(300, 3)) * np.array([1.0, 4.0, 0.5])
+    mask = np.array([False, True, False])
+    h = bandwidth(2.0, x, mask)
+    assert h.shape == (3,)
+    for c in range(3):
+        assert h[c] == pytest.approx(bandwidth(2.0, x[:, [c]], mask[[c]])[0], rel=1e-15)
+
+
+def test_bandwidth_of_a_batch_is_that_of_each_resample_bitwise():
+    x = np.random.default_rng(2).normal(size=(3, 40, 2))
+    mask = np.array([False, True])
+    h = bandwidth(2.0, x, mask)
+    assert h.shape == (3, 2)
+    for r in range(3):
+        assert h[r].tobytes() == bandwidth(2.0, x[r], mask).tobytes()
 
 
 @pytest.mark.parametrize("constant", [0.0, -1.0, np.nan, np.inf])
 def test_bandwidth_constant_must_be_positive_and_finite(constant):
     with pytest.raises(ValueError, match="positive and finite"):
-        bandwidth(BandwidthRule(constant=constant), 50)
+        bandwidth(constant, np.eye(3), np.zeros(3, dtype=bool))
 
 
 @given(n=st.integers(min_value=2, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_bandwidth_positive_and_decreasing(n):
-    rule = BandwidthRule()
-    h_n = bandwidth(rule, n)
-    assert h_n > 0
-    assert bandwidth(rule, 4 * n) < h_n
+    def h(rows):
+        # the same two values over any number of rows
+        return bandwidth(5.5, (np.arange(rows) % 2.0)[:, None], np.array([False]))[0]
+
+    assert 0 < h(4 * n) < h(n)
 
 
-def test_scale_from_sample_uses_sample_sd():
+def test_bandwidth_uses_sample_sd():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(300, 2)) * np.array([1.0, 4.0])
-    s = scale_from_sample(x)
-    np.testing.assert_allclose(s, x.std(axis=0, ddof=1))
+    h = bandwidth(1.0, x, np.array([False, False]))
+    np.testing.assert_allclose(h / 300 ** EXPONENT, x.std(axis=0, ddof=1))
 
 
-def test_scale_from_sample_discrete_coordinates_are_unit():
+def test_bandwidth_discrete_coordinates_have_unit_scale():
     rng = np.random.default_rng(1)
     x = np.column_stack([rng.normal(size=200), rng.integers(0, 2, size=200)])
-    s = scale_from_sample(x, discrete_mask=np.array([False, True]))
-    assert s[1] == 1.0
-    assert s[0] == pytest.approx(x[:, 0].std(ddof=1))
+    h = bandwidth(3.0, x, np.array([False, True]))
+    assert h[1] == 3.0 * 200 ** EXPONENT
+    assert h[0] == pytest.approx(3.0 * x[:, 0].std(ddof=1) * 200 ** EXPONENT)
 
 
-def test_constant_column_fails_at_bandwidth_time():
+def test_a_constant_smoothed_column_fails_at_the_weights():
     x = np.column_stack([np.ones(50), np.arange(50.0)])
-    scale = scale_from_sample(x)
-    assert scale[0] == 0.0
-    with pytest.raises(DegenerateCovariateError):
-        bandwidth(BandwidthRule(scale=scale), 50)
+    h = bandwidth(5.5, x, np.array([False, False]))
+    assert h[0] == 0.0 and h[1] > 0.0
+    y1, y2 = np.sin(np.arange(50.0)), np.cos(np.arange(50.0))
+    with pytest.raises(DegenerateCovariateError, match="degenerate covariate"):
+        estimate(ObservationSample(y1=y1, y2=y2, x=x, xstar=x), KernelSpec(), 5.5, 10)
+    # matched exactly, a constant discrete column needs no bandwidth
+    estimate(ObservationSample(y1=y1, y2=y2, x=x, xstar=x,
+                               discrete_mask=np.array([True, False])),
+             KernelSpec(), 5.5, 10)
 
 
 def test_validate_order_messages():
-    ok = validate_order(KernelSpec(family="higher_order", order=4), 3)
-    assert ok and "order 4" in ok.message
+    assert validate_order(KernelSpec(family="higher_order", order=4), 3) is None
     bad = validate_order(KernelSpec(), 2)
-    assert not bad
-    assert "must exceed" in bad.message
+    assert "order 2 must exceed covariate dimension 2" in bad

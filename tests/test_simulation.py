@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -20,7 +19,7 @@ from oracles import (
 from cfcopula import bootstrap, simulation
 from cfcopula.bootstrap import estimate
 from cfcopula.copula import CopulaGrid
-from cfcopula.kernels import BandwidthRule, KernelSpec, bandwidth
+from cfcopula.kernels import KernelSpec
 from cfcopula.simulation import (
     SimStudyConfig,
     dgp_draw,
@@ -312,14 +311,11 @@ def test_one_covariate_bandwidth_is_the_scalar_sd_rule_bitwise():
     """The study once formed its point bandwidth from np.std(x[:, 0], ddof=1)
     as a scalar; the per-coordinate rule of ``estimate`` gives the same h
     and the same weights."""
-    rule = BandwidthRule(constant=5.5)
     for n in (12, 50, 200, 1000):
         for seed in range(5):
             sample = dgp_draw(n, np.random.default_rng(seed)).sample
-            est = estimate(sample, KernelSpec(), rule, 10)
-            old = bandwidth(
-                replace(rule, scale=float(np.std(sample.x[:, 0], ddof=1))), n
-            )
+            est = estimate(sample, KernelSpec(), 5.5, 10)
+            old = 5.5 * float(np.std(sample.x[:, 0], ddof=1)) * float(n) ** (-1.0 / 3.0)
             assert est.h.shape == (1,)
             assert est.h.tobytes() == np.float64(old).tobytes()
             w = counterfactual_weights(sample.x, sample.xstar, h=old)
