@@ -9,11 +9,7 @@ against Gaussian-copula closed forms.
 
 __version__ = "0.1.0"
 
-from .association import (
-    AssociationReport,
-    gaussian_measure,
-    policy_effect,
-)
+from .association import gaussian_measure
 from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,

@@ -16,27 +16,12 @@ pick up a bias of order sum(w^2)/n^2 that the value integrals do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 class GridResolutionError(ValueError):
     """The grid resolution does not support the requested functional."""
-
-
-@dataclass(frozen=True)
-class AssociationReport:
-    """The four association measures of one copula estimate, or the
-    per-measure differences of two (``policy_effect``)."""
-
-    rho: float
-    tau: float
-    gamma: float
-    beta: float
-
-    def as_dict(self):
-        return {"rho": self.rho, "tau": self.tau, "gamma": self.gamma, "beta": self.beta}
 
 
 @lru_cache(maxsize=8)
@@ -124,13 +109,3 @@ def gaussian_measure(r, which):
             2.0 / np.pi * (np.arcsin((1.0 + r) / 2.0) - np.arcsin((1.0 - r) / 2.0))
         )
     raise ValueError(f"unknown measure {which!r}; expected one of {MEASURES}")
-
-
-def policy_effect(counterfactual, actual):
-    """Per-measure deltas, counterfactual minus actual."""
-    return AssociationReport(
-        rho=counterfactual.rho - actual.rho,
-        tau=counterfactual.tau - actual.tau,
-        gamma=counterfactual.gamma - actual.gamma,
-        beta=counterfactual.beta - actual.beta,
-    )

@@ -442,7 +442,7 @@ def _result(est, config, stats, discarded):
     stats = np.ascontiguousarray(stats.T)
     runs = {}
     for (target, measure), reps in zip(_target_keys(), stats):
-        theta = getattr(est.reports[target], measure)
+        theta = est.reports[target][measure]
         q = centered_quantile(reps, theta, n, config.level)
         half = q / math.sqrt(n)
         runs[(target, measure)] = BootstrapRun(
@@ -469,8 +469,9 @@ class Estimate:
     scale of the sample.  ``w`` holds the kernel-ratio weights of the
     sample's rows, which sum to n.  ``ranks`` holds the ``MarginRanks`` of
     y1 and y2, and ``plan`` the ``KernelPlan`` of the weights, which
-    recompute-weights replicates evaluate again.  ``grids`` (actual, counterfactual) and
-    ``reports`` (actual, counterfactual, effect) are keyed by target.
+    recompute-weights replicates evaluate again.  ``grids`` (actual,
+    counterfactual) and ``reports`` (actual, counterfactual, effect) are
+    keyed by target; a report is a {measure: float} dict in ``MEASURES`` order.
     """
 
     sample: ObservationSample
@@ -494,13 +495,22 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
     grids, reports = {}, {}
     for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
         cells, grids[target] = _point(*ranks, v, m)
-        reports[target] = association.AssociationReport(
-            *association.measures_from_cells(cells, m, sample.n))
-    reports["effect"] = association.policy_effect(
-        reports["counterfactual"], reports["actual"]
-    )
+        reports[target] = dict(zip(MEASURES, association.measures_from_cells(
+            cells, m, sample.n)))
+    reports["effect"] = {measure: reports["counterfactual"][measure]
+                         - reports["actual"][measure] for measure in MEASURES}
     return Estimate(sample=sample, kernel=kernel, bandwidth_c=bandwidth_c, h=h, w=w,
                     ranks=ranks, grids=grids, reports=reports, plan=plan)
+
+
+def check_grid_and_bandwidth(m, bandwidth_c):
+    """Raise ValueError unless grid size m is even and >= 2 and the bandwidth
+    constant is positive and finite; every configuration checks both."""
+    if m < 2 or m % 2:
+        raise ValueError(f"grid m must be even and >= 2, got {m}")
+    if not (bandwidth_c > 0 and math.isfinite(bandwidth_c)):
+        raise ValueError(
+            f"bandwidth constant must be positive and finite, got {bandwidth_c}")
 
 
 def estimate(sample, kernel, bandwidth_c, m):

@@ -37,6 +37,7 @@ from .bootstrap import (
     TARGETS,
     BootstrapConfig,
     DegenerateReplicateError,
+    check_grid_and_bandwidth,
     derived_seed,
     estimate,
     estimates,
@@ -223,12 +224,7 @@ class RunConfig:
     bandwidth_c: float = 5.5
 
     def __post_init__(self):
-        if self.grid_m < 2 or self.grid_m % 2:
-            raise UsageError(f"grid_m must be even and >= 2, got {self.grid_m}")
-        if not (self.bandwidth_c > 0 and math.isfinite(self.bandwidth_c)):
-            raise UsageError(
-                f"bandwidth_c must be positive and finite, got {self.bandwidth_c}"
-            )
+        check_grid_and_bandwidth(self.grid_m, self.bandwidth_c)
         # check the scenario now, before any command reads its input or
         # creates its output directory
         parse_scenario(self.scenario_text)
@@ -285,7 +281,7 @@ def _write_measures(path, est, intervals=None):
             header += ["lo", "hi"]
         writer.writerow(header)
         for target in TARGETS:
-            values = est.reports[target].as_dict()
+            values = est.reports[target]
             for measure in MEASURES:
                 row = [target, measure, repr(values[measure])]
                 if intervals is not None:
@@ -294,9 +290,8 @@ def _write_measures(path, est, intervals=None):
                 writer.writerow(row)
 
 
-def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_warning,
-                       extra=None):
-    w = est.w
+def _write_diagnostics(path, cfg, label, frac, est, weights, support_rows,
+                       order_warning, extra=None):
     rows = [
         ("version", __version__),
         ("n", est.sample.n),
@@ -306,10 +301,7 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_warning,
         ("bandwidth", ";".join(repr(float(v)) for v in est.h)),
         ("scenario", label),
         ("affected_fraction", repr(frac)),
-        ("weight_sum", repr(float(w.sum()))),
-        ("weight_min", repr(float(w.min()))),
-        ("weight_max", repr(float(w.max()))),
-        ("negative_count", int((w < 0).sum())),
+        *weights.items(),
         ("support_violations", support_rows.size),
         ("support_rows", ";".join(str(r) for r in support_rows[:50])),
         ("kernel_order_check", "pass" if order_warning is None else "warn"),
@@ -322,9 +314,8 @@ def _write_diagnostics(path, cfg, label, frac, est, support_rows, order_warning,
         writer.writerows(rows)
 
 
-def _summary_lines(cfg, label, frac, est, support_rows, order_warning, intervals=None,
-                   boot_note=None):
-    w = est.w
+def _summary_lines(cfg, label, frac, est, weights, support_rows, order_warning,
+                   intervals=None, boot_note=None):
     lines = [
         f"counterfactual copula report (cfcopula {__version__})",
         "",
@@ -337,8 +328,9 @@ def _summary_lines(cfg, label, frac, est, support_rows, order_warning, intervals
         f"kernel: {est.kernel.family} (order {est.kernel.order}), "
         f"bandwidth c={cfg.bandwidth_c}, grid m={cfg.grid_m}",
         "",
-        f"weights: sum={w.sum():.6f}, range [{w.min():.4f}, {w.max():.4f}], "
-        f"negative={int((w < 0).sum())}",
+        f"weights: sum={weights['weight_sum']:.6f}, range "
+        f"[{weights['weight_min']:.4f}, {weights['weight_max']:.4f}], "
+        f"negative={weights['negative_count']}",
     ]
     if support_rows.size:
         shown = ", ".join(str(r) for r in support_rows[:10])
@@ -356,7 +348,7 @@ def _summary_lines(cfg, label, frac, est, support_rows, order_warning, intervals
     lines.append(f"{'target':16s}{'measure':9s}{'value':>10s}"
                  + "".join(f"{e:>10s}" for e in ends))
     for target in TARGETS:
-        values = est.reports[target].as_dict()
+        values = est.reports[target]
         for measure in MEASURES:
             bounds = () if intervals is None else intervals[(target, measure)]
             lines.append(f"{target:16s}{measure:9s}{values[measure]:>10.4f}"
@@ -372,10 +364,14 @@ def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
     _write_measures(out / "measures.csv", est, intervals=intervals)
     support_rows = support_violations(est.sample)
     order_warning = validate_order(est.kernel, int((~est.sample.discrete_mask).sum()))
-    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, support_rows,
-                       order_warning, extra=extra_diag)
-    summary = "\n".join(_summary_lines(cfg, label, frac, est, support_rows, order_warning,
-                                       intervals, boot_note)) + "\n"
+    w = est.w
+    # the weights' facts, under their diagnostics.csv keys
+    weights = {"weight_sum": float(w.sum()), "weight_min": float(w.min()),
+               "weight_max": float(w.max()), "negative_count": int((w < 0).sum())}
+    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, weights,
+                       support_rows, order_warning, extra=extra_diag)
+    summary = "\n".join(_summary_lines(cfg, label, frac, est, weights, support_rows,
+                                       order_warning, intervals, boot_note)) + "\n"
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     return summary
 

@@ -24,7 +24,8 @@ _PHI_NORM = math.erf(1.0 / math.sqrt(2.0))
 
 
 class DegenerateCovariateError(ValueError):
-    """A smoothed covariate has zero sample variation, so its bandwidth is zero."""
+    """A smoothed covariate's bandwidth is zero or infinite: the covariate
+    has no sample variation, or the bandwidth rule under- or overflowed."""
 
 
 def _epanechnikov_even_moment(p):
@@ -133,12 +134,22 @@ def bandwidth(constant, x, discrete_mask):
     the rows, and 1 at a discrete coordinate, which is matched exactly
     rather than smoothed.  Returns one bandwidth per coordinate, shape (d,)
     or (R, d).  A constant smoothed covariate gets bandwidth zero, which
-    ``copula.kernel_weights`` rejects as a ``DegenerateCovariateError``.
+    ``copula.kernel_weights`` rejects as a ``DegenerateCovariateError``; a
+    varying one whose bandwidth under- or overflows raises it here.
     """
     if not (constant > 0 and math.isfinite(constant)):
         raise ValueError("bandwidth constant must be positive and finite")
     sd = np.where(discrete_mask, 1.0, x.std(axis=-2, ddof=1))
-    return constant * sd * float(x.shape[-2]) ** EXPONENT
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        h = constant * sd * float(x.shape[-2]) ** EXPONENT
+    varies = (sd > 0) & ~np.asarray(discrete_mask, dtype=bool)
+    for bad, what, fix in ((0.0, "underflowed", "larger"),
+                           (math.inf, "overflowed", "smaller")):
+        if np.any(varies & (h == bad)):
+            raise DegenerateCovariateError(
+                f"the bandwidth rule {what}: constant {constant!r} gives h={bad} at "
+                f"a smoothed covariate that varies; use a {fix} bandwidth constant")
+    return h
 
 
 def validate_order(spec, d):

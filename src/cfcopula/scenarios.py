@@ -24,6 +24,7 @@ Scenario text is a semicolon-separated list of calls, e.g.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -85,9 +86,12 @@ def _split_args(body):
 
 def _parse_number(text, where):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ScenarioError(f"expected a number in {where}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number in {where}, got {text!r}")
+    return value
 
 
 def parse_scenario(text):

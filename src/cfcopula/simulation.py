@@ -24,7 +24,7 @@ the same for any core count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -34,6 +34,7 @@ from .bootstrap import (
     BootstrapConfig,
     _run_blocks,
     _target_keys,
+    check_grid_and_bandwidth,
     derived_seed,
     estimate,
     run_bootstrap,
@@ -59,17 +60,8 @@ _DGP_COV = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class DgpDraw:
-    """One simulated sample plus the latent counterfactual outcomes."""
-
-    sample: ObservationSample
-    y1_star: np.ndarray
-    y2_star: np.ndarray
-
-
 def dgp_draw(n, rng):
-    """Draw one sample of size n from the linear-normal design."""
+    """(sample, y1_star, y2_star): n draws of the design and their latent outcomes."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     z = rng.multivariate_normal(_DGP_MEAN, _DGP_COV, size=n, method="cholesky")
@@ -79,8 +71,7 @@ def dgp_draw(n, rng):
     xstar = 0.5 * x
     y1_star = 3.0 + x - e1
     y2_star = 1.0 + 1.5 * x + 2.0 * e2
-    sample = ObservationSample(y1=y1, y2=y2, x=x, xstar=xstar)
-    return DgpDraw(sample=sample, y1_star=y1_star, y2_star=y2_star)
+    return ObservationSample(y1=y1, y2=y2, x=x, xstar=xstar), y1_star, y2_star
 
 
 # --- analytic Gaussian copula grid -------------------------------------------
@@ -141,38 +132,6 @@ def gaussian_copula_grid(r, m=100):
     return CopulaGrid(m=m, values=values)
 
 
-def oracle_estimator(y1_star, y2_star, m=100):
-    """Rank-based empirical copula of the latent counterfactual outcomes."""
-    if y1_star is None or y2_star is None:
-        raise ValueError("oracle estimation needs the latent outcomes")
-    y1 = np.asarray(y1_star, dtype=float)
-    y2 = np.asarray(y2_star, dtype=float)
-    carrier = ObservationSample(
-        y1=y1, y2=y2, x=np.zeros(y1.shape[0]), xstar=np.zeros(y1.shape[0])
-    )
-    return empirical_copula(carrier, m=m)
-
-
-# --- error metrics ------------------------------------------------------------
-
-def miae(estimate, truth):
-    """Node-average absolute error over the full grid, boundaries included."""
-    if estimate.m != truth.m:
-        raise ValueError(f"grid resolutions differ: {estimate.m} vs {truth.m}")
-    return float(np.mean(np.abs(estimate.values - truth.values)))
-
-
-def integrated_squared_error(estimate, truth):
-    if estimate.m != truth.m:
-        raise ValueError(f"grid resolutions differ: {estimate.m} vs {truth.m}")
-    return float(np.mean((estimate.values - truth.values) ** 2))
-
-
-def rmise(squared_errors):
-    """Root of the replication-mean integrated squared error."""
-    return float(np.sqrt(np.mean(np.asarray(squared_errors, dtype=float))))
-
-
 # --- study configuration and report -------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,10 +174,7 @@ class SimStudyConfig:
             raise ValueError("bootstrap_b must be 0 (skip) or at least 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"coverage level must lie in (0, 1), got {self.level}")
-        if self.m < 2 or self.m % 2:
-            raise ValueError(f"grid m must be even and >= 2, got {self.m}")
-        if not (self.bandwidth_constant > 0 and math.isfinite(self.bandwidth_constant)):
-            raise ValueError("bandwidth constant must be positive and finite")
+        check_grid_and_bandwidth(self.m, self.bandwidth_constant)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -265,24 +221,21 @@ def _replication(config, truths, truth_grids, size_index, rep):
     """One replication of the study at ``config.sizes[size_index]``.
 
     Returns the node-average absolute and squared errors of the three
-    estimators' grids (``ESTIMATORS`` order), the errors of the twelve
-    point measures (``_KEYS`` order) and, when bootstrap_b >= 2, whether
-    each interval covers its truth (else None).
+    estimators' full grids (``ESTIMATORS`` order; the oracle is the
+    empirical copula of the latent outcomes), the errors of the twelve point
+    measures (``_KEYS`` order) and, when bootstrap_b >= 2, whether each
+    interval covers its truth (else None).
     """
     n = config.sizes[size_index]
     rng = np.random.default_rng(_replication_seed(config.seed, n, rep))
-    draw = dgp_draw(n, rng)
-    point = estimate(draw.sample, _KERNEL, config.bandwidth_constant, config.m)
-    grids = {
-        "empirical": point.grids["actual"],
-        "proposed": point.grids["counterfactual"],
-        "oracle": oracle_estimator(draw.y1_star, draw.y2_star, m=config.m),
-    }
-    abs_err = [miae(grids[est], truth_grids[est]) for est in ESTIMATORS]
-    sq_err = [integrated_squared_error(grids[est], truth_grids[est])
-              for est in ESTIMATORS]
-    meas_err = [getattr(point.reports[target], mm) - truths[target][mm]
-                for target, mm in _KEYS]
+    sample, y1_star, y2_star = dgp_draw(n, rng)
+    point = estimate(sample, _KERNEL, config.bandwidth_constant, config.m)
+    grids = (point.grids["actual"], point.grids["counterfactual"],
+             empirical_copula(replace(sample, y1=y1_star, y2=y2_star), config.m))
+    diffs = [grid.values - truth.values for grid, truth in zip(grids, truth_grids)]
+    abs_err = [float(np.mean(np.abs(d))) for d in diffs]
+    sq_err = [float(np.mean(d ** 2)) for d in diffs]
+    meas_err = [point.reports[target][mm] - truths[target][mm] for target, mm in _KEYS]
     covered = None
     if config.bootstrap_b >= 2:
         boot = run_bootstrap(point, BootstrapConfig(
@@ -331,8 +284,9 @@ def run_study(config):
     (n, rep) order, and the first failing replication in that order
     decides the error, so the report is bitwise that of one loop.
     """
-    truth_actual = gaussian_copula_grid(R_ACTUAL, config.m)
     truth_cf = gaussian_copula_grid(R_COUNTERFACTUAL, config.m)
+    # the truths of the ESTIMATORS' grids
+    truth_grids = (gaussian_copula_grid(R_ACTUAL, config.m), truth_cf, truth_cf)
     truths = {
         "actual": {mm: association.gaussian_measure(R_ACTUAL, mm) for mm in association.MEASURES},
         "counterfactual": {mm: association.gaussian_measure(R_COUNTERFACTUAL, mm) for mm in association.MEASURES},
@@ -341,7 +295,6 @@ def run_study(config):
         mm: truths["counterfactual"][mm] - truths["actual"][mm]
         for mm in association.MEASURES
     }
-    truth_grids = {"empirical": truth_actual, "proposed": truth_cf, "oracle": truth_cf}
 
     tasks = [(i, rep) for rep in range(config.replications)
              for i in range(len(config.sizes))]
@@ -365,7 +318,7 @@ def run_study(config):
             rows.append((n, est, "miae_x100",
                          100.0 * float(np.mean([row[e] for row in abs_err]))))
             rows.append((n, est, "rmise_x100",
-                         100.0 * rmise([row[e] for row in sq_err])))
+                         100.0 * float(np.sqrt(np.mean([row[e] for row in sq_err])))))
         for k, (target, mm) in enumerate(_KEYS):
             errs = np.asarray([row[k] for row in meas_err])
             rows.append((n, f"{target}_{mm}", "mae", float(np.mean(np.abs(errs)))))

@@ -5,19 +5,19 @@ kernel-ratio weights of a sample against its own manipulation, a kernel plan's w
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
 sums over them, the measures of an atom histogram set up per call and of
-a grid, the Frechet-Hoeffding bounds, two-increasingness, the
-Gaussian-copula closed forms as one report, the bivariate normal CDF, and
-the bootstrap replicates one at a time.
+a grid, each as one ``Report``, the Frechet-Hoeffding bounds,
+two-increasingness, the Gaussian-copula closed forms as one report, the
+bivariate normal CDF, and the bootstrap replicates one at a time.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from cfcopula import association, bootstrap
-from cfcopula.association import AssociationReport, gaussian_measure
+from cfcopula.association import MEASURES, gaussian_measure
 from cfcopula.bootstrap import DegenerateReplicateError, _finish, multinomial_counts
 from cfcopula.copula import (
     BLOCK,
@@ -89,6 +89,19 @@ def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK,
     if np.any(bad):
         raise BandwidthTooSmallError(np.flatnonzero(bad[plan.tgt_inv]).tolist(), h)
     return w.T
+
+
+@dataclass(frozen=True)
+class Report:
+    """The four association measures of one oracle."""
+
+    rho: float
+    tau: float
+    gamma: float
+    beta: float
+
+    def as_dict(self):
+        return asdict(self)
 
 
 def bandwidth_rule(constant, x, discrete_mask):
@@ -180,11 +193,11 @@ def measures_from_pseudo_obs(pobs):
     tau = 4.0 / n * float(np.sum(w * chat)) - 1.0
     c_half = _copula_at_points(u1, u2, w, np.array([0.5]), np.array([0.5]))[0]
     beta = 4.0 * float(c_half) - 1.0
-    return AssociationReport(rho=rho, tau=tau, gamma=gamma, beta=beta)
+    return Report(rho=rho, tau=tau, gamma=gamma, beta=beta)
 
 
 def measures_report_from_cells(cells, m, n):
-    """``association.measures_from_cells`` as an AssociationReport, with its
+    """``association.measures_from_cells`` as a ``Report``, with its
     trapezoid weights, diagonal indices and odd-m check set up on every
     call; the package takes them from a table built once per m and must
     give these measures bitwise."""
@@ -201,7 +214,7 @@ def measures_report_from_cells(cells, m, n):
     rows = V[1:] + V[:-1]
     tau = (np.einsum("ij,ij->", masses, rows[:, :-1])
            + np.einsum("ij,ij->", masses, rows[:, 1:]))
-    return AssociationReport(
+    return Report(
         rho=float(12.0 * (t @ (V @ t)) / (n * m * m) - 3.0),
         tau=float(tau / (n * n) - 1.0),
         gamma=float(4.0 * (t @ V[idx, idx] + t @ V[idx, m - idx]) / (n * m) - 2.0),
@@ -210,7 +223,7 @@ def measures_report_from_cells(cells, m, n):
 
 
 def measures_from_grid(grid):
-    """All four measures of one grid as an AssociationReport.
+    """All four measures of one grid as a ``Report``.
 
     rho and gamma integrate C over the unit square and its diagonals, tau
     is a Stieltjes sum of C against the grid's cell masses, and beta is a
@@ -218,12 +231,12 @@ def measures_from_grid(grid):
     """
     v = grid.values
     masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
-    return AssociationReport(*association._measures(v, masses, grid.m, 1.0))
+    return Report(*association._measures(v, masses, grid.m, 1.0))
 
 
 def gaussian_report(r):
     """The closed-form measures of the Gaussian copula with correlation r."""
-    return AssociationReport(
+    return Report(
         rho=gaussian_measure(r, "rho"),
         tau=gaussian_measure(r, "tau"),
         gamma=gaussian_measure(r, "gamma"),
@@ -362,23 +375,24 @@ def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
 
 def _reports(ranks1, ranks2, counts, v_cf, m):
     """Measures of both copulas under resample counts and counterfactual
-    multipliers ``v_cf``, and their effect, each from its own histogram."""
+    multipliers ``v_cf``, each from its own histogram, and their effect,
+    as ``Estimate.reports``: {measure: float} dicts by target."""
     if v_cf.sum() <= 0.0:
         raise DegenerateReplicateError(
             "resampled counterfactual mass is zero: every positive-count row "
             "has zero weight"
         )
     n = ranks1.n
-    actual = AssociationReport(*association.measures_from_cells(
+    actual = dict(zip(MEASURES, association.measures_from_cells(
         _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
-    ))
-    counterfactual = AssociationReport(*association.measures_from_cells(
+    )))
+    counterfactual = dict(zip(MEASURES, association.measures_from_cells(
         _rank_atoms(ranks1, ranks2, v_cf, m), m, n
-    ))
+    )))
     return {
         "actual": actual,
         "counterfactual": counterfactual,
-        "effect": association.policy_effect(counterfactual, actual),
+        "effect": {key: counterfactual[key] - actual[key] for key in MEASURES},
     }
 
 
@@ -437,7 +451,6 @@ def _replicate_block(lo, hi, *, runs, starts):
         counts, v_cf, redraws[t - lo] = _draw_replicate(est.sample.n, rng, cf_multipliers)
         reports = _reports(*est.ranks, counts, v_cf, est.grids["actual"].m)
         stats[t - lo] = [
-            getattr(reports[target], measure)
-            for target, measure in bootstrap._target_keys()
+            reports[target][measure] for target, measure in bootstrap._target_keys()
         ]
     return stats, redraws

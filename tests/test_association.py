@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    Report,
     counterfactual_copula,
     counterfactual_weights,
     gaussian_report,
@@ -13,11 +14,9 @@ from oracles import (
 from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
 
 from cfcopula.association import (
-    AssociationReport,
     GridResolutionError,
     gaussian_measure,
     measures_from_cells,
-    policy_effect,
 )
 from cfcopula.copula import CopulaGrid, ObservationSample, empirical_copula
 
@@ -78,7 +77,7 @@ def blomqvist_beta(grid):
 
 def oracle_measures(grid):
     """The four measures of a grid, one functional at a time."""
-    return AssociationReport(
+    return Report(
         rho=spearman_rho(grid), tau=kendall_tau(grid), gamma=gini_gamma(grid),
         beta=blomqvist_beta(grid),
     )
@@ -233,14 +232,6 @@ def test_measures_from_cells_match_the_oracle_on_adversarial_atoms(m):
         assert_reports_close(ref, measures_from_grid(grid), 1e-12)
 
 
-def test_policy_effect_subtracts_by_measure():
-    a = measures_from_grid(empirical_copula(_rand_sample(60, 1), m=10))
-    c = measures_from_grid(empirical_copula(_rand_sample(60, 2), m=10))
-    eff = policy_effect(c, a)
-    assert eff.tau == pytest.approx(c.tau - a.tau)
-    assert eff.rho == pytest.approx(c.rho - a.rho)
-
-
 def test_grid_and_pseudo_obs_paths_agree_on_unweighted_data():
     sample = _rand_sample(400, 4)
     grid_rep = measures_from_grid(empirical_copula(sample, m=100))
@@ -282,8 +273,7 @@ def test_weighted_measures_shrink_under_downweighting_dependence():
     w = counterfactual_weights(sample.x, sample.xstar, h=1.2)
     actual = measures_from_grid(empirical_copula(sample, m=50))
     cf = measures_from_grid(counterfactual_copula(sample, w, m=50))
-    eff = policy_effect(cf, actual)
-    assert eff.tau < 0 and eff.rho < 0 and eff.gamma < 0
+    assert cf.tau < actual.tau and cf.rho < actual.rho and cf.gamma < actual.gamma
 
 
 @given(st.integers(min_value=10, max_value=80), st.integers(min_value=0, max_value=10**6))

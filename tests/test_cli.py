@@ -471,8 +471,8 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
         assert len(mine) == 12
         for _, measure, target, point, lo, hi, affected in mine:
             assert affected == repr(frac)
-            assert abs(getattr(est.reports[target], measure)
-                       - getattr(ref.reports[target], measure)) <= 1e-12
+            assert abs(est.reports[target][measure]
+                       - ref.reports[target][measure]) <= 1e-12
             run = ref_result.runs[(target, measure)]
             assert abs(float(point) - run.point) <= 1e-12
             assert abs(float(lo) - run.lo) <= 1e-12
@@ -581,6 +581,36 @@ def test_a_constant_smoothed_covariate_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "degenerate covariate" in err
     assert err.count("\n") == 1
+
+
+def test_a_bandwidth_rule_that_over_or_underflows_exits_three(tmp_path, capsys):
+    """A bandwidth constant that drives h to inf or 0 at a varying smoothed
+    covariate is a numeric failure that says so, not a constant covariate."""
+    data = tmp_path / "d"
+    assert main(["synth-data", "--seed", "0", "--n", "3895",
+                 "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    for constant, what in (("1e308", "overflowed"), ("5e-324", "underflowed")):
+        assert main(["estimate", "--input", str(data / "synth.csv"),
+                     "--scenario", "max_with(cedu, 16)", "--bandwidth-c", constant,
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: the bandwidth rule {what}: "), err
+        assert err.count("\n") == 1 and "degenerate covariate" not in err
+
+
+def test_a_scenario_number_not_finite_is_a_usage_error(tmp_path, capsys):
+    # the input does not exist, so reading it would exit 2
+    missing = tmp_path / "missing.csv"
+    for scenario in ("max_with(cedu, inf)", "max_with(cedu, nan)",
+                     "set_constant(cedu, -inf)",
+                     "conditional_max(cedu, pedu, 11, floor=nan)"):
+        assert main(["estimate", "--input", str(missing), "--scenario", scenario,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: expected a finite number in {scenario}, got ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_warnings_are_reported_on_stderr(monkeypatch, capsys):

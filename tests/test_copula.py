@@ -457,7 +457,7 @@ def test_kernel_tables_name_the_rows_without_donor_of_direct_evaluation():
 
 def test_the_simulation_plan_builds_no_kernel_table():
     for n in (100, 200, 400):
-        sample = dgp_draw(n, np.random.default_rng(n)).sample
+        sample = dgp_draw(n, np.random.default_rng(n))[0]
         plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
         assert plan.tables == ((None,),)
 
@@ -487,7 +487,7 @@ def _assert_direct(plan, kernel, h, src_counts, tgt_counts, block):
 def test_simulation_weights_are_direct_evaluation_bitwise(n):
     """The study's plans, at the point and under resample counts, through
     blocks that reuse one buffer across blocks."""
-    sample = dgp_draw(n, np.random.default_rng(n)).sample
+    sample = dgp_draw(n, np.random.default_rng(n))[0]
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
     h = bandwidth(5.5, sample.x, sample.discrete_mask)
     rng = np.random.default_rng(7 + n)

@@ -192,6 +192,23 @@ def test_bandwidth_constant_must_be_positive_and_finite(constant):
         bandwidth(constant, np.eye(3), np.zeros(3, dtype=bool))
 
 
+def test_a_bandwidth_that_under_or_overflows_is_a_degenerate_covariate():
+    """A varying smoothed covariate whose bandwidth rounds to 0 or inf is
+    refused with its cause, in a batch too; a discrete coordinate's
+    bandwidth is never used, so it may round to 0."""
+    x = np.column_stack([np.arange(8.0), np.arange(8.0) % 2])
+    smoothed = np.array([False, False])
+    for constant, scale, what in ((5e-324, 0.1, "underflowed"),
+                                  (1e308, 4.0, "overflowed")):
+        for rows in (x, np.stack([x, x[::-1]])):
+            with pytest.raises(DegenerateCovariateError,
+                               match=f"the bandwidth rule {what}"):
+                bandwidth(constant, rows * scale, smoothed)
+    h = bandwidth(5e-324, x, np.array([True, True]))
+    assert h.tolist() == [0.0, 0.0]
+    assert bandwidth(5.5, np.ones((4, 1)), smoothed[:1]).tolist() == [0.0]
+
+
 @given(n=st.integers(min_value=2, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_bandwidth_positive_and_decreasing(n):

@@ -13,5 +13,5 @@ def test_quickstart_block_runs():
     names = {}
     exec(compile(block, f"{README}:quickstart", "exec"), names)
     est = names["est"]
-    assert set(est.reports["effect"].as_dict()) == {"rho", "tau", "gamma", "beta"}
-    assert names["lo"] <= est.reports["effect"].tau <= names["hi"]
+    assert list(est.reports["effect"]) == ["rho", "tau", "gamma", "beta"]
+    assert names["lo"] <= est.reports["effect"]["tau"] <= names["hi"]

@@ -18,16 +18,12 @@ from oracles import (
 
 from cfcopula import bootstrap, simulation
 from cfcopula.bootstrap import estimate
-from cfcopula.copula import CopulaGrid
+from cfcopula.copula import ObservationSample, empirical_copula
 from cfcopula.kernels import KernelSpec
 from cfcopula.simulation import (
     SimStudyConfig,
     dgp_draw,
     gaussian_copula_grid,
-    integrated_squared_error,
-    miae,
-    oracle_estimator,
-    rmise,
     run_study,
 )
 
@@ -122,46 +118,28 @@ def test_gaussian_grid_needs_an_integer_m_of_at_least_one(m):
 # --- data generating process ----------------------------------------------------
 
 def test_dgp_draw_shapes_and_determinism():
-    a = dgp_draw(100, np.random.default_rng(7))
-    b = dgp_draw(100, np.random.default_rng(7))
-    assert a.sample.y1.shape == (100,)
-    assert a.sample.x.shape == (100, 1)
-    np.testing.assert_array_equal(a.sample.y1, b.sample.y1)
-    np.testing.assert_array_equal(a.y2_star, b.y2_star)
-    assert not a.sample.discrete_mask.any()
+    a, _, a_y2_star = dgp_draw(100, np.random.default_rng(7))
+    b, _, b_y2_star = dgp_draw(100, np.random.default_rng(7))
+    assert a.y1.shape == (100,)
+    assert a.x.shape == (100, 1)
+    np.testing.assert_array_equal(a.y1, b.y1)
+    np.testing.assert_array_equal(a_y2_star, b_y2_star)
+    assert not a.discrete_mask.any()
 
 
 def test_dgp_counterfactual_halves_the_covariate():
-    draw = dgp_draw(50, np.random.default_rng(8))
-    np.testing.assert_allclose(draw.sample.xstar, 0.5 * draw.sample.x, atol=1e-15)
+    sample = dgp_draw(50, np.random.default_rng(8))[0]
+    np.testing.assert_allclose(sample.xstar, 0.5 * sample.x, atol=1e-15)
 
 
 def test_dgp_population_correlations():
     """The induced outcome pairs target r = sqrt(65)/13 actual, sqrt(2)/10
     counterfactual; a large draw should land within sampling error."""
-    draw = dgp_draw(200_000, np.random.default_rng(9))
-    r_act = np.corrcoef(draw.sample.y1, draw.sample.y2)[0, 1]
-    r_cf = np.corrcoef(draw.y1_star, draw.y2_star)[0, 1]
+    sample, y1_star, y2_star = dgp_draw(200_000, np.random.default_rng(9))
+    r_act = np.corrcoef(sample.y1, sample.y2)[0, 1]
+    r_cf = np.corrcoef(y1_star, y2_star)[0, 1]
     assert r_act == pytest.approx(R_ACTUAL, abs=0.01)
     assert r_cf == pytest.approx(R_CF, abs=0.01)
-
-
-# --- error metrics ---------------------------------------------------------------
-
-def test_miae_and_rmise_on_constant_offset():
-    base = gaussian_copula_grid(0.3, m=10)
-    shifted = CopulaGrid(m=10, values=base.values + 0.01)
-    assert miae(shifted, base) == pytest.approx(0.01, abs=1e-12)
-    ise = integrated_squared_error(shifted, base)
-    assert ise == pytest.approx(1e-4, abs=1e-12)
-    assert rmise([ise, ise]) == pytest.approx(0.01, abs=1e-12)
-
-
-def test_oracle_estimator_uses_true_counterfactual_outcomes():
-    draw = dgp_draw(300, np.random.default_rng(10))
-    grid = oracle_estimator(draw.y1_star, draw.y2_star, m=20)
-    assert frechet_hoeffding_violation(grid) <= 2.0 / 20
-    assert grid.values[20, 20] == pytest.approx(1.0, abs=1e-12)
 
 
 # --- study harness ----------------------------------------------------------------
@@ -210,6 +188,35 @@ def test_run_study_error_metrics_only(tmp_path):
     manifest = tmp_path / "manifest.txt"
     report.write_manifest(manifest)
     assert "seed=5" in manifest.read_text()
+
+
+def test_grid_errors_are_those_of_the_three_grids():
+    """The study scores the empirical, proposed and oracle grids by their
+    node-average absolute and squared errors over the full grid; the oracle
+    is the empirical copula of the latent counterfactual outcomes.  Its rows
+    are 100 times the mean absolute error and 100 times the root of the mean
+    squared error over the replications."""
+    cfg = SimStudyConfig(sizes=(40,), replications=3, bootstrap_b=0, m=10, seed=8)
+    report = run_study(cfg)
+    truth_cf = gaussian_copula_grid(R_CF, 10)
+    truths = (gaussian_copula_grid(R_ACTUAL, 10), truth_cf, truth_cf)
+    abs_err, sq_err = [], []
+    for rep in range(3):
+        rng = np.random.default_rng(simulation._replication_seed(8, 40, rep))
+        sample, y1_star, y2_star = dgp_draw(40, rng)
+        est = estimate(sample, KernelSpec(), cfg.bandwidth_constant, 10)
+        latent = ObservationSample(y1=y1_star, y2=y2_star, x=np.zeros(40),
+                                   xstar=np.zeros(40))
+        grids = (est.grids["actual"], est.grids["counterfactual"],
+                 empirical_copula(latent, m=10))
+        diffs = [grid.values - truth.values for grid, truth in zip(grids, truths)]
+        abs_err.append([np.abs(d).sum() / 121 for d in diffs])
+        sq_err.append([(d * d).sum() / 121 for d in diffs])
+    for e, name in enumerate(simulation.ESTIMATORS):
+        miae = 100.0 * sum(row[e] for row in abs_err) / 3
+        rmise = 100.0 * math.sqrt(sum(row[e] for row in sq_err) / 3)
+        assert _value(report, 40, name, "miae_x100") == pytest.approx(miae, abs=1e-12)
+        assert _value(report, 40, name, "rmise_x100") == pytest.approx(rmise, abs=1e-12)
 
 
 def test_run_study_with_coverage_rows():
@@ -313,7 +320,7 @@ def test_one_covariate_bandwidth_is_the_scalar_sd_rule_bitwise():
     and the same weights."""
     for n in (12, 50, 200, 1000):
         for seed in range(5):
-            sample = dgp_draw(n, np.random.default_rng(seed)).sample
+            sample = dgp_draw(n, np.random.default_rng(seed))[0]
             est = estimate(sample, KernelSpec(), 5.5, 10)
             old = 5.5 * float(np.std(sample.x[:, 0], ddof=1)) * float(n) ** (-1.0 / 3.0)
             assert est.h.shape == (1,)
