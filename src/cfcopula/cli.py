@@ -39,7 +39,6 @@ from .bootstrap import (
     DegenerateReplicateError,
     check_grid_and_bandwidth,
     derived_seed,
-    estimate,
     estimates,
     run_bootstrap,
     run_bootstraps,
@@ -124,13 +123,14 @@ _OPTIONS = {
     "n": (int, "number of rows"),
 }
 
-_RUN = ("input", "out_dir", "y1", "y2", "x", "discrete", "xstar", "scenario",
-        "grid_m", "bandwidth_c", "kernel", "kernel_order")
+_RUN = ("input", "out_dir", "y1", "y2", "x", "discrete", "grid_m", "bandwidth_c",
+        "kernel", "kernel_order")
 _BOOTSTRAP = ("boot_b", "level", "seed", "recompute_weights")
-# the options each command has a flag for, and reads from a config file
+# the options each command has a flag for, and reads from a config file; a
+# sweep builds its own scenarios, so it takes no xstar or scenario
 _FLAGS = {
-    "estimate": _RUN,
-    "bootstrap": _RUN + _BOOTSTRAP,
+    "estimate": _RUN + ("xstar", "scenario"),
+    "bootstrap": _RUN + ("xstar", "scenario") + _BOOTSTRAP,
     "simulate": ("out_dir", "seed", "sizes", "replications", "boot_b", "level",
                  "grid_m", "bandwidth_c"),
     "sweep": _RUN + _BOOTSTRAP + ("param", "from", "to", "column", "trigger", "floor"),
@@ -217,7 +217,7 @@ class RunConfig:
 
     input: str
     roles: ColumnRoles
-    scenario_text: str
+    scenario: ScenarioSpec | None  # None: explicit xstar columns
     kernel: KernelSpec
     out_dir: str = _OUT_DIR
     grid_m: int = 100
@@ -225,17 +225,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_grid_and_bandwidth(self.grid_m, self.bandwidth_c)
-        # check the scenario now, before any command reads its input or
-        # creates its output directory
-        parse_scenario(self.scenario_text)
-        if bool(self.scenario_text) == bool(self.roles.xstar):
+        if (self.scenario is None) != bool(self.roles.xstar):
             raise UsageError(
                 "need exactly one source of counterfactual covariates: "
                 "a --scenario or explicit --xstar columns"
             )
 
 
-def _run_config(given, default_scenario=None):
+def _run_config(given):
     """The ``RunConfig`` of the options ``given``, checked before any input is read."""
     if "input" not in given:
         raise UsageError("no input file: pass --input or set input= in the config")
@@ -248,29 +245,33 @@ def _run_config(given, default_scenario=None):
         raise UsageError("column roles are all-or-none: give --y1, --y2 and --x")
     else:
         roles = _build(ColumnRoles, given)
-    scenario_text = given.get("scenario", "")
-    if not scenario_text and not roles.xstar and default_scenario is not None:
-        scenario_text = default_scenario
+    scenario = parse_scenario(given["scenario"]) if given.get("scenario") else None
     kernel = _build(KernelSpec, given, _KERNEL_FIELDS)
-    return _build(RunConfig, {**given, "roles": roles, "scenario_text": scenario_text,
+    return _build(RunConfig, {**given, "roles": roles, "scenario": scenario,
                               "kernel": kernel})
 
 
 # --- shared estimation plumbing ------------------------------------------------
 
-def _estimate(cfg, table):
-    """Scenario label, affected fraction and the estimate of one pass."""
-    if cfg.scenario_text:
-        spec = parse_scenario(cfg.scenario_text)
-        xstar_columns, frac = apply_scenario(table, cfg.roles, spec)
-        sample = build_sample(table, cfg.roles, xstar_columns=xstar_columns)
-        label = spec.describe()
-    else:
-        sample = build_sample(table, cfg.roles)
-        changed = np.any(sample.xstar != sample.x, axis=1)
-        frac = float(changed.mean())
-        label = "explicit xstar columns " + ",".join(cfg.roles.xstar)
-    return label, frac, estimate(sample, cfg.kernel, cfg.bandwidth_c, cfg.grid_m)
+def _estimates(cfg, table, specs):
+    """Labels, affected fractions and an iterator over the estimates of the
+    scenarios ``specs`` on ``table``, a spec None standing for the explicit
+    xstar columns.  One ``estimates`` call weights them all; only the last
+    sample is kept, since the samples differ only in xstar."""
+    labels, fracs = [], []
+    xstars = np.empty((len(specs), table.n, len(cfg.roles.x))) if len(specs) > 1 else None
+    for index, spec in enumerate(specs):
+        columns = None if spec is None else apply_scenario(table, cfg.roles, spec)
+        sample = build_sample(table, cfg.roles, xstar_columns=columns)
+        labels.append("explicit xstar columns " + ",".join(cfg.roles.xstar)
+                      if spec is None else spec.describe())
+        fracs.append(float(np.any(sample.xstar != sample.x, axis=1).mean()))
+        if len(specs) == 1:
+            xstars = sample.xstar[None]
+        else:
+            xstars[index] = sample.xstar
+    return labels, fracs, estimates(sample, xstars, cfg.kernel, cfg.bandwidth_c,
+                                    cfg.grid_m)
 
 
 def _write_measures(path, est, intervals=None):
@@ -380,7 +381,8 @@ def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
 
 def cmd_estimate(given):
     cfg = _run_config(given)
-    label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
+    (label,), (frac,), (est,) = _estimates(cfg, ingest(cfg.input, roles=cfg.roles),
+                                           [cfg.scenario])
     summary = _write_estimate_outputs(cfg, label, frac, est, Path(cfg.out_dir))
     sys.stdout.write(summary)
     return 0
@@ -389,7 +391,8 @@ def cmd_estimate(given):
 def cmd_bootstrap(given):
     cfg = _run_config(given)
     boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS)
-    label, frac, est = _estimate(cfg, ingest(cfg.input, roles=cfg.roles))
+    (label,), (frac,), (est,) = _estimates(cfg, ingest(cfg.input, roles=cfg.roles),
+                                           [cfg.scenario])
     result = run_bootstrap(est, boot)
     intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
     note = (
@@ -419,12 +422,8 @@ def cmd_simulate(given):
 
 
 def cmd_sweep(given):
-    cfg = _run_config(given, default_scenario="identity")
+    cfg = _run_config({**given, "scenario": "identity"})
     boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS)
-    if cfg.roles.xstar:
-        raise UsageError("sweep builds its own scenarios; drop --xstar")
-    if cfg.scenario_text != "identity":
-        raise UsageError("sweep builds its own scenarios; drop --scenario")
     param, lo, hi = (given.get(key) for key in ("param", "from", "to"))
     column, trigger, floor = (given.get(key, default)
                               for key, default in _SWEEP_DEFAULTS.items())
@@ -443,21 +442,11 @@ def cmd_sweep(given):
     table = ingest(cfg.input, roles=cfg.roles)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the manipulated covariates of every value, for one kernel pass
-    xstars, fracs = None, []
-    for index, value in enumerate(values):
-        if param == "s":
-            change = Transform("max_with", column, float(value))
-        else:
-            change = Transform("conditional_max", column, float(value), trigger, floor)
-        xstar_columns, frac = apply_scenario(table, cfg.roles, ScenarioSpec((change,)))
-        sample = build_sample(table, cfg.roles, xstar_columns=xstar_columns)
-        if xstars is None:
-            xstars = np.empty((len(values),) + sample.xstar.shape)
-        xstars[index] = sample.xstar
-        fracs.append(frac)
+    kind, rest = ("max_with", ()) if param == "s" else ("conditional_max", (trigger, floor))
+    specs = [ScenarioSpec((Transform(kind, column, float(value), *rest),))
+             for value in values]
     try:
-        family = estimates(sample, xstars, cfg.kernel, cfg.bandwidth_c, cfg.grid_m)
+        _, fracs, family = _estimates(cfg, table, specs)
     except BandwidthTooSmallError as err:
         raise BandwidthTooSmallError(
             err.columns, err.h, where=f"{param}={values[err.value]}"

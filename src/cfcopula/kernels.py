@@ -24,8 +24,8 @@ _PHI_NORM = math.erf(1.0 / math.sqrt(2.0))
 
 
 class DegenerateCovariateError(ValueError):
-    """A smoothed covariate's bandwidth is zero or infinite: the covariate
-    has no sample variation, or the bandwidth rule under- or overflowed."""
+    """A smoothed covariate has no usable bandwidth: it does not vary, its
+    standard deviation is not finite, or the bandwidth rule under- or overflowed."""
 
 
 def _epanechnikov_even_moment(p):
@@ -135,13 +135,18 @@ def bandwidth(constant, x, discrete_mask):
     rather than smoothed.  Returns one bandwidth per coordinate, shape (d,)
     or (R, d).  A constant smoothed covariate gets bandwidth zero, which
     ``copula.kernel_weights`` rejects as a ``DegenerateCovariateError``; a
-    varying one whose bandwidth under- or overflows raises it here.
+    smoothed one whose standard deviation is NaN or inf, or a varying one
+    whose bandwidth under- or overflows, raises it here.
     """
     if not (constant > 0 and math.isfinite(constant)):
         raise ValueError("bandwidth constant must be positive and finite")
-    sd = np.where(discrete_mask, 1.0, x.std(axis=-2, ddof=1))
-    with np.errstate(over="ignore"):  # an overflow is raised below
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        sd = np.where(discrete_mask, 1.0, x.std(axis=-2, ddof=1))
         h = constant * sd * float(x.shape[-2]) ** EXPONENT
+    if not np.isfinite(sd).all():
+        raise DegenerateCovariateError(
+            f"the standard deviation of a smoothed covariate is {float(np.max(sd))}: "
+            "its values are too large in magnitude to square and sum; rescale it")
     varies = (sd > 0) & ~np.asarray(discrete_mask, dtype=bool)
     for bad, what, fix in ((0.0, "underflowed", "larger"),
                            (math.inf, "overflowed", "smaller")):

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
-
 
 class ScenarioError(ValueError):
     """Unparseable scenario text or a transform naming a missing column."""
@@ -151,9 +149,8 @@ def parse_scenario(text):
 def apply_scenario(table, roles, spec):
     """Apply a scenario to the covariate columns of a table.
 
-    Returns (xstar_columns, affected_fraction): a dict of manipulated
-    covariate columns (every roles.x column present, touched or not) and
-    the share of rows whose covariate vector changed.
+    Returns a dict of the manipulated covariate columns: every roles.x
+    column, touched or not, as a fresh copy.
     """
     for t in spec.transforms:
         if t.column not in roles.x:
@@ -161,9 +158,7 @@ def apply_scenario(table, roles, spec):
                 f"scenario touches {t.column!r}, which is not a covariate "
                 f"column; have {list(roles.x)}"
             )
-        if t.kind == "conditional_max" and t.trigger not in set(roles.x) | set(
-            (roles.y1, roles.y2)
-        ) and t.trigger not in table.names:
+        if t.kind == "conditional_max" and t.trigger not in table.names:
             raise ScenarioError(f"trigger column {t.trigger!r} not found")
     out = {c: table.column(c).copy() for c in roles.x}
     for t in spec.transforms:
@@ -178,7 +173,4 @@ def apply_scenario(table, roles, spec):
                 trig = table.column(t.trigger)
             hit = trig <= t.value
             col[hit] = np.maximum(col[hit], t.floor)
-    changed = np.zeros(table.n, dtype=bool)
-    for c in roles.x:
-        changed |= out[c] != table.column(c)
-    return out, float(changed.mean())
+    return out

@@ -810,7 +810,7 @@ def synth_estimate():
     """The README's bootstrap: max_with(cedu, 16) on the 3,895-row file, c=30."""
     table = synth_table(SynthConfig(n=3895, seed=5))
     roles = default_synth_roles()
-    xstar, _ = apply_scenario(table, roles, parse_scenario("max_with(cedu, 16)"))
+    xstar = apply_scenario(table, roles, parse_scenario("max_with(cedu, 16)"))
     sample = build_sample(table, roles, xstar_columns=xstar)
     return estimate(sample, KernelSpec(), 30.0, 100)
 

@@ -426,6 +426,64 @@ def test_sweep_reads_its_input_once(dataset, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_affected_fraction_is_the_direct_row_count(tmp_path):
+    """The affected fraction of diagnostics.csv and sweep.csv is the share of
+    rows whose covariate vector the manipulation changed, for a scenario,
+    for explicit xstar columns and for each value of a sweep."""
+    rng = np.random.default_rng(7)
+    n = 400
+    edu = rng.integers(7, 18, size=n).astype(float)
+    z = rng.normal(size=n)
+    columns = {"wage": 0.3 * edu + z + rng.normal(size=n),
+               "spend": 0.2 * edu + rng.normal(size=n), "edu": edu, "z": z,
+               "edus": np.where(rng.random(n) < 0.3, edu + 1.0, edu),
+               "zs": np.where(rng.random(n) < 0.2, z + 0.5, z)}
+    path = tmp_path / "edu.csv"
+    write_table(Table(names=tuple(columns), columns=columns), path)
+    common = ["--input", str(path), "--y1", "wage", "--y2", "spend", "--x", "edu,z",
+              "--bandwidth-c", "30", "--grid-m", "20"]
+
+    def affected(extra, out):
+        assert main(["estimate", *common, *extra, "--out-dir", str(out)]) == 0
+        return dict(_read_rows(out / "diagnostics.csv")[1:])["affected_fraction"]
+
+    assert (affected(["--scenario", "max_with(edu, 14)"], tmp_path / "scenario")
+            == repr(float(np.mean(edu < 14))))
+    changed = (columns["edus"] != edu) | (columns["zs"] != z)
+    assert 0 < changed.mean() < 1
+    assert (affected(["--xstar", "edus,zs"], tmp_path / "explicit")
+            == repr(float(changed.mean())))
+    out = tmp_path / "sweep"
+    assert main(["sweep", *common, "--param", "s", "--from", "12", "--to", "14",
+                 "--column", "edu", "--boot-b", "4", "--out-dir", str(out)]) == 0
+    rows = _read_rows(out / "sweep.csv")[1:]
+    for s in (12, 13, 14):
+        assert {r[6] for r in rows if r[0] == str(s)} == {repr(float(np.mean(edu < s)))}
+
+
+def test_sweep_ignores_the_scenario_and_xstar_of_a_shared_config(synth_600, tmp_path):
+    argv = ["sweep", "--input", str(synth_600), "--param", "s", "--from", "15",
+            "--to", "16", "--bandwidth-c", "30", "--grid-m", "20", "--boot-b", "6",
+            "--seed", "3"]
+    assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+    config = tmp_path / "shared.cfg"
+    config.write_text("scenario = max_with(cedu, 16)\nxstar = cedu,pedu\n",
+                      encoding="utf-8")
+    assert main(argv + ["--config", str(config),
+                        "--out-dir", str(tmp_path / "shared")]) == 0
+    assert ((tmp_path / "plain" / "sweep.csv").read_bytes()
+            == (tmp_path / "shared" / "sweep.csv").read_bytes())
+
+
+def test_sweep_has_no_scenario_or_xstar_flag(synth_600, tmp_path, capsys):
+    fresh = tmp_path / "never"
+    for flag, value in (("--scenario", "max_with(cedu, 16)"), ("--xstar", "cedu")):
+        assert main(["sweep", "--input", str(synth_600), "--param", "s", "--from",
+                     "15", "--to", "16", flag, value, "--out-dir", str(fresh)]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 @pytest.fixture(scope="module")
 def synth_600(tmp_path_factory):
     path = tmp_path_factory.mktemp("synth") / "synth.csv"
@@ -459,9 +517,10 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
     for value, (est, config) in zip(values, seen):
         text = (f"max_with(cedu, {value})" if param == "s"
                 else f"conditional_max(cedu, pedu, {value}, floor=16)")
-        xstar_columns, frac = apply_scenario(table, roles, parse_scenario(text))
-        ref = estimate(build_sample(table, roles, xstar_columns=xstar_columns),
-                       KernelSpec(), 30.0, 20)
+        ref = estimate(build_sample(table, roles, xstar_columns=apply_scenario(
+            table, roles, parse_scenario(text))), KernelSpec(), 30.0, 20)
+        cedu, pedu = table.column("cedu"), table.column("pedu")
+        changed = cedu < value if param == "s" else (pedu <= value) & (cedu < 16)
         assert est.h.tobytes() == ref.h.tobytes()
         assert est.sample.xstar.tobytes() == ref.sample.xstar.tobytes()
         for target, grid in ref.grids.items():
@@ -470,7 +529,7 @@ def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
         mine = [r for r in rows if r[0] == str(value)]
         assert len(mine) == 12
         for _, measure, target, point, lo, hi, affected in mine:
-            assert affected == repr(frac)
+            assert affected == repr(float(changed.mean()))
             assert abs(est.reports[target][measure]
                        - ref.reports[target][measure]) <= 1e-12
             run = ref_result.runs[(target, measure)]
@@ -597,6 +656,25 @@ def test_a_bandwidth_rule_that_over_or_underflows_exits_three(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: the bandwidth rule {what}: "), err
         assert err.count("\n") == 1 and "degenerate covariate" not in err
+
+
+@pytest.mark.parametrize("x", [
+    [1.7e308, 1.7e308, -1.7e308, -1.7e308, 1, 2, 3, 4],  # the sd is NaN
+    [1.7e308, -1.7e308, 1, 2, 3],                         # the sd overflows
+], ids=["nan", "inf"])
+def test_a_covariate_scale_not_finite_exits_three(tmp_path, capsys, x):
+    n = len(x)
+    columns = {"y1": np.arange(n, dtype=float), "y2": np.arange(n) % 3.0,
+               "x": np.array(x, dtype=float)}
+    path = tmp_path / "huge.csv"
+    write_table(Table(names=tuple(columns), columns=columns), path)
+    assert main(["estimate", "--input", str(path), "--y1", "y1", "--y2", "y2",
+                 "--x", "x", "--scenario", "set_constant(x, 0)",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: the standard deviation of a smoothed "
+                          "covariate is "), err
+    assert err.count("\n") == 1 and "bandwidth constant" not in err
 
 
 def test_a_scenario_number_not_finite_is_a_usage_error(tmp_path, capsys):

@@ -509,7 +509,7 @@ def test_synthetic_file_weights_are_direct_evaluation_bitwise():
     roles = default_synth_roles()
     samples = [
         build_sample(table, roles, xstar_columns=apply_scenario(
-            table, roles, parse_scenario(f"max_with(cedu, {s})"))[0])
+            table, roles, parse_scenario(f"max_with(cedu, {s})")))
         for s in (13, 16)
     ]
     sample, xstars = samples[0], [s.xstar for s in samples]

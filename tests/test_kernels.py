@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_a_bandwidth_that_under_or_overflows_is_a_degenerate_covariate():
     h = bandwidth(5e-324, x, np.array([True, True]))
     assert h.tolist() == [0.0, 0.0]
     assert bandwidth(5.5, np.ones((4, 1)), smoothed[:1]).tolist() == [0.0]
+
+
+def test_a_covariate_scale_not_finite_is_a_degenerate_covariate():
+    """A smoothed covariate whose standard deviation is NaN or inf is refused
+    with its cause and without numpy's warnings, in a batch too; a discrete
+    one's scale is never used."""
+    # huge's sd is NaN (inf + -inf in numpy's pairwise sum), huge[3:]'s is inf
+    huge = np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0, 2.0, 3.0, 4.0])[:, None]
+    x = np.column_stack([np.arange(8.0), huge[:, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (huge, huge[3:], np.stack([huge[3:], huge[3:]]), x):
+            with pytest.raises(DegenerateCovariateError, match="standard deviation "
+                               "of a smoothed covariate is (nan|inf): "):
+                bandwidth(5.5, rows, np.zeros(rows.shape[-1], dtype=bool))
+        assert np.isfinite(bandwidth(5.5, x, np.array([False, True]))).all()
 
 
 @given(n=st.integers(min_value=2, max_value=10_000))

@@ -64,26 +64,23 @@ def test_parse_rejects_malformed_input():
 def test_max_with_raises_only_below_cutoff():
     table = _table(pedu=[12, 12], cedu=[12.0, 17.0], male=[0, 1])
     spec = parse_scenario("max_with(cedu, 16)")
-    xstar, frac = apply_scenario(table, ROLES, spec)
+    xstar = apply_scenario(table, ROLES, spec)
     np.testing.assert_array_equal(xstar["cedu"], [16.0, 17.0])
-    assert frac == 0.5
 
 
 def test_conditional_max_uses_trigger_column():
     # raise child schooling to the floor only where the parent is at/below the cutoff
     table = _table(pedu=[9.0, 11.0], cedu=[12.0, 12.0], male=[0, 0])
     spec = parse_scenario("conditional_max(cedu, pedu, 10, floor=16)")
-    xstar, frac = apply_scenario(table, ROLES, spec)
+    xstar = apply_scenario(table, ROLES, spec)
     np.testing.assert_array_equal(xstar["cedu"], [16.0, 12.0])
-    assert frac == 0.5
 
 
 def test_conditional_max_never_lowers():
     table = _table(pedu=[9.0], cedu=[17.0], male=[0])
     spec = parse_scenario("conditional_max(cedu, pedu, 10, floor=16)")
-    xstar, frac = apply_scenario(table, ROLES, spec)
+    xstar = apply_scenario(table, ROLES, spec)
     assert xstar["cedu"][0] == 17.0
-    assert frac == 0.0
 
 
 def test_default_floor_is_sixteen():
@@ -93,31 +90,21 @@ def test_default_floor_is_sixteen():
 
 def test_set_constant_applies_everywhere():
     table = _table(pedu=[9.0, 11.0], cedu=[12.0, 13.0], male=[0.0, 1.0])
-    xstar, frac = apply_scenario(table, ROLES, parse_scenario("set_constant(male, 1)"))
+    xstar = apply_scenario(table, ROLES, parse_scenario("set_constant(male, 1)"))
     np.testing.assert_array_equal(xstar["male"], [1.0, 1.0])
-    assert frac == 0.5  # only the first row actually changes
 
 
 def test_identity_affects_nothing():
     table = _table(pedu=[9.0, 11.0], cedu=[12.0, 13.0], male=[0, 1])
-    xstar, frac = apply_scenario(table, ROLES, ScenarioSpec(transforms=()))
-    assert frac == 0.0
+    xstar = apply_scenario(table, ROLES, ScenarioSpec(transforms=()))
+    assert set(xstar) == set(ROLES.x)
     for name in ROLES.x:
         np.testing.assert_array_equal(xstar[name], table.columns[name])
 
 
-def test_affected_fraction_matches_direct_count():
-    rng = np.random.default_rng(7)
-    cedu = rng.integers(7, 18, size=400).astype(float)
-    table = _table(pedu=rng.integers(0, 18, 400).astype(float), cedu=cedu,
-                   male=rng.integers(0, 2, 400).astype(float))
-    xstar, frac = apply_scenario(table, ROLES, parse_scenario("max_with(cedu, 14)"))
-    assert frac == np.mean(cedu < 14)
-
-
 def test_untouched_columns_are_fresh_copies():
     table = _table(pedu=[9.0, 11.0], cedu=[12.0, 13.0], male=[0, 1])
-    xstar, _ = apply_scenario(table, ROLES, parse_scenario("max_with(cedu, 16)"))
+    xstar = apply_scenario(table, ROLES, parse_scenario("max_with(cedu, 16)"))
     xstar["pedu"][0] = -99.0
     assert table.columns["pedu"][0] == 9.0
 
@@ -141,6 +128,5 @@ def test_missing_trigger_column_rejected():
 def test_transforms_apply_in_sequence():
     table = _table(pedu=[9.0], cedu=[12.0], male=[0])
     spec = parse_scenario("set_constant(cedu, 8); max_with(cedu, 10)")
-    xstar, frac = apply_scenario(table, ROLES, spec)
+    xstar = apply_scenario(table, ROLES, spec)
     assert xstar["cedu"][0] == 10.0
-    assert frac == 1.0
