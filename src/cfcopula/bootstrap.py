@@ -334,15 +334,20 @@ def _install_block(block):
     _in_block = True
 
 
-def _run_installed_block(lo, hi):
-    """The installed block's result or error, and the warnings it raised."""
+def _run_block(block, lo, hi):
+    """``block(lo, hi)``'s result or error, and the warnings it raised."""
     result = error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            result = _block(lo, hi)
+            result = block(lo, hi)
         except Exception as exc:
             error = exc
     return result, error, [warning.message for warning in caught]
+
+
+def _run_installed_block(lo, hi):
+    """A forked worker's entry: ``_run_block`` of the block it installed."""
+    return _run_block(_block, lo, hi)
 
 
 def _run_blocks(block, count):
@@ -354,9 +359,13 @@ def _run_blocks(block, count):
     inside a study block forks nothing.  Otherwise the parent runs the
     first block and forked workers run the rest: they see ``block`` and its
     data through the fork, so only (lo, hi) and a block's result are
-    pickled.  Returns the blocks' results in order.  A worker's warnings
-    are re-issued here and a failing block re-raises, both in block order,
-    so the first failing task decides the error, as in one loop.
+    pickled.  Every block, the parent's too, runs under one capture of its
+    result, error and warnings.  Once all blocks are done, every block's
+    warnings are re-issued here in block order, also when a block failed;
+    then the error of the first failing block is raised.  A block stops at
+    its first failing task, so the first failing task in task order decides
+    the error on any core count, as in one loop.  Returns the blocks'
+    results in order.
     """
     global _in_block
     k = min(_worker_count(), count)
@@ -386,17 +395,17 @@ def _run_blocks(block, count):
             ]
         _in_block = True
         try:
-            results = [block(edges[0], edges[1])]
+            outcomes = [_run_block(block, edges[0], edges[1])]
         finally:
             _in_block = False
-        for future in futures:
-            result, error, caught = future.result()
-            for message in caught:
-                warnings.warn(message, stacklevel=2)
-            if error is not None:
-                raise error
-            results.append(result)
-    return results
+        outcomes += [future.result() for future in futures]
+    for _, _, caught in outcomes:
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+    for _, error, _ in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _, _ in outcomes]
 
 
 def run_bootstrap(est, config):
@@ -547,8 +556,11 @@ def estimates(sample, xstars, kernel, bandwidth_c, m):
     DegenerateCovariateError
         If a smoothed covariate of the sample is constant.
     ValueError
-        If some weight of some value is not finite.
+        If m is not even and >= 2, or the bandwidth constant is not positive
+        and finite (checked before any weight is computed), or if some
+        weight of some value is not finite.
     """
+    check_grid_and_bandwidth(m, bandwidth_c)
     h = bandwidth(bandwidth_c, sample.x, sample.discrete_mask)
     V, n = xstars.shape[0], sample.n
     plan = kernel_plan(sample.x, xstars.reshape(V * n, -1), sample.discrete_mask)

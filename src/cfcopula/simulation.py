@@ -18,14 +18,15 @@ truth grid for integrated estimation errors.
 ``run_study`` runs its replications in contiguous blocks on every usable
 core through the bootstrap's block runner, one process per block; each
 replication is seeded by (seed, n, rep) alone, so the report is bitwise
-the same for any core count.
+the same for any core count.  The runner reports every block's warnings,
+and a failure stops its block: the study raises the error of the first
+failing replication in task order (rep-major), on any core count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -248,26 +249,6 @@ def _replication(config, truths, truth_grids, size_index, rep):
     return abs_err, sq_err, meas_err, covered
 
 
-def _replication_block(lo, hi, *, tasks, replication):
-    """(task, row) for the tasks lo..hi-1; a failing task's row is its error.
-
-    Tasks are (size index, rep) pairs.  Once a task fails, the block skips
-    the tasks after it in (size index, rep) order: an earlier failure
-    decides the study's error.
-    """
-    rows = []
-    failed = None
-    for task in tasks[lo:hi]:
-        if failed is not None and task > failed:
-            continue
-        try:
-            rows.append((task, replication(*task)))
-        except Exception as exc:
-            failed = task
-            rows.append((task, exc))
-    return rows
-
-
 def run_study(config):
     """Run the Monte Carlo study and return the aggregated SimReport.
 
@@ -278,11 +259,13 @@ def run_study(config):
     when bootstrap_b >= 2, interval coverage of the closed-form truths.
 
     Replication (n, rep) is seeded by (seed, n, rep) alone.  The
-    replications run in contiguous blocks on every usable core, in
-    rep-major order so that each block mixes the sizes; each block's
-    bootstraps run in its own process.  The rows are aggregated in
-    (n, rep) order, and the first failing replication in that order
-    decides the error, so the report is bitwise that of one loop.
+    replications are tasks in rep-major order (every size of rep 0, then
+    of rep 1, ...), so that each block mixes the sizes; they run in
+    contiguous blocks on every usable core through ``_run_blocks``, and
+    each block's bootstraps run in its own process.  The run is that of
+    one loop over the tasks: the rows are aggregated in (n, rep) order,
+    every block's warnings are reported, and the first failing
+    replication in task order decides the error.
     """
     truth_cf = gaussian_copula_grid(R_COUNTERFACTUAL, config.m)
     # the truths of the ESTIMATORS' grids
@@ -299,21 +282,15 @@ def run_study(config):
     tasks = [(i, rep) for rep in range(config.replications)
              for i in range(len(config.sizes))]
     blocks = _run_blocks(
-        partial(
-            _replication_block, tasks=tasks,
-            replication=partial(_replication, config, truths, truth_grids),
-        ),
+        lambda lo, hi: [_replication(config, truths, truth_grids, *task)
+                        for task in tasks[lo:hi]],
         len(tasks),
     )
-    results = dict(row for block in blocks for row in block)
-    for task in sorted(results):
-        if isinstance(results[task], Exception):
-            raise results[task]
+    results = [row for block in blocks for row in block]
 
     rows = []
     for i, n in enumerate(config.sizes):
-        reps = [results[(i, rep)] for rep in range(config.replications)]
-        abs_err, sq_err, meas_err, covered = zip(*reps)
+        abs_err, sq_err, meas_err, covered = zip(*results[i::len(config.sizes)])
         for e, est in enumerate(ESTIMATORS):
             rows.append((n, est, "miae_x100",
                          100.0 * float(np.mean([row[e] for row in abs_err]))))

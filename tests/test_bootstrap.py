@@ -740,6 +740,26 @@ def test_estimates_refuse_non_finite_weights(monkeypatch):
                   5.5, 10)
 
 
+@pytest.mark.parametrize("m, constant, message", [
+    (0, 5.5, "grid m must be even and >= 2"),
+    (-2, 5.5, "grid m must be even and >= 2"),
+    (7, 5.5, "grid m must be even and >= 2"),
+    (10, 0.0, "bandwidth constant must be positive and finite"),
+    (10, float("nan"), "bandwidth constant must be positive and finite"),
+], ids=["m=0", "m=-2", "m=7", "c=0", "c=nan"])
+def test_estimate_checks_grid_and_bandwidth_before_any_weight(monkeypatch, m,
+                                                              constant, message):
+    """Unchecked, m = 0 gives infinite measures, m = -2 a numpy error, and
+    m = 7 computes the weights before its GridResolutionError."""
+    calls = []
+    weights = bootstrap.kernel_weights
+    monkeypatch.setattr(bootstrap, "kernel_weights",
+                        lambda *args: calls.append(args) or weights(*args))
+    with pytest.raises(ValueError, match=message):
+        estimate(_sample(30, 57), KernelSpec(), constant, m)
+    assert calls == []
+
+
 def test_a_sweep_value_plan_gives_the_multipliers_of_its_own_plan():
     """Recompute replicates of a value evaluate the stacked plan of the
     sweep; the multipliers, and the rows without donor, are bitwise those

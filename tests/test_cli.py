@@ -914,9 +914,10 @@ def test_replicate_failure_in_a_worker_exits_three(dataset, tmp_path, monkeypatc
     assert "replicate 6 failed" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
-def test_warnings_from_a_worker_block_are_reported_once(dataset, tmp_path,
-                                                        monkeypatch, capsys):
+def _bootstrap_with_a_warning_worker(dataset, tmp_path, monkeypatch, capsys,
+                                     parent_fails):
+    """(exit code, stderr) of a bootstrap whose worker block warns, and whose
+    parent block, if ``parent_fails``, warns and raises."""
     from cfcopula import bootstrap
 
     block = bootstrap._replicate_block
@@ -924,6 +925,9 @@ def test_warnings_from_a_worker_block_are_reported_once(dataset, tmp_path,
     def noisy_block(lo, hi, **kwargs):
         if lo > 0:
             warnings.warn(f"block {lo}..{hi - 1} ran in a worker", UserWarning)
+        elif parent_fails:
+            warnings.warn(f"block {lo}..{hi - 1} ran here", UserWarning)
+            raise bootstrap.DegenerateReplicateError(f"block {lo}..{hi - 1} failed")
         return block(lo, hi, **kwargs)
 
     monkeypatch.setattr(bootstrap, "_replicate_block", noisy_block)
@@ -932,9 +936,28 @@ def test_warnings_from_a_worker_block_are_reported_once(dataset, tmp_path,
     path, _ = dataset
     rc = main(["bootstrap", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
                "--boot-b", "12", "--out-dir", str(tmp_path)])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_warnings_from_a_worker_block_are_reported_once(dataset, tmp_path,
+                                                        monkeypatch, capsys):
+    rc, err = _bootstrap_with_a_warning_worker(dataset, tmp_path, monkeypatch,
+                                               capsys, parent_fails=False)
     assert rc == 0
-    err = capsys.readouterr().err
     assert err == "warning: UserWarning: block 6..11 ran in a worker\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_a_worker_warning_is_reported_when_the_parent_block_fails(
+        dataset, tmp_path, monkeypatch, capsys):
+    rc, err = _bootstrap_with_a_warning_worker(dataset, tmp_path, monkeypatch,
+                                               capsys, parent_fails=True)
+    assert rc == 3
+    # every block's warnings in block order, then the error
+    assert err == ("warning: UserWarning: block 0..5 ran here\n"
+                   "warning: UserWarning: block 6..11 ran in a worker\n"
+                   "numeric failure: block 0..5 failed\n")
 
 
 def test_cli_import_leaves_process_machinery_unloaded():

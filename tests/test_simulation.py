@@ -274,12 +274,14 @@ def test_run_study_is_bitwise_the_same_on_any_number_of_cores(monkeypatch, tmp_p
 
 
 def test_the_first_failing_replication_decides_the_error(monkeypatch):
-    """Rep-major blocks meet (n=50, rep 0) before (n=30, rep 2); the study
-    fails on (n=30, rep 2), the first in (n, rep) order, as one loop does."""
+    """The tasks are rep-major: (n=50, rep 1) is task 3 and (n=30, rep 2)
+    task 4, though (n, rep) order puts (30, 2) first.  The study fails on
+    task 3, the first failure one loop over the tasks meets, on any core
+    count; on two and three cores a worker runs it."""
     seed_of = simulation._replication_seed
 
     def seed(master, n, rep):
-        if (n, rep) in {(50, 0), (30, 2)}:
+        if (n, rep) in {(50, 1), (30, 2)}:
             raise bootstrap.DegenerateReplicateError(
                 f"replication n={n} rep={rep} in process {os.getpid()}")
         return seed_of(master, n, rep)
@@ -289,9 +291,9 @@ def test_the_first_failing_replication_decides_the_error(monkeypatch):
     for k in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_worker_count", lambda k=k: k)
         with pytest.raises(bootstrap.DegenerateReplicateError,
-                           match="n=30 rep=2 in") as err:
+                           match="n=50 rep=1 in") as err:
             run_study(cfg)
-        # task 4 of six runs in the parent's block only on one core
+        # task 3 of six runs in the parent's block only on one core
         ran_here = f"process {os.getpid()}" in str(err.value)
         assert ran_here == (k == 1 or not hasattr(os, "fork"))
 
