@@ -6,12 +6,14 @@ the simulation study.
 
 On grids, rho and gamma are integrals of the copula itself (a bilinear cell
 rule and diagonal trapezoids), tau is a Stieltjes sum against the grid's
-cell masses, and beta is a node read.  ``measures_from_cells`` evaluates
-them from an atom histogram (the point estimate and every bootstrap
-replicate) without forming the grid.  The value-based forms matter for
-weighted estimates: a weighted sample's pseudo-observation margins are only
-approximately uniform, and position-weighted mass sums for rho and gamma
-pick up a bias of order sum(w^2)/n^2 that the value integrals do not.
+cell masses, and beta is a node read.  ``measures_from_cell_pair``
+evaluates them from the actual and counterfactual atom histograms of the
+point estimate or of a bootstrap replicate, without forming either grid;
+the two share one complex prefix sum per axis.  The value-based forms
+matter for weighted estimates: a weighted sample's pseudo-observation
+margins are only approximately uniform, and position-weighted mass sums for
+rho and gamma pick up a bias of order sum(w^2)/n^2 that the value
+integrals do not.
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ def _measures(V, masses, m, n):
     )
 
 
-def measures_from_cells(cells, m, n):
-    """(rho, tau, gamma, beta) of the copula of an atom histogram, as floats.
+def measures_from_cell_pair(actual, counterfactual, m, n, work):
+    """(rho, tau, gamma, beta) of the copulas of two atom histograms, as
+    eight floats: the actual side's four, then the counterfactual's.
 
-    ``cells`` is the (m+2) x (m+2) histogram of a weighted rank sample with
-    total mass n: entry [a, b] holds the weight of the atoms in the cell
-    ((a-1)/m, a/m] x ((b-1)/m, b/m], index 0 holding atoms at or below 0
-    and index m+1 atoms above 1.  Its prefix sum V over [:m+1, :m+1] is
+    Each ``cells`` is the (m+2) x (m+2) histogram of a weighted rank sample
+    with total mass n: entry [a, b] holds the weight of the atoms in the
+    cell ((a-1)/m, a/m] x ((b-1)/m, b/m], index 0 holding atoms at or below
+    0 and index m+1 atoms above 1.  Its prefix sum V over [:m+1, :m+1] is
     n times the copula grid, so with t the trapezoid node weights (1/2 at
     both ends, 1 elsewhere):
 
@@ -82,11 +85,29 @@ def measures_from_cells(cells, m, n):
     * beta reads V[m/2, m/2].
 
     These are the functionals of the grid V/n without forming, normalising
-    or differencing it.
+    or differencing it.  The two histograms share their prefix sums: they
+    fill the two lanes of one complex128 array, whose cumsum along each
+    axis adds both lanes in one pass.  A complex addition is two IEEE
+    additions, so each lane gets the sums of a real cumsum, bitwise.
+    ``work`` is a dict the caller keeps across calls; it holds one set of
+    buffers per m, so a run of calls allocates them once.
     """
-    V = cells[: m + 1, : m + 1].cumsum(axis=0)
-    V.cumsum(axis=1, out=V)
-    return _measures(V, cells[1 : m + 1, 1 : m + 1], m, n)
+    _table(m)  # the odd-m check, before any buffer is made
+    buffers = work.get(m)
+    if buffers is None:
+        buffers = work[m] = np.empty((m + 1, m + 1, 2)), np.empty((m + 1, m + 1))
+    lanes, V = buffers
+    lanes[..., 0] = actual[: m + 1, : m + 1]
+    lanes[..., 1] = counterfactual[: m + 1, : m + 1]
+    prefix = lanes.view(np.complex128)[..., 0]
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.cumsum(prefix, axis=1, out=prefix)
+    # each side's measures read a C-contiguous copy of its lane, as they
+    # read a real cumsum's output
+    np.copyto(V, lanes[..., 0])
+    values = _measures(V, actual[1 : m + 1, 1 : m + 1], m, n)
+    np.copyto(V, lanes[..., 1])
+    return values + _measures(V, counterfactual[1 : m + 1, 1 : m + 1], m, n)
 
 
 MEASURES = ("rho", "tau", "gamma", "beta")

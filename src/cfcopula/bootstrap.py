@@ -229,14 +229,16 @@ def _recompute(est, counts, rngs, redraws, v):
     return len(counts), None
 
 
-def _batch(seed, est, recompute, b0, b1, stats, redraws):
+def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
     """Stats rows and redraws of replicates b0..b1-1 of one run.
 
     Each replicate draws from its own generator, seeded by (seed, b), so its
     row does not depend on the batch.  The frozen multipliers are one
     product, the resample bandwidths one ``std``, and the pseudo-observations
-    and atom indices of the actual and counterfactual rows one pass.  An
-    error stops the batch at its replicate: the first failure decides.
+    and atom indices of the actual and counterfactual rows one pass.  A
+    replicate's two histograms share their prefix sums, in the buffers of
+    ``work`` (``association.measures_from_cell_pair``).  An error stops the
+    batch at its replicate: the first failure decides.
     """
     n = est.sample.n
     # row 2j of the pass holds the counts of replicate j, row 2j+1 its
@@ -280,10 +282,13 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws):
         rows = v[lo:lo + step]
         for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
                                          rows, m):
-            # row 2j is replicate j's actual copula, row 2j+1 its counterfactual
-            j, side = divmod(i, 2)
-            stats[j, side * k:(side + 1) * k] = association.measures_from_cells(
-                cells, m, n)
+            # row 2j is replicate j's actual copula, row 2j+1 its
+            # counterfactual; at a step of one row they come from two passes
+            if i % 2 == 0:
+                actual = cells
+            else:
+                stats[i // 2, :2 * k] = association.measures_from_cell_pair(
+                    actual, cells, m, n, work)
             i += 1
     # the effect is counterfactual minus actual, measure by measure
     stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
@@ -298,17 +303,19 @@ def _replicate_block(lo, hi, *, runs, starts):
     max(1, _BATCH // 2n) replicates of one run (``_batch``); a batch never
     spans two runs.  Replicate b is seeded by (seed, b) alone and draws
     from its own generator, so its row depends neither on the block, nor
-    on where the block runs, nor on the batch it falls in.
+    on where the block runs, nor on the batch it falls in.  The batches
+    share one measures workspace.
     """
     stats = np.empty((hi - lo, len(TARGETS) * len(MEASURES)))
     redraws = np.zeros(hi - lo, dtype=np.intp)
+    work = {}
     t = lo
     while t < hi:
         k = bisect_right(starts, t) - 1
         seed, est, recompute = runs[k]
         stop = min(hi, starts[k + 1], t + max(1, _BATCH // (2 * est.sample.n)))
         _batch(seed, est, recompute, t - starts[k], stop - starts[k],
-               stats[t - lo:stop - lo], redraws[t - lo:stop - lo])
+               stats[t - lo:stop - lo], redraws[t - lo:stop - lo], work)
         t = stop
     return stats, redraws
 
@@ -497,15 +504,18 @@ class Estimate:
 def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
 
-    Each copula's grid and measures come from one atom histogram, as a
-    bootstrap replicate's measures do.  ``ranks`` are the margin ranks of
-    the sample's outcomes.
+    Each copula's grid and measures come from one atom histogram, and the
+    two copulas' measures from one pair call, as a bootstrap replicate's
+    measures do.  ``ranks`` are the margin ranks of the sample's outcomes.
     """
-    grids, reports = {}, {}
+    cells, grids = {}, {}
     for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
-        cells, grids[target] = _point(*ranks, v, m)
-        reports[target] = dict(zip(MEASURES, association.measures_from_cells(
-            cells, m, sample.n)))
+        cells[target], grids[target] = _point(*ranks, v, m)
+    values = association.measures_from_cell_pair(
+        cells["actual"], cells["counterfactual"], m, sample.n, {})
+    k = len(MEASURES)
+    reports = {"actual": dict(zip(MEASURES, values[:k])),
+               "counterfactual": dict(zip(MEASURES, values[k:]))}
     reports["effect"] = {measure: reports["counterfactual"][measure]
                          - reports["actual"][measure] for measure in MEASURES}
     return Estimate(sample=sample, kernel=kernel, bandwidth_c=bandwidth_c, h=h, w=w,

@@ -151,8 +151,8 @@ _KERNEL_FIELDS = {"kernel": "family", "kernel_order": "order"}
 
 
 def read_config(path):
-    """Parse a flat key=value file into a string dict; unknown and
-    repeated keys fail.
+    """Parse a flat key=value UTF-8 file into a string dict; a leading
+    byte-order mark is skipped, and unknown and repeated keys fail.
 
     No path gives an empty dict.
     """
@@ -160,7 +160,7 @@ def read_config(path):
     if not path:
         return entries
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

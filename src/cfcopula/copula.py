@@ -445,9 +445,11 @@ def weighted_rank_atoms(u1, u2, v, m):
     whose first node at or above them is (a/m, b/m); index m+1 holds the
     atoms above 1 + 1e-9 (possible only under negative weights).  Its
     prefix sum over indices 0..m is n times the copula grid, and it gives
-    the four measures directly (``association.measures_from_cells``).
-    The atom indices of all rows and both margins come from one pass; each
-    histogram is built when it is taken, so one is alive at a time.
+    the four measures directly (``association.measures_from_cell_pair``,
+    which takes a replicate's actual and counterfactual histograms
+    together).  The atom indices of all rows and both margins come from one
+    pass; each histogram is built when it is taken, so a caller that pairs
+    consecutive rows holds two at a time.
     """
     # one flat pass over both margins and every row: per-call overhead is
     # most of the cost at small n

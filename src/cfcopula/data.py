@@ -95,14 +95,15 @@ class ColumnRoles:
 
 
 def ingest(path, roles=None):
-    """Read a headered CSV into a Table, parsing every cell as a float.
+    """Read a headered UTF-8 CSV into a Table, parsing every cell as a float;
+    a leading byte-order mark is skipped.
 
     With ``roles`` the header is checked for all required columns up front.
     Raises DataError for a missing column, a non-numeric or non-finite cell
     (reported as data row and column name) or fewer than two data rows.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

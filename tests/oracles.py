@@ -197,10 +197,12 @@ def measures_from_pseudo_obs(pobs):
 
 
 def measures_report_from_cells(cells, m, n):
-    """``association.measures_from_cells`` as a ``Report``, with its
-    trapezoid weights, diagonal indices and odd-m check set up on every
-    call; the package takes them from a table built once per m and must
-    give these measures bitwise."""
+    """The measures of one atom histogram as a ``Report``: a real prefix
+    sum per axis, with the trapezoid weights, diagonal indices and odd-m
+    check set up on every call.  ``association.measures_from_cell_pair``
+    shares one complex prefix sum between two histograms and takes the
+    rest from a table built once per m; each of its sides must give these
+    measures bitwise."""
     if m % 2 != 0:
         raise association.GridResolutionError(
             f"Blomqvist's beta needs (0.5, 0.5) on the grid; m={m} is odd"
@@ -227,7 +229,7 @@ def measures_from_grid(grid):
 
     rho and gamma integrate C over the unit square and its diagonals, tau
     is a Stieltjes sum of C against the grid's cell masses, and beta is a
-    node read; see ``association.measures_from_cells``.
+    node read; see ``association.measures_from_cell_pair``.
     """
     v = grid.values
     masses = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
@@ -383,12 +385,12 @@ def _reports(ranks1, ranks2, counts, v_cf, m):
             "has zero weight"
         )
     n = ranks1.n
-    actual = dict(zip(MEASURES, association.measures_from_cells(
+    actual = measures_report_from_cells(
         _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
-    )))
-    counterfactual = dict(zip(MEASURES, association.measures_from_cells(
+    ).as_dict()
+    counterfactual = measures_report_from_cells(
         _rank_atoms(ranks1, ranks2, v_cf, m), m, n
-    )))
+    ).as_dict()
     return {
         "actual": actual,
         "counterfactual": counterfactual,

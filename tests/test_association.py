@@ -16,7 +16,7 @@ from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
 from cfcopula.association import (
     GridResolutionError,
     gaussian_measure,
-    measures_from_cells,
+    measures_from_cell_pair,
 )
 from cfcopula.copula import CopulaGrid, ObservationSample, empirical_copula
 
@@ -153,9 +153,12 @@ def test_blomqvist_requires_even_grid():
         blomqvist_beta(_independence(5))
     with pytest.raises(GridResolutionError, match="m=5 is odd"):
         measures_from_grid(_independence(5))
+    work = {}
     for _ in range(2):
         with pytest.raises(GridResolutionError, match="m=5 is odd"):
-            measures_from_cells(np.ones((7, 7)), 5, 49.0)
+            measures_from_cell_pair(np.ones((7, 7)), np.ones((7, 7)), 5, 49.0, work)
+    # the check comes before any buffer is made
+    assert work == {}
 
 
 # --- Gaussian closed forms ------------------------------------------------------
@@ -210,26 +213,47 @@ def test_measures_from_grid_match_the_single_measure_oracle():
         assert_reports_close(measures_from_grid(grid), oracle_measures(grid), 1e-14)
 
 
+def _oracle_pair(first, second, m, n):
+    """The eight measures of two histograms, each from its own real
+    prefix sums, as bytes."""
+    return np.array([value for cells in (first, second) for value in
+                     measures_report_from_cells(cells, m, n).as_dict().values()]
+                    ).tobytes()
+
+
 @pytest.mark.parametrize("m", [2, 10, 100, 1000])
 def test_measures_from_cells_match_the_oracle_on_adversarial_atoms(m):
     """Atoms on the nodes and ulps either side, at index 0 and m+1, ties
-    and negative weights: the histogram forms are the grid functionals."""
+    and negative weights: the histogram forms are the grid functionals.
+    Each side of a pair is its histogram's measures bitwise, whatever the
+    other side holds and in either order on one workspace."""
     rng = np.random.default_rng(400 + m)
     cases = adversarial_atoms(m, 300 + m)
-    # the first case with nonnegative weights, and with heavy ties
+    # the first case with nonnegative weights, with heavy ties, and with
+    # the integer counts of a multinomial resample
     u1, u2, w = cases[0]
     cases.append((u1, u2, np.abs(w)))
     pick = rng.integers(0, 12, size=400)
     cases.append((u1[pick], u2[pick], rng.uniform(-0.5, 2.0, size=400)))
+    counts = rng.multinomial(w.size, np.full(w.size, 1.0 / w.size)).astype(float)
+    cases.append((u1, u2, counts))
+    negative = _add_at_atoms(*cases[0], m)
+    integer = _add_at_atoms(*cases[-1], m)
+    work = {}
     for a1, a2, w in cases:
         n = float(w.size)
         grid = _grid_from(_add_at_grid_values(a1, a2, w, m, n))
         cells = _add_at_atoms(a1, a2, w, m)
-        got = measures_from_cells(cells, m, n)
+        for other in (cells, negative, integer):
+            got = measures_from_cell_pair(cells, other, m, n, work)
+            assert np.array(got).tobytes() == _oracle_pair(cells, other, m, n)
+            got = measures_from_cell_pair(other, cells, m, n, work)
+            assert np.array(got).tobytes() == _oracle_pair(other, cells, m, n)
         ref = measures_report_from_cells(cells, m, n)
-        assert np.array(got).tobytes() == np.array(list(ref.as_dict().values())).tobytes()
         assert_reports_close(ref, oracle_measures(grid), 1e-12)
         assert_reports_close(ref, measures_from_grid(grid), 1e-12)
+    # one set of buffers served every call
+    assert list(work) == [m]
 
 
 def test_grid_and_pseudo_obs_paths_agree_on_unweighted_data():

@@ -18,6 +18,7 @@ from oracles import (
     counterfactual_weights,
     estimate_under,
     measures_from_grid,
+    measures_report_from_cells,
 )
 from test_copula import _add_at_atoms, _mixed_covariates
 
@@ -32,7 +33,7 @@ from cfcopula.bootstrap import (
     multinomial_counts,
     run_bootstrap,
 )
-from cfcopula.association import MEASURES, measures_from_cells
+from cfcopula.association import MEASURES
 from cfcopula.copula import (
     BLOCK,
     BandwidthTooSmallError,
@@ -141,8 +142,8 @@ def test_unit_multipliers_reproduce_point_grids_bitwise():
         reports = _reports(r1, r2, ones, ones * w, 20)
         est = estimate_under(sample, w, 20, kernel)
         assert reports == est.reports
-        assert reports["counterfactual"] == dict(zip(
-            MEASURES, measures_from_cells(cf, 20, 60)))
+        assert reports["counterfactual"] == measures_report_from_cells(
+            cf, 20, 60).as_dict()
 
 
 def test_zero_counterfactual_mass_raises():
@@ -672,8 +673,10 @@ def test_estimate_is_the_chain_at_its_bandwidth_bitwise():
         assert mine.m == grid.m
     # the reports come from the histograms the grids come from
     r1, r2 = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    actual = measures_from_cells(_rank_atoms(r1, r2, np.ones(200), 20), 20, 200)
-    cf = measures_from_cells(_rank_atoms(r1, r2, w, 20), 20, 200)
+    actual = list(measures_report_from_cells(
+        _rank_atoms(r1, r2, np.ones(200), 20), 20, 200).as_dict().values())
+    cf = list(measures_report_from_cells(
+        _rank_atoms(r1, r2, w, 20), 20, 200).as_dict().values())
     # each report maps the measures, in order, to these doubles
     assert {target: list(report.items()) for target, report in est.reports.items()} == {
         "actual": list(zip(MEASURES, actual)),

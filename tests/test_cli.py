@@ -491,6 +491,27 @@ def synth_600(tmp_path_factory):
     return path
 
 
+def test_a_byte_order_mark_changes_no_output(synth_600, tmp_path):
+    """An input file and a config file saved with a UTF-8 byte-order mark
+    give the outputs of the plain files."""
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + synth_600.read_bytes())
+    options = "scenario = max_with(cedu, 16)\nboot_b = 20\nbandwidth_c = 30\ngrid_m = 20\n"
+    for name, data, encoding in (("plain", synth_600, "utf-8"), ("bom", bom, "utf-8-sig")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"input = {data}\n{options}", encoding=encoding)
+        assert main(["bootstrap", "--config", str(config),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    for f in ("grid_actual.csv", "grid_counterfactual.csv", "measures.csv",
+              "diagnostics.csv"):
+        assert (tmp_path / "plain" / f).read_bytes() == (tmp_path / "bom" / f).read_bytes(), f
+    # the summary names its input file
+    summary = (tmp_path / "plain" / "summary.txt").read_text(encoding="utf-8")
+    assert summary.replace(str(synth_600), str(bom)) == (
+        tmp_path / "bom" / "summary.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("param,first,last", [("s", 14, 16), ("sprime", 8, 10)])
 @pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
 def test_sweep_values_are_those_of_estimate(synth_600, tmp_path, monkeypatch,
