@@ -66,9 +66,10 @@ from .copula import (
     kernel_plan,
     kernel_weights,
     margin_ranks,
+    support_violations,
     weighted_rank_atoms,
 )
-from .kernels import KernelSpec, bandwidth
+from .kernels import KernelSpec, bandwidth, validate_order
 
 TARGETS = ("actual", "counterfactual", "effect")
 MEASURES = association.MEASURES
@@ -327,18 +328,14 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-# True while this process runs a block of ``_run_blocks``: in the parent's
-# own block, and for good in a forked worker
-_in_block = False
-
-# the block a forked worker runs; set in the worker only, by _install_block
+# the block this process runs, or None: set around the parent's own block
+# by _run_blocks, and for good in a forked worker by _install_block
 _block = None
 
 
 def _install_block(block):
-    global _block, _in_block
+    global _block
     _block = block
-    _in_block = True
 
 
 def _run_block(block, lo, hi):
@@ -374,11 +371,11 @@ def _run_blocks(block, count):
     the error on any core count, as in one loop.  Returns the blocks'
     results in order.
     """
-    global _in_block
+    global _block
     k = min(_worker_count(), count)
     if k == 0:
         return []
-    if k == 1 or _in_block or not hasattr(os, "fork"):
+    if k == 1 or _block is not None or not hasattr(os, "fork"):
         return [block(0, count)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -400,11 +397,11 @@ def _run_blocks(block, count):
                 pool.submit(_run_installed_block, lo, hi)
                 for lo, hi in zip(edges[1:-1], edges[2:])
             ]
-        _in_block = True
+        _block = block
         try:
             outcomes = [_run_block(block, edges[0], edges[1])]
         finally:
-            _in_block = False
+            _block = None
         outcomes += [future.result() for future in futures]
     for _, _, caught in outcomes:
         for message in caught:
@@ -488,6 +485,11 @@ class Estimate:
     recompute-weights replicates evaluate again.  ``grids`` (actual,
     counterfactual) and ``reports`` (actual, counterfactual, effect) are
     keyed by target; a report is a {measure: float} dict in ``MEASURES`` order.
+    ``health`` is what the reports say about the weights, a plain dict:
+    ``affected_fraction``, the share of rows whose xstar differs from x;
+    ``weight_sum``, ``weight_min``, ``weight_max`` and ``negative_count``
+    of ``w``; ``support_rows``, the rows of ``copula.support_violations``;
+    and ``order_warning``, the text of ``kernels.validate_order`` or None.
     """
 
     sample: ObservationSample
@@ -499,14 +501,17 @@ class Estimate:
     grids: dict
     reports: dict
     plan: KernelPlan
+    health: dict
 
 
 def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
-    """The ``Estimate`` of ``sample`` under its weights: grids, measures, effect.
+    """The ``Estimate`` of ``sample`` under its weights: grids, measures,
+    effect and the weights' health record.
 
     Each copula's grid and measures come from one atom histogram, and the
     two copulas' measures from one pair call, as a bootstrap replicate's
     measures do.  ``ranks`` are the margin ranks of the sample's outcomes.
+    Every command and the study read the weights' facts from ``health``.
     """
     cells, grids = {}, {}
     for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
@@ -518,8 +523,16 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
                "counterfactual": dict(zip(MEASURES, values[k:]))}
     reports["effect"] = {measure: reports["counterfactual"][measure]
                          - reports["actual"][measure] for measure in MEASURES}
+    health = {
+        "affected_fraction": float(np.any(sample.xstar != sample.x, axis=1).mean()),
+        "weight_sum": float(w.sum()), "weight_min": float(w.min()),
+        "weight_max": float(w.max()), "negative_count": int((w < 0).sum()),
+        "support_rows": support_violations(sample),
+        "order_warning": validate_order(kernel, int((~sample.discrete_mask).sum())),
+    }
     return Estimate(sample=sample, kernel=kernel, bandwidth_c=bandwidth_c, h=h, w=w,
-                    ranks=ranks, grids=grids, reports=reports, plan=plan)
+                    ranks=ranks, grids=grids, reports=reports, plan=plan,
+                    health=health)
 
 
 def check_grid_and_bandwidth(m, bandwidth_c):

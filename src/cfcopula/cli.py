@@ -43,7 +43,7 @@ from .bootstrap import (
     run_bootstrap,
     run_bootstraps,
 )
-from .copula import BandwidthTooSmallError, support_violations
+from .copula import BandwidthTooSmallError
 from .data import (
     ColumnRoles,
     DataError,
@@ -55,7 +55,7 @@ from .data import (
     write_grid_csv,
     write_table,
 )
-from .kernels import DegenerateCovariateError, KernelSpec, validate_order
+from .kernels import DegenerateCovariateError, KernelSpec
 from .scenarios import ScenarioError, ScenarioSpec, Transform, apply_scenario, parse_scenario
 from .simulation import SimStudyConfig, run_study
 
@@ -254,46 +254,44 @@ def _run_config(given):
 # --- shared estimation plumbing ------------------------------------------------
 
 def _estimates(cfg, table, specs):
-    """Labels, affected fractions and an iterator over the estimates of the
-    scenarios ``specs`` on ``table``, a spec None standing for the explicit
-    xstar columns.  One ``estimates`` call weights them all; only the last
-    sample is kept, since the samples differ only in xstar."""
-    labels, fracs = [], []
-    xstars = np.empty((len(specs), table.n, len(cfg.roles.x))) if len(specs) > 1 else None
+    """Labels and an iterator over the estimates of the scenarios ``specs``
+    on ``table``, a spec None standing for the explicit xstar columns.  One
+    ``estimates`` call weights them all from one (V, n, d) array of xstars;
+    only the last sample is kept, since the samples differ only in xstar.
+    Each estimate's ``health`` holds its affected fraction."""
+    labels = []
+    xstars = np.empty((len(specs), table.n, len(cfg.roles.x)))
     for index, spec in enumerate(specs):
         columns = None if spec is None else apply_scenario(table, cfg.roles, spec)
         sample = build_sample(table, cfg.roles, xstar_columns=columns)
         labels.append("explicit xstar columns " + ",".join(cfg.roles.xstar)
                       if spec is None else spec.describe())
-        fracs.append(float(np.any(sample.xstar != sample.x, axis=1).mean()))
-        if len(specs) == 1:
-            xstars = sample.xstar[None]
-        else:
-            xstars[index] = sample.xstar
-    return labels, fracs, estimates(sample, xstars, cfg.kernel, cfg.bandwidth_c,
-                                    cfg.grid_m)
+        xstars[index] = sample.xstar
+    return labels, estimates(sample, xstars, cfg.kernel, cfg.bandwidth_c, cfg.grid_m)
 
 
-def _write_measures(path, est, intervals=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_outputs(cfg, label, est, out, boot=None, result=None):
+    """Write the grids, ``measures.csv``, ``diagnostics.csv`` and
+    ``summary.txt`` of ``est``, the weights' facts read from ``est.health``,
+    to ``out``; return the summary.  With the ``BootstrapConfig`` ``boot``
+    and its ``result``, each measure carries its interval."""
+    out.mkdir(parents=True, exist_ok=True)
+    for target, grid in est.grids.items():
+        write_grid_csv(grid, out / f"grid_{target}.csv")
+    ends = () if boot is None else ("lo", "hi")
+    bounds = {} if boot is None else {key: (run.lo, run.hi)
+                                      for key, run in result.runs.items()}
+    # the (target, measure, value, bounds) rows of measures.csv and the summary
+    rows = [(t, m, est.reports[t][m], bounds.get((t, m), ()))
+            for t in TARGETS for m in MEASURES]
+    with open(out / "measures.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["target", "measure", "value"]
-        if intervals is not None:
-            header += ["lo", "hi"]
-        writer.writerow(header)
-        for target in TARGETS:
-            values = est.reports[target]
-            for measure in MEASURES:
-                row = [target, measure, repr(values[measure])]
-                if intervals is not None:
-                    lo, hi = intervals[(target, measure)]
-                    row += [repr(lo), repr(hi)]
-                writer.writerow(row)
-
-
-def _write_diagnostics(path, cfg, label, frac, est, weights, support_rows,
-                       order_warning, extra=None):
-    rows = [
+        writer.writerow(["target", "measure", "value", *ends])
+        writer.writerows([target, measure, *map(repr, (value, *bounds))]
+                         for target, measure, value, bounds in rows)
+    health = est.health
+    support = health["support_rows"]
+    diagnostics = [
         ("version", __version__),
         ("n", est.sample.n),
         ("grid_m", cfg.grid_m),
@@ -301,22 +299,19 @@ def _write_diagnostics(path, cfg, label, frac, est, weights, support_rows,
         ("bandwidth_c", cfg.bandwidth_c),
         ("bandwidth", ";".join(repr(float(v)) for v in est.h)),
         ("scenario", label),
-        ("affected_fraction", repr(frac)),
-        *weights.items(),
-        ("support_violations", support_rows.size),
-        ("support_rows", ";".join(str(r) for r in support_rows[:50])),
-        ("kernel_order_check", "pass" if order_warning is None else "warn"),
+        ("affected_fraction", repr(health["affected_fraction"])),
+        *((key, health[key])
+          for key in ("weight_sum", "weight_min", "weight_max", "negative_count")),
+        ("support_violations", support.size),
+        ("support_rows", ";".join(str(r) for r in support[:50])),
+        ("kernel_order_check", "pass" if health["order_warning"] is None else "warn"),
     ]
-    if extra:
-        rows.extend(extra)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    if boot is not None:
+        diagnostics += [("bootstrap_b", boot.B), ("level", boot.level), ("seed", boot.seed)]
+    with open(out / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
-        writer.writerows(rows)
-
-
-def _summary_lines(cfg, label, frac, est, weights, support_rows, order_warning,
-                   intervals=None, boot_note=None):
+        writer.writerows(diagnostics)
     lines = [
         f"counterfactual copula report (cfcopula {__version__})",
         "",
@@ -325,87 +320,51 @@ def _summary_lines(cfg, label, frac, est, weights, support_rows, order_warning,
         f"covariates: {', '.join(cfg.roles.x)}"
         + (f" (discrete: {', '.join(cfg.roles.discrete)})" if cfg.roles.discrete else ""),
         f"scenario: {label}",
-        f"affected rows: {frac:.2%}",
+        f"affected rows: {health['affected_fraction']:.2%}",
         f"kernel: {est.kernel.family} (order {est.kernel.order}), "
         f"bandwidth c={cfg.bandwidth_c}, grid m={cfg.grid_m}",
         "",
-        f"weights: sum={weights['weight_sum']:.6f}, range "
-        f"[{weights['weight_min']:.4f}, {weights['weight_max']:.4f}], "
-        f"negative={weights['negative_count']}",
+        f"weights: sum={health['weight_sum']:.6f}, range "
+        f"[{health['weight_min']:.4f}, {health['weight_max']:.4f}], "
+        f"negative={health['negative_count']}",
     ]
-    if support_rows.size:
-        shown = ", ".join(str(r) for r in support_rows[:10])
-        more = "" if support_rows.size <= 10 else " ..."
-        lines.append(
-            f"warning: {support_rows.size} manipulated rows fall outside "
-            f"the sampled covariate box (rows {shown}{more}); weights extrapolate"
-        )
-    if order_warning is not None:
-        lines.append(f"warning: {order_warning}")
-    if boot_note:
-        lines.append(boot_note)
-    lines.append("")
-    ends = () if intervals is None else ("lo", "hi")
-    lines.append(f"{'target':16s}{'measure':9s}{'value':>10s}"
-                 + "".join(f"{e:>10s}" for e in ends))
-    for target in TARGETS:
-        values = est.reports[target]
-        for measure in MEASURES:
-            bounds = () if intervals is None else intervals[(target, measure)]
-            lines.append(f"{target:16s}{measure:9s}{values[measure]:>10.4f}"
-                         + "".join(f"{b:>10.4f}" for b in bounds))
-    return lines
-
-
-def _write_estimate_outputs(cfg, label, frac, est, out, intervals=None,
-                            boot_note=None, extra_diag=None):
-    out.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(est.grids["actual"], out / "grid_actual.csv")
-    write_grid_csv(est.grids["counterfactual"], out / "grid_counterfactual.csv")
-    _write_measures(out / "measures.csv", est, intervals=intervals)
-    support_rows = support_violations(est.sample)
-    order_warning = validate_order(est.kernel, int((~est.sample.discrete_mask).sum()))
-    w = est.w
-    # the weights' facts, under their diagnostics.csv keys
-    weights = {"weight_sum": float(w.sum()), "weight_min": float(w.min()),
-               "weight_max": float(w.max()), "negative_count": int((w < 0).sum())}
-    _write_diagnostics(out / "diagnostics.csv", cfg, label, frac, est, weights,
-                       support_rows, order_warning, extra=extra_diag)
-    summary = "\n".join(_summary_lines(cfg, label, frac, est, weights, support_rows,
-                                       order_warning, intervals, boot_note)) + "\n"
+    if support.size:
+        shown = ", ".join(str(r) for r in support[:10])
+        more = "" if support.size <= 10 else " ..."
+        lines.append(f"warning: {support.size} manipulated rows fall outside the sampled "
+                     f"covariate box (rows {shown}{more}); weights extrapolate")
+    if health["order_warning"] is not None:
+        lines.append(f"warning: {health['order_warning']}")
+    if boot is not None:
+        lines.append(f"bootstrap: B={boot.B}, level={boot.level}, seed={boot.seed}, "
+                     f"recompute_weights={boot.recompute_weights}, "
+                     f"degenerate redraws={result.discarded}")
+    lines += ["", f"{'target':16s}{'measure':9s}{'value':>10s}"
+              + "".join(f"{e:>10s}" for e in ends)]
+    lines += [f"{target:16s}{measure:9s}" + "".join(f"{v:>10.4f}" for v in (value, *bounds))
+              for target, measure, value, bounds in rows]
+    summary = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(summary, encoding="utf-8")
     return summary
 
 
 # --- commands ------------------------------------------------------------------
 
-def cmd_estimate(given):
+def cmd_estimate(given, bootstrap=False):
+    """``estimate``, or with ``bootstrap`` the ``bootstrap`` command: the one
+    estimate of the run's scenario, its intervals under the bootstrap
+    options (checked before the input is read), and its outputs."""
     cfg = _run_config(given)
-    (label,), (frac,), (est,) = _estimates(cfg, ingest(cfg.input, roles=cfg.roles),
-                                           [cfg.scenario])
-    summary = _write_estimate_outputs(cfg, label, frac, est, Path(cfg.out_dir))
-    sys.stdout.write(summary)
+    boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS) if bootstrap else None
+    (label,), (est,) = _estimates(cfg, ingest(cfg.input, roles=cfg.roles),
+                                  [cfg.scenario])
+    result = None if boot is None else run_bootstrap(est, boot)
+    sys.stdout.write(_write_outputs(cfg, label, est, Path(cfg.out_dir), boot, result))
     return 0
 
 
 def cmd_bootstrap(given):
-    cfg = _run_config(given)
-    boot = _build(BootstrapConfig, given, _BOOTSTRAP_FIELDS)
-    (label,), (frac,), (est,) = _estimates(cfg, ingest(cfg.input, roles=cfg.roles),
-                                           [cfg.scenario])
-    result = run_bootstrap(est, boot)
-    intervals = {key: (run.lo, run.hi) for key, run in result.runs.items()}
-    note = (
-        f"bootstrap: B={boot.B}, level={boot.level}, seed={boot.seed}, "
-        f"recompute_weights={boot.recompute_weights}, "
-        f"degenerate redraws={result.discarded}"
-    )
-    summary = _write_estimate_outputs(
-        cfg, label, frac, est, Path(cfg.out_dir), intervals=intervals, boot_note=note,
-        extra_diag=[("bootstrap_b", boot.B), ("level", boot.level), ("seed", boot.seed)],
-    )
-    sys.stdout.write(summary)
-    return 0
+    return cmd_estimate(given, bootstrap=True)
 
 
 def cmd_simulate(given):
@@ -446,15 +405,17 @@ def cmd_sweep(given):
     specs = [ScenarioSpec((Transform(kind, column, float(value), *rest),))
              for value in values]
     try:
-        _, fracs, family = _estimates(cfg, table, specs)
+        _, family = _estimates(cfg, table, specs)
     except BandwidthTooSmallError as err:
         raise BandwidthTooSmallError(
             err.columns, err.h, where=f"{param}={values[err.value]}"
         ) from None
+    pairs = list(zip(family, configs))
     # the replicates of every value on one set of workers
-    results = run_bootstraps(zip(family, configs))
+    results = run_bootstraps(pairs)
     rows = []
-    for value, frac, result in zip(values, fracs, results):
+    for value, (est, _), result in zip(values, pairs, results):
+        frac = est.health["affected_fraction"]
         for measure in MEASURES:
             for target in TARGETS:
                 run = result.runs[(target, measure)]

@@ -109,7 +109,8 @@ def test_weight_rows_are_those_of_the_in_process_estimate(dataset, tmp_path,
         y1=table.columns["wage"], y2=table.columns["spend"],
         x=table.columns["x"], xstar=table.columns["xs"],
     )
-    w = estimate(sample, KernelSpec(family=family, order=order), 5.5, 20).w
+    est = estimate(sample, KernelSpec(family=family, order=order), 5.5, 20)
+    w = est.w
     negative = int((w < 0).sum())
     assert (negative > 0) == (order > 2)
     diagnostics = dict(_read_rows(out / "diagnostics.csv")[1:])
@@ -120,6 +121,88 @@ def test_weight_rows_are_those_of_the_in_process_estimate(dataset, tmp_path,
     summary = (out / "summary.txt").read_text().splitlines()
     assert (f"weights: sum={w.sum():.6f}, range [{w.min():.4f}, {w.max():.4f}], "
             f"negative={negative}") in summary
+    # the in-process estimate's health record holds what the command wrote
+    health = est.health
+    assert sorted(health) == sorted([
+        "affected_fraction", "weight_sum", "weight_min", "weight_max",
+        "negative_count", "support_rows", "order_warning"])
+    for key in ("affected_fraction", "weight_sum", "weight_min", "weight_max"):
+        assert diagnostics[key] == repr(health[key]), key
+    assert diagnostics["negative_count"] == str(health["negative_count"])
+    assert diagnostics["support_violations"] == str(health["support_rows"].size) == "0"
+    assert diagnostics["support_rows"] == ""
+    assert health["order_warning"] is None
+    assert diagnostics["kernel_order_check"] == "pass"
+    assert f"affected rows: {health['affected_fraction']:.2%}" in summary
+
+
+def _support_warnings(summary):
+    return [line for line in summary.splitlines() if "fall outside" in line]
+
+
+def test_support_violations_are_reported_up_to_their_cuts(synth_600, tmp_path):
+    """pedu is at most 17 in the synthetic file, so raising it to 17.5 puts
+    every row outside the sampled covariate box: diagnostics.csv lists the
+    first 50 rows and the summary the first 10, then " ..."."""
+    out = tmp_path / "out"
+    assert main(["bootstrap", "--input", str(synth_600),
+                 "--scenario", "max_with(pedu, 17.5)", "--bandwidth-c", "30",
+                 "--grid-m", "20", "--boot-b", "20", "--out-dir", str(out)]) == 0
+    diagnostics = dict(_read_rows(out / "diagnostics.csv")[1:])
+    assert diagnostics["support_violations"] == "600"
+    assert diagnostics["support_rows"] == ";".join(str(r) for r in range(50))
+    assert diagnostics["affected_fraction"] == "1.0"
+    assert _support_warnings((out / "summary.txt").read_text(encoding="utf-8")) == [
+        "warning: 600 manipulated rows fall outside the sampled covariate box "
+        "(rows 0, 1, 2, 3, 4, 5, 6, 7, 8, 9 ...); weights extrapolate"]
+
+
+def test_ten_support_violations_are_all_shown(tmp_path, capsys):
+    """A table whose manipulation moves ten rows just past the largest x:
+    the summary names all ten, with no " ..."."""
+    rng = np.random.default_rng(7)
+    n = 300
+    x = rng.normal(size=n)
+    xs = x.copy()
+    outside = [3, 11, 40, 41, 99, 150, 151, 200, 250, 299]
+    xs[outside] = x.max() + 0.05
+    table = Table(names=("wage", "spend", "x", "xs"),
+                  columns={"wage": x + rng.normal(size=n),
+                           "spend": 0.5 * x + rng.normal(size=n), "x": x, "xs": xs})
+    path = tmp_path / "panel.csv"
+    write_table(table, path)
+    out = tmp_path / "out"
+    assert main(["estimate", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
+                 "--out-dir", str(out)]) == 0
+    diagnostics = dict(_read_rows(out / "diagnostics.csv")[1:])
+    assert diagnostics["support_violations"] == "10"
+    assert diagnostics["support_rows"] == ";".join(map(str, outside))
+    warning = ("warning: 10 manipulated rows fall outside the sampled covariate box "
+               f"(rows {', '.join(map(str, outside))}); weights extrapolate")
+    assert _support_warnings((out / "summary.txt").read_text(encoding="utf-8")) == [warning]
+    assert _support_warnings(capsys.readouterr().out) == [warning]
+
+
+def test_estimate_and_bootstrap_agree_on_the_point_outputs(synth_600, tmp_path):
+    """The two commands share one body: with the same point options they write
+    the same grids and values, and bootstrap's diagnostics are estimate's
+    plus its three bootstrap rows."""
+    point = ["--input", str(synth_600), "--scenario", "max_with(cedu, 16)",
+             "--bandwidth-c", "30", "--grid-m", "20"]
+    est_out, boot_out = tmp_path / "estimate", tmp_path / "bootstrap"
+    assert main(["estimate", *point, "--out-dir", str(est_out)]) == 0
+    assert main(["bootstrap", *point, "--boot-b", "20", "--level", "0.9",
+                 "--seed", "3", "--out-dir", str(boot_out)]) == 0
+    for name in ("grid_actual.csv", "grid_counterfactual.csv"):
+        assert (est_out / name).read_bytes() == (boot_out / name).read_bytes(), name
+    est_rows = _read_rows(est_out / "measures.csv")
+    boot_rows = _read_rows(boot_out / "measures.csv")
+    assert est_rows[0] == ["target", "measure", "value"]
+    assert boot_rows[0] == ["target", "measure", "value", "lo", "hi"]
+    assert [row[:3] for row in boot_rows[1:]] == est_rows[1:]
+    assert _read_rows(boot_out / "diagnostics.csv") == (
+        _read_rows(est_out / "diagnostics.csv")
+        + [["bootstrap_b", "20"], ["level", "0.9"], ["seed", "3"]])
 
 
 def test_identity_scenario_with_huge_bandwidth_reproduces_actual(dataset, tmp_path):
@@ -944,6 +1027,9 @@ def _bootstrap_with_a_warning_worker(dataset, tmp_path, monkeypatch, capsys,
     block = bootstrap._replicate_block
 
     def noisy_block(lo, hi, **kwargs):
+        # the parent's own block, like a worker's, marks its process as in a
+        # block, so a run inside it forks nothing
+        assert bootstrap._block is not None
         if lo > 0:
             warnings.warn(f"block {lo}..{hi - 1} ran in a worker", UserWarning)
         elif parent_fails:
@@ -957,6 +1043,8 @@ def _bootstrap_with_a_warning_worker(dataset, tmp_path, monkeypatch, capsys,
     path, _ = dataset
     rc = main(["bootstrap", *_roles_args(path), "--xstar", "xs", "--grid-m", "20",
                "--boot-b", "12", "--out-dir", str(tmp_path)])
+    # the parent leaves its block, also when the block failed
+    assert bootstrap._block is None
     return rc, capsys.readouterr().err
 
 
