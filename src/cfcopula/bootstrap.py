@@ -32,9 +32,10 @@ replicates of one run.  Replicate b draws from its own generator, seeded by
 (seed, b) alone, so neither the block nor the batch changes its stream and
 the results are bitwise identical for any core count; the batch only
 shares the numpy passes (``_batch``).  The parent runs the first block and
-forked workers the others, reading the sample, weights, ranks and kernel
-plan from the forked memory.  On one core (``taskset -c 0``), or without fork,
-the single block runs in-process and no process starts.  The workers'
+forks one worker per other block, with no process pool: a worker reads the
+sample, weights, ranks and kernel plan from the forked memory and sends its
+block back through its own pipe.  On one core (``taskset -c 0``), or without
+fork, the single block runs in-process and no process starts.  The workers'
 memory does not show in the parent's resident set size.  ``_run_blocks``
 is the package's one block runner: a sweep runs the replicates of all its
 values through one call (``run_bootstraps``), the simulation study its
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -328,14 +330,9 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-# the block this process runs, or None: set around the parent's own block
-# by _run_blocks, and for good in a forked worker by _install_block
+# the block this process runs, or None: set by _run_blocks around the
+# parent's own block, and inherited for good by a forked worker
 _block = None
-
-
-def _install_block(block):
-    global _block
-    _block = block
 
 
 def _run_block(block, lo, hi):
@@ -349,25 +346,23 @@ def _run_block(block, lo, hi):
     return result, error, [warning.message for warning in caught]
 
 
-def _run_installed_block(lo, hi):
-    """A forked worker's entry: ``_run_block`` of the block it installed."""
-    return _run_block(_block, lo, hi)
-
-
 def _run_blocks(block, count):
     """``block(lo, hi)`` over contiguous blocks of the tasks 0..count-1.
 
     There are min(usable cores, count) blocks, so no tasks make no blocks.
     One block, a platform without fork, or a call made while a block runs
     (in the parent's block or in a worker) runs in-process, so a bootstrap
-    inside a study block forks nothing.  Otherwise the parent runs the
-    first block and forked workers run the rest: they see ``block`` and its
-    data through the fork, so only (lo, hi) and a block's result are
-    pickled.  Every block, the parent's too, runs under one capture of its
-    result, error and warnings.  Once all blocks are done, every block's
-    warnings are re-issued here in block order, also when a block failed;
-    then the error of the first failing block is raised.  A block stops at
-    its first failing task, so the first failing task in task order decides
+    inside a study block forks nothing.  Otherwise the parent forks one
+    worker per other block, with one pipe each, and runs the first block
+    itself.  A worker sees ``block`` and its data through the fork, writes
+    its block's pickled outcome to its pipe and exits; the parent reads
+    every pipe to its end and reaps every worker, also when its own block
+    raises.  A worker that exits without an outcome fails its block.
+    Every block, the parent's too, runs under one capture of its result,
+    error and warnings.  Once all blocks are done, every block's warnings
+    are re-issued here in block order, also when a block failed; then the
+    error of the first failing block is raised.  A block stops at its
+    first failing task, so the first failing task in task order decides
     the error on any core count, as in one loop.  Returns the blocks'
     results in order.
     """
@@ -377,32 +372,43 @@ def _run_blocks(block, count):
         return []
     if k == 1 or _block is not None or not hasattr(os, "fork"):
         return [block(0, count)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     edges = [count * i // k for i in range(k + 1)]
-    with ProcessPoolExecutor(
-        k - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_block, initargs=(block,),
-    ) as pool:
+    workers = []
+    _block = block
+    try:
         with warnings.catch_warnings():
-            # the pool forks every worker in its first submit, before it
-            # starts a thread of its own, so Python 3.12+'s warning about
-            # forking a threaded process does not apply (README)
+            # the runner starts no thread of its own, so Python 3.12+'s
+            # warning about forking a threaded process does not apply (README)
             warnings.filterwarnings(
                 "ignore", category=DeprecationWarning,
                 message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
             )
-            futures = [
-                pool.submit(_run_installed_block, lo, hi)
-                for lo, hi in zip(edges[1:-1], edges[2:])
-            ]
-        _block = block
-        try:
-            outcomes = [_run_block(block, edges[0], edges[1])]
-        finally:
-            _block = None
-        outcomes += [future.result() for future in futures]
+            for lo, hi in zip(edges[1:-1], edges[2:]):
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os.close(r)
+                        with open(w, "wb") as pipe:
+                            pickle.dump(_run_block(block, lo, hi), pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(w)
+                workers.append((pid, open(r, "rb"), lo, hi))
+        outcomes = [_run_block(block, edges[0], edges[1])]
+        outputs = [pipe.read() for _, pipe, _, _ in workers]
+    finally:
+        _block = None
+        # every read end goes first: a later worker holds the earlier ones
+        for _, pipe, _, _ in workers:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _, _, _ in workers]
+    for (_, _, lo, hi), output, code in zip(workers, outputs, codes):
+        outcomes.append(pickle.loads(output) if code == 0 else (None, RuntimeError(
+            f"the worker of tasks {lo}..{hi - 1} exited without an outcome, "
+            f"exit status {code}"), []))
     for _, _, caught in outcomes:
         for message in caught:
             warnings.warn(message, stacklevel=2)

@@ -335,7 +335,9 @@ def kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK):
         step = max(1, block // max(si.size, 1))
         need = si.size * min(step, present.size)
         if need > first.size:
-            first = second = None  # the old pair goes before the new one comes
+            # the old pair, and the block views into it, go before the new
+            # pair comes
+            first = second = kmat = kc = None
             first = np.empty(need)
             second = np.empty(need if len(tables) > 1 else 0)
         xs, src_w = plan.src[si], src_counts[si]

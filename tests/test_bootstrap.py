@@ -567,8 +567,8 @@ def _draws(lo, hi):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
 def test_the_threaded_fork_warning_is_ignored_and_no_other(monkeypatch):
     """From Python 3.12, os.fork() in a threaded process warns that the
-    child may deadlock.  The pool forks before it starts a thread of its
-    own, so the block runner ignores exactly that message."""
+    child may deadlock.  The runner starts no thread of its own, so it
+    ignores exactly that message."""
     real_fork = os.fork
 
     def forking_with(message):
@@ -615,26 +615,85 @@ def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
     assert len(calls) == 2 * 9
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_a_one_core_run_starts_no_process():
-    code = (
-        "import os, sys\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "import numpy as np\n"
-        "from cfcopula import KernelSpec, estimate\n"
-        "from cfcopula.bootstrap import BootstrapConfig, run_bootstrap\n"
-        "from cfcopula.copula import ObservationSample\n"
-        "x, e = np.random.default_rng(0).normal(size=(2, 40, 1))\n"
-        "s = ObservationSample(y1=x[:, 0] + e[:, 0], y2=e[:, 0] - x[:, 0], x=x,"
-        " xstar=x + 0.1)\n"
-        "est = estimate(s, KernelSpec(), 5.5, 10)\n"
-        "run_bootstrap(est, BootstrapConfig(B=8))\n"
-        "assert 'multiprocessing' not in sys.modules\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
-    )
+def _exits_in_a_worker(lo, hi):
+    if lo:
+        os._exit(7)
+    return lo, hi
+
+
+def _interrupted_in_the_parent(lo, hi):
+    if lo:
+        # more than a pipe buffer, so the worker blocks on its write
+        return np.zeros(1 << 18)
+    raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_no_worker_outlives_a_failing_run(monkeypatch):
+    """A worker that exits without an outcome fails its block, with its
+    tasks and exit status; a parent block that raises past the capture
+    reaps the worker it left writing."""
+    _pin_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError,
+                       match=r"tasks 3\.\.6 exited without an outcome, exit status 7"):
+        bootstrap._run_blocks(_exits_in_a_worker, 7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(KeyboardInterrupt):
+        bootstrap._run_blocks(_interrupted_in_the_parent, 7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _large(lo, hi):
+    return np.random.default_rng(lo).random(1 << 18)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(monkeypatch):
+    _pin_workers(monkeypatch, 2)
+    blocks = bootstrap._run_blocks(_large, 7)
+    assert blocks[1].nbytes == 2 << 20
+    assert blocks[1].tobytes() == _large(3, 7).tobytes()
+
+
+_RUN = (
+    "import numpy as np\n"
+    "from cfcopula import KernelSpec, estimate\n"
+    "from cfcopula.bootstrap import BootstrapConfig, run_bootstrap\n"
+    "from cfcopula.copula import ObservationSample\n"
+    "x, e = np.random.default_rng(0).normal(size=(2, 40, 1))\n"
+    "s = ObservationSample(y1=x[:, 0] + e[:, 0], y2=e[:, 0] - x[:, 0], x=x,"
+    " xstar=x + 0.1)\n"
+    "est = estimate(s, KernelSpec(), 5.5, 10)\n"
+    "run_bootstrap(est, BootstrapConfig(B=8))\n"
+    "assert 'multiprocessing' not in sys.modules\n"
+    "assert 'concurrent.futures' not in sys.modules\n"
+)
+
+
+def _run_in_a_subprocess(code):
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_one_core_run_starts_no_process():
+    _run_in_a_subprocess(
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + _RUN)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_a_run_on_two_blocks_imports_no_process_pool():
+    _run_in_a_subprocess(
+        "import os, sys\n"
+        "from cfcopula import bootstrap\n"
+        "bootstrap._worker_count = lambda: 2\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n" + _RUN
+        + "assert forks == [os.getpid()]\n")
 
 
 def test_covers_helper():

@@ -602,6 +602,19 @@ def test_a_wide_cell_keeps_the_other_kernel_families_within_the_block_budget(ker
     assert peak < budget
 
 
+def test_a_larger_cell_frees_the_block_pair_of_a_smaller_one():
+    """Cells of 200 and 1,600 sources: the second needs a larger block
+    pair, and views into the first pair kept it alive; the call peaked at
+    1.76 MB against a budget of 1.34 MB."""
+    rng = np.random.default_rng(71)
+    x = np.column_stack([np.repeat([0.0, 1.0], [200, 1600]), rng.normal(size=(1800, 2))])
+    plan = kernel_plan(x, x + [0.0, 0.2, -0.2], np.array([True, False, False]))
+    assert [si.size for si, _ in plan.cells] == [200, 1600]
+    counts = np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])[:, None] * 1.0
+    _, peak, budget = _weights_peak(plan, 1.0, counts)
+    assert peak < budget
+
+
 def test_a_kernel_table_stays_within_the_block_budget():
     """A 1,000-value integer coordinate had a 999 x 999 table (8 MB) here,
     and the call peaked at 17.4 MB."""

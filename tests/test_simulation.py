@@ -242,30 +242,30 @@ def test_run_study_deterministic_given_seed():
 def test_run_study_is_bitwise_the_same_on_any_number_of_cores(monkeypatch, tmp_path,
                                                                recompute):
     """Six replications split into 1, 2 and 3 blocks that mix the sizes;
-    the bootstraps inside a block fork nothing."""
-    import concurrent.futures
+    k blocks fork k - 1 workers, and the bootstraps inside a block fork
+    nothing."""
+    forks = tmp_path / "forks"
+    real_fork = getattr(os, "fork", None)
 
-    pools = tmp_path / "pools"
+    def fork():
+        with open(forks, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            with open(pools, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    if real_fork is not None:
+        monkeypatch.setattr(os, "fork", fork)
     cfg = SimStudyConfig(sizes=(30, 50), replications=3, bootstrap_b=6, m=10,
                          seed=23, recompute_weights=recompute)
     reports = []
     for k in (1, 2, 3):
         monkeypatch.setattr(bootstrap, "_worker_count", lambda k=k: k)
         reports.append(run_study(cfg))
-        if k == 1 or not hasattr(os, "fork"):
-            assert not pools.exists()
+        if k == 1 or real_fork is None:
+            assert not forks.exists()
         else:
-            # one pool, started by this process
-            assert pools.read_text() == f"{os.getpid()}\n"
-            pools.unlink()
+            # k - 1 forks, all by this process: none from inside a block
+            assert forks.read_text() == f"{os.getpid()}\n" * (k - 1)
+            forks.unlink()
     for report in reports[1:]:
         assert len(report.rows) == len(reports[0].rows) == 2 * (6 + 3 * 12)
         for got, want in zip(report.rows, reports[0].rows):
@@ -303,13 +303,13 @@ def test_a_one_core_study_starts_no_process():
     code = (
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        # a process pool would come from concurrent.futures
-        "import concurrent.futures\n"
-        "concurrent.futures.ProcessPoolExecutor = None\n"
+        # a worker would come from os.fork
+        "os.fork = None\n"
         "from cfcopula.simulation import SimStudyConfig, run_study\n"
         "run_study(SimStudyConfig(sizes=(30, 40), replications=2, bootstrap_b=4,"
         " m=10, seed=1))\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
