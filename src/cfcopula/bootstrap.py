@@ -17,8 +17,10 @@ observation i by M_i, the counterfactual replicate by M_i W_i, and the same
 multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate is a
-copula at (1, 1) just like the point estimate.  A replicate takes its
-measures from its two atom histograms and builds no grid.  Kernel weights
+copula at (1, 1) just like the point estimate.  A replicate builds no
+grid: it takes its measures from its atoms and the estimate's sign matrix
+when the estimate does (n <= 2m, an order-2 kernel and nonnegative
+weights), else from its two atom histograms.  Kernel weights
 W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
 them for every resample, with the bandwidth at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
@@ -55,7 +57,7 @@ import pickle
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -68,6 +70,7 @@ from .copula import (
     kernel_plan,
     kernel_weights,
     margin_ranks,
+    rank_atoms,
     support_violations,
     weighted_rank_atoms,
 )
@@ -238,10 +241,14 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
     Each replicate draws from its own generator, seeded by (seed, b), so its
     row does not depend on the batch.  The frozen multipliers are one
     product, the resample bandwidths one ``std``, and the pseudo-observations
-    and atom indices of the actual and counterfactual rows one pass.  A
-    replicate's two histograms share their prefix sums, in the buffers of
-    ``work`` (``association.measures_from_cell_pair``).  An error stops the
-    batch at its replicate: the first failure decides.
+    and atom indices of the actual and counterfactual rows one pass.  When
+    the estimate keeps a sign matrix (``Estimate.signs``), one
+    ``association.measures_from_atoms`` call takes the measures of all 2R
+    rows from their atoms, each row's values from that row alone;
+    otherwise each row's histogram is built in turn, and a replicate's two
+    histograms share their prefix sums, in the buffers of ``work``
+    (``association.measures_from_cell_pair``).  An error stops the batch
+    at its replicate: the first failure decides.
     """
     n = est.sample.n
     # row 2j of the pass holds the counts of replicate j, row 2j+1 its
@@ -280,19 +287,27 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
     v[:, 1] *= (n / mass)[:, None]
     v = v.reshape(2 * R, n)
     (r1, r2), m = est.ranks, est.grids["actual"].m
-    step, k, i = max(1, _BATCH // n), len(MEASURES), 0
-    for lo in range(0, 2 * R, step):
-        rows = v[lo:lo + step]
-        for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
-                                         rows, m):
-            # row 2j is replicate j's actual copula, row 2j+1 its
-            # counterfactual; at a step of one row they come from two passes
-            if i % 2 == 0:
-                actual = cells
-            else:
-                stats[i // 2, :2 * k] = association.measures_from_cell_pair(
-                    actual, cells, m, n, work)
-            i += 1
+    k = len(MEASURES)
+    if est.signs is not None:
+        # the atoms of all 2R rows from one pass, and one measures call
+        stats[:, :2 * k] = association.measures_from_atoms(
+            v, *rank_atoms(r1, r2, v, m), est.signs, (r1.order, r2.order), m
+        ).reshape(R, 2 * k)
+    else:
+        step, i = max(1, _BATCH // n), 0
+        for lo in range(0, 2 * R, step):
+            rows = v[lo:lo + step]
+            for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
+                                             rows, m):
+                # row 2j is replicate j's actual copula, row 2j+1 its
+                # counterfactual; at a step of one row they come from two
+                # passes
+                if i % 2 == 0:
+                    actual = cells
+                else:
+                    stats[i // 2, :2 * k] = association.measures_from_cell_pair(
+                        actual, cells, m, n, work)
+                i += 1
     # the effect is counterfactual minus actual, measure by measure
     stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
 
@@ -496,6 +511,11 @@ class Estimate:
     ``weight_sum``, ``weight_min``, ``weight_max`` and ``negative_count``
     of ``w``; ``support_rows``, the rows of ``copula.support_violations``;
     and ``order_warning``, the text of ``kernels.validate_order`` or None.
+    ``signs`` is the (n, n) ``association.sign_matrix`` of the ranks when
+    the reports and every replicate's measures come from the atoms (n <= 2m,
+    an order-2 kernel and nonnegative weights), else None and they come
+    from the atom histograms; the values of one ``estimates`` call share
+    one sign matrix.
     """
 
     sample: ObservationSample
@@ -508,22 +528,39 @@ class Estimate:
     reports: dict
     plan: KernelPlan
     health: dict
+    signs: np.ndarray
 
 
-def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
+def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures,
     effect and the weights' health record.
 
-    Each copula's grid and measures come from one atom histogram, and the
-    two copulas' measures from one pair call, as a bootstrap replicate's
-    measures do.  ``ranks`` are the margin ranks of the sample's outcomes.
-    Every command and the study read the weights' facts from ``health``.
+    Each copula's grid comes from one atom histogram.  The measures path
+    follows from what the estimate sees: for n <= 2m, an order-2 kernel
+    and nonnegative weights, every replicate's multipliers are
+    nonnegative too, and the two copulas' measures come from their atoms
+    (``association.measures_from_atoms``) with the sign matrix of the
+    ranks, which ``make_signs()`` returns and the estimate keeps as
+    ``signs``; otherwise they come from the two histograms in one pair
+    call, and ``signs`` is None.  Either way a bootstrap replicate's
+    measures take the same path.  ``ranks`` are the margin ranks of the
+    sample's outcomes.  Every command and the study read the weights'
+    facts from ``health``.
     """
-    cells, grids = {}, {}
-    for target, v in (("actual", np.ones(sample.n)), ("counterfactual", w)):
-        cells[target], grids[target] = _point(*ranks, v, m)
-    values = association.measures_from_cell_pair(
-        cells["actual"], cells["counterfactual"], m, sample.n, {})
+    n = sample.n
+    pinned, cells, grids = {}, {}, {}
+    for target, v in (("actual", np.ones(n)), ("counterfactual", w)):
+        pinned[target], cells[target], grids[target] = _point(*ranks, v, m)
+    signs = None
+    if n <= 2 * m and kernel.order == 2 and not (w < 0).any():
+        signs = make_signs()
+        v = np.stack((pinned["actual"], pinned["counterfactual"]))
+        values = association.measures_from_atoms(
+            v, *rank_atoms(*ranks, v, m), signs, (ranks[0].order, ranks[1].order), m
+        ).ravel().tolist()
+    else:
+        values = association.measures_from_cell_pair(
+            cells["actual"], cells["counterfactual"], m, n, {})
     k = len(MEASURES)
     reports = {"actual": dict(zip(MEASURES, values[:k])),
                "counterfactual": dict(zip(MEASURES, values[k:]))}
@@ -538,7 +575,7 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks):
     }
     return Estimate(sample=sample, kernel=kernel, bandwidth_c=bandwidth_c, h=h, w=w,
                     ranks=ranks, grids=grids, reports=reports, plan=plan,
-                    health=health)
+                    health=health, signs=signs)
 
 
 def check_grid_and_bandwidth(m, bandwidth_c):
@@ -571,8 +608,10 @@ def estimates(sample, xstars, kernel, bandwidth_c, m):
     mask, kernel and bandwidth, so the weights of all V come from one
     ``kernel_plan`` on x and the stacked xstars, evaluated once with a
     (distinct targets x V) multiplicity matrix.  The margin ranks are
-    computed once as well.  The weights are built by this call; the
-    returned iterator builds the V estimates one at a time, in order.
+    computed once as well, and so is their sign matrix, on the first
+    value that takes its measures from the atoms.  The weights are built
+    by this call; the returned iterator builds the V estimates one at a
+    time, in order.
     Each estimate's ``plan`` is the stacked plan with its value's target
     rows.
 
@@ -610,9 +649,17 @@ def estimates(sample, xstars, kernel, bandwidth_c, m):
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
+    make_signs = _sign_matrix_once(ranks)
     return (
         _finish(replace(sample, xstar=xstars[v]), kernel, bandwidth_c, h,
                 w[plan.src_inv, v], m,
-                replace(plan, tgt_inv=plan.tgt_inv[v * n:(v + 1) * n]), ranks)
+                replace(plan, tgt_inv=plan.tgt_inv[v * n:(v + 1) * n]), ranks,
+                make_signs)
         for v in range(V)
     )
+
+
+def _sign_matrix_once(ranks):
+    """A function that builds the ``association.sign_matrix`` of the margin
+    ranks ``ranks`` on its first call and returns that one on every call."""
+    return cache(partial(association.sign_matrix, ranks[0].pos, ranks[1].pos))

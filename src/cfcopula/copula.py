@@ -14,8 +14,9 @@ on the m-grid, so the unweighted case is literally the weighted case with
 unit weights.  The point estimate passes one row and builds the copula
 grid from its histogram by a prefix sum (``_point``); bootstrap replicates
 pass the rows of a batch and take their measures from the histograms
-without a grid.  Both run the same path, which makes the "multipliers all
-one" reduction exact at the bit level.
+without a grid, or, where the estimate takes its measures from the atoms,
+from the atom indices of ``rank_atoms``.  Both run the same path, which
+makes the "multipliers all one" reduction exact at the bit level.
 """
 
 from __future__ import annotations
@@ -439,6 +440,15 @@ def _atom_indices(u, m):
     return np.minimum(np.maximum(k, 0), m + 1).astype(np.intp)
 
 
+def rank_atoms(ranks1, ranks2, v, m):
+    """Atom indices (a, b) of the rank pseudo-observations under each row of
+    multipliers ``v``, two arrays shaped like ``v``, from one pass over both
+    margins (``association.measures_from_atoms`` takes them)."""
+    atoms = _atom_indices(np.concatenate(
+        (ranks1.pseudo_obs(v), ranks2.pseudo_obs(v)), axis=None), m)
+    return atoms.reshape((2,) + np.shape(v))
+
+
 def weighted_rank_atoms(u1, u2, v, m):
     """Histogram of the atoms (u1_i, u2_i) with weights v_i on the m-grid,
     for each row of u1, u2 and v, one row at a time.
@@ -491,7 +501,8 @@ class CopulaGrid:
 # --- grid estimators ---------------------------------------------------------
 
 def _point(ranks1, ranks2, v, m):
-    """Atom histogram and copula grid of the point estimate under weights v.
+    """Pinned weights, atom histogram and copula grid of the point estimate
+    under weights v.
 
     The mass is pinned to exactly n, so the grid is a copula at (1, 1);
     bootstrap rows take the same path, so unit multipliers reproduce it.
@@ -504,7 +515,7 @@ def _point(ranks1, ranks2, v, m):
     cells = next(weighted_rank_atoms(
         ranks1.pseudo_obs(pinned), ranks2.pseudo_obs(pinned), pinned, m
     ))
-    return cells, CopulaGrid(m=m, values=_atom_grid(cells, m, n))
+    return pinned[0], cells, CopulaGrid(m=m, values=_atom_grid(cells, m, n))
 
 
 def empirical_copula(sample, m=100):
@@ -514,4 +525,4 @@ def empirical_copula(sample, m=100):
     marginal CDFs evaluated at the data points (rank pseudo-observations).
     """
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    return _point(*ranks, np.ones(sample.n), m)[1]
+    return _point(*ranks, np.ones(sample.n), m)[2]

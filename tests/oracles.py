@@ -27,6 +27,7 @@ from cfcopula.copula import (
     kernel_plan,
     kernel_weights,
     margin_ranks,
+    rank_atoms,
 )
 from cfcopula.kernels import KernelSpec, kernel_1d
 
@@ -120,7 +121,8 @@ def estimate_under(sample, w, m, kernel=None, bandwidth_c=None):
     """
     plan = kernel_plan(sample.x, sample.xstar, sample.discrete_mask)
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    return _finish(sample, kernel or KernelSpec(), bandwidth_c, None, w, m, plan, ranks)
+    return _finish(sample, kernel or KernelSpec(), bandwidth_c, None, w, m, plan, ranks,
+                   bootstrap._sign_matrix_once(ranks))
 
 
 def counterfactual_copula(sample, w, m=100):
@@ -342,14 +344,18 @@ def atom_histogram(u1, u2, v, m):
     ).reshape(m + 2, m + 2)
 
 
-def _rank_atoms(ranks1, ranks2, v, m):
-    """Atom histogram of the rank pseudo-observations under multipliers v,
-    the total mass pinned to exactly n."""
-    n = ranks1.n
+def _pinned(v, n):
+    """Multipliers v with their total mass pinned to exactly n."""
     total = v.sum()
     if not total > 0.0:
         raise ValueError(f"total weight mass must be positive, got {total}")
-    v = v * (n / total)
+    return v * (n / total)
+
+
+def _rank_atoms(ranks1, ranks2, v, m):
+    """Atom histogram of the rank pseudo-observations under multipliers v,
+    the total mass pinned to exactly n."""
+    v = _pinned(v, ranks1.n)
     # looked up at call time, so a test can swap in another histogram
     return atom_histogram(ranks1.pseudo_obs(v), ranks2.pseudo_obs(v), v, m)
 
@@ -375,22 +381,36 @@ def _draw_replicate(n, rng, cf_multipliers, max_retries=10):
     )
 
 
-def _reports(ranks1, ranks2, counts, v_cf, m):
+def _reports(ranks1, ranks2, counts, v_cf, m, signs=None):
     """Measures of both copulas under resample counts and counterfactual
-    multipliers ``v_cf``, each from its own histogram, and their effect,
-    as ``Estimate.reports``: {measure: float} dicts by target."""
+    multipliers ``v_cf``, and their effect, as ``Estimate.reports``:
+    {measure: float} dicts by target.
+
+    Each copula's measures come from its own histogram, or, given the sign
+    matrix ``signs`` of an estimate that takes its measures from the atoms
+    (``Estimate.signs``), both from the atoms of the two pinned rows, in
+    one ``association.measures_from_atoms`` call, as the point's do.
+    """
     if v_cf.sum() <= 0.0:
         raise DegenerateReplicateError(
             "resampled counterfactual mass is zero: every positive-count row "
             "has zero weight"
         )
     n = ranks1.n
-    actual = measures_report_from_cells(
-        _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
-    ).as_dict()
-    counterfactual = measures_report_from_cells(
-        _rank_atoms(ranks1, ranks2, v_cf, m), m, n
-    ).as_dict()
+    if signs is None:
+        actual = measures_report_from_cells(
+            _rank_atoms(ranks1, ranks2, counts.astype(float), m), m, n
+        ).as_dict()
+        counterfactual = measures_report_from_cells(
+            _rank_atoms(ranks1, ranks2, v_cf, m), m, n
+        ).as_dict()
+    else:
+        v = np.stack((_pinned(counts.astype(float), n), _pinned(v_cf, n)))
+        actual, counterfactual = (
+            dict(zip(MEASURES, row)) for row in association.measures_from_atoms(
+                v, *rank_atoms(ranks1, ranks2, v, m), signs,
+                (ranks1.order, ranks2.order), m).tolist()
+        )
     return {
         "actual": actual,
         "counterfactual": counterfactual,
@@ -451,7 +471,7 @@ def _replicate_block(lo, hi, *, runs, starts):
                 return counts * est.w
         rng = np.random.default_rng(bootstrap._replicate_seed(seed, t - starts[k]))
         counts, v_cf, redraws[t - lo] = _draw_replicate(est.sample.n, rng, cf_multipliers)
-        reports = _reports(*est.ranks, counts, v_cf, est.grids["actual"].m)
+        reports = _reports(*est.ranks, counts, v_cf, est.grids["actual"].m, est.signs)
         stats[t - lo] = [
             reports[target][measure] for target, measure in bootstrap._target_keys()
         ]

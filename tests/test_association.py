@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     Report,
+    atom_histogram,
     counterfactual_copula,
     counterfactual_weights,
     gaussian_report,
@@ -16,9 +19,17 @@ from test_copula import _add_at_atoms, _add_at_grid_values, adversarial_atoms
 from cfcopula.association import (
     GridResolutionError,
     gaussian_measure,
+    measures_from_atoms,
     measures_from_cell_pair,
+    sign_matrix,
 )
-from cfcopula.copula import CopulaGrid, ObservationSample, empirical_copula
+from cfcopula.copula import (
+    CopulaGrid,
+    ObservationSample,
+    empirical_copula,
+    margin_ranks,
+    rank_atoms,
+)
 
 
 # --- the grid functionals one at a time: the oracle of the measures ------------
@@ -254,6 +265,89 @@ def test_measures_from_cells_match_the_oracle_on_adversarial_atoms(m):
         assert_reports_close(ref, measures_from_grid(grid), 1e-12)
     # one set of buffers served every call
     assert list(work) == [m]
+
+
+# --- the measures from the atoms -----------------------------------------------
+
+def _atom_rows(n, rng):
+    """Nonnegative multiplier rows of total mass about n: unit counts,
+    resample counts with zeros, weights with zeros pinned to n, and
+    weights whose mass is off n by rounding."""
+    counts = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+    w = rng.exponential(size=n)
+    w[rng.random(n) < 0.3] = 0.0
+    w[0] = 1.0
+    cf = counts * w
+    cf = cf * (n / cf.sum()) if cf.sum() > 0 else counts
+    rows = [np.ones(n), counts, cf, w * (n / w.sum()), w * (n / w.sum()) * (1.0 + 2.0**-50)]
+    return np.array(rows)
+
+
+def _outcomes(n, rng):
+    """(y1, y2) pairs: continuous, tied in both margins (shared ``pos``),
+    all on one grid row (y1 constant), and all on one column (y2 constant)."""
+    y1, y2 = rng.normal(size=n), rng.normal(size=n)
+    return [(y1, y2), (np.round(y1), np.round(2.0 * y2)),
+            (np.zeros(n), y2), (y1, np.full(n, 3.0))]
+
+
+def _measures_both_ways(y1, y2, v, m):
+    r1, r2 = margin_ranks(y1), margin_ranks(y2)
+    got = measures_from_atoms(v, *rank_atoms(r1, r2, v, m), sign_matrix(r1.pos, r2.pos),
+                              (r1.order, r2.order), m)
+    n = len(y1)
+    want = np.array([
+        measures_from_cell_pair(cells, cells, m, n, {})[:4]
+        for cells in (atom_histogram(r1.pseudo_obs(row), r2.pseudo_obs(row), row, m)
+                      for row in v)
+    ])
+    return got, want
+
+
+@pytest.mark.parametrize("m", [2, 20, 100, 400])
+def test_the_atom_measures_are_those_of_the_histogram(m):
+    """Ties, zero multipliers, every atom on one grid row or one column,
+    atoms exactly on the nodes (unit counts at n = m), n = 2 and a mass
+    off n by rounding: within 1e-13 of the histogram measures."""
+    rng = np.random.default_rng(m)
+    for n in sorted({2, 7, 2 * m, m}):
+        for y1, y2 in _outcomes(n, rng):
+            v = _atom_rows(n, rng)
+            got, want = _measures_both_ways(y1, y2, v, m)
+            assert got.shape == (len(v), 4)
+            assert np.abs(got - want).max() <= 1e-13
+    # unit counts at n = m put every atom exactly on a node
+    r = margin_ranks(np.arange(float(m)))
+    assert (r.pseudo_obs(np.ones((1, m))) == np.arange(1, m + 1) / m).all()
+
+
+def test_an_atom_row_depends_on_that_row_alone():
+    """The rows of one call are each the row measured alone, bitwise."""
+    rng = np.random.default_rng(5)
+    y1, y2 = _outcomes(60, rng)[1]
+    v = np.concatenate([_atom_rows(60, rng) for _ in range(3)])
+    r1, r2 = margin_ranks(y1), margin_ranks(y2)
+    signs, orders = sign_matrix(r1.pos, r2.pos), (r1.order, r2.order)
+    batch = measures_from_atoms(v, *rank_atoms(r1, r2, v, 20), signs, orders, 20)
+    for row, want in zip(v, batch):
+        one = measures_from_atoms(row[None], *rank_atoms(r1, r2, row[None], 20),
+                                  signs, orders, 20)
+        assert one.tobytes() == want[None].tobytes()
+
+
+def test_the_sign_matrix_is_that_of_the_rank_differences_in_int8_and_one_cast():
+    rng = np.random.default_rng(3)
+    y1, y2 = np.round(rng.normal(size=200), 1), rng.normal(size=200)
+    p, q = margin_ranks(y1).pos, margin_ranks(y2).pos
+    want = np.sign(p[:, None] - p[None, :]) * np.sign(q[:, None] - q[None, :])
+    tracemalloc.start()
+    got = sign_matrix(p, q)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.dtype == np.float64 and (got == want).all()
+    # C itself and two int8 sign matrices: 10 bytes an entry, where the
+    # signs of int64 differences take 24
+    assert peak <= 10 * 200 * 200
 
 
 def test_grid_and_pseudo_obs_paths_agree_on_unweighted_data():

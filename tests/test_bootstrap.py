@@ -615,6 +615,62 @@ def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
     assert len(calls) == 2 * 9
 
 
+def _histogram_rows(monkeypatch, est, recompute):
+    """The histogram rows a 9-replicate run of ``est`` builds."""
+    calls = []
+
+    def counting(*args):
+        for cells in weighted_rank_atoms(*args):
+            calls.append(1)
+            yield cells
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bootstrap, "weighted_rank_atoms", counting)
+        _pin_workers(patch, 1)
+        run_bootstrap(est, BootstrapConfig(B=9, seed=4, recompute_weights=recompute))
+    return len(calls)
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_the_measures_path_follows_n_the_kernel_order_and_the_weight_signs(
+    monkeypatch, recompute
+):
+    """n <= 2m under an order-2 kernel and nonnegative point weights takes
+    the measures from the atoms, point and replicates, and builds no
+    histogram row for them; n = 2m + 1, an order-4 kernel or a negative
+    point weight builds the two histogram rows of each replicate."""
+    order4 = KernelSpec(family="higher_order", order=4)
+    atoms = estimate(_sample(40, 53), KernelSpec(), 8.0, 20)
+    above = estimate(_sample(41, 53), KernelSpec(), 8.0, 20)
+    higher = estimate(_sample(40, 53), order4, 8.0, 20)
+    sample = _sample(40, 54)
+    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
+    w[3] = -0.25
+    negative = estimate_under(sample, w, 20, bandwidth_c=8.0)
+    assert atoms.signs is not None and (atoms.w >= 0).all()
+    assert atoms.signs.shape == (40, 40)
+    for est in (above, higher, negative):
+        assert est.signs is None
+    assert _histogram_rows(monkeypatch, atoms, recompute) == 0
+    for est in (above, higher, negative):
+        assert _histogram_rows(monkeypatch, est, recompute) == 2 * 9
+    # the point reports come from the atoms too, within 1e-13 of the
+    # histograms the grids come from
+    r1, r2 = atoms.ranks
+    for target, v in (("actual", np.ones(40)), ("counterfactual", atoms.w)):
+        want = measures_report_from_cells(_rank_atoms(r1, r2, v, 20), 20, 40).as_dict()
+        for measure, value in want.items():
+            assert abs(atoms.reports[target][measure] - value) <= 1e-13
+
+
+def test_the_values_of_one_estimates_call_share_one_sign_matrix():
+    sample = dgp_draw(60, np.random.default_rng(9))[0]
+    xstars = np.stack([sample.xstar, sample.xstar + 0.1, sample.x + 0.2])
+    values = list(estimates(sample, xstars, KernelSpec(), 5.5, 40))
+    assert values[0].signs is not None
+    assert values[0].signs is values[1].signs is values[2].signs
+
+
 def _exits_in_a_worker(lo, hi):
     if lo:
         os._exit(7)
@@ -1011,7 +1067,10 @@ def test_unit_counts_give_the_point_reports_in_every_replicate(
     monkeypatch.setattr(bootstrap, "multinomial_counts",
                         lambda n, rng: np.ones(n, dtype=np.int64))
     _pin_workers(monkeypatch, 1)
-    for est in (_dgp_estimate(100), synth_estimate):
+    # the histogram path at m=20 and at n=3895, the atom path at n=m=100
+    ests = (_dgp_estimate(100), _dgp_estimate(100, m=100), synth_estimate)
+    assert [est.signs is None for est in ests] == [True, False, True]
+    for est in ests:
         result = run_bootstrap(est, BootstrapConfig(B=21 if est.sample.n == 100 else 2,
                                                     seed=1, recompute_weights=recompute))
         for (target, measure), run in result.runs.items():
