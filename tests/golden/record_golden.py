@@ -48,6 +48,13 @@ COMMANDS = (
                       "--to", "12", "--recompute-weights"]),
     ("simulate", ["simulate", "--sizes", "50,60", "--replications", "2",
                   "--boot-b", "20", "--grid-m", "20", "--seed", "6"]),
+    # n <= 2m: the measures come from the atoms, with recomputed weights here
+    ("simulate_atoms", ["simulate", "--sizes", "30,40", "--replications", "2",
+                        "--boot-b", "20", "--grid-m", "20", "--seed", "6"]),
+    # n = 600 <= 2m, frozen weights: both values share one sign matrix
+    ("sweep_s_atoms", ["sweep", *_INPUT, "--param", "s", "--from", "15", "--to", "16",
+                       "--grid-m", "400", "--boot-b", "20", "--seed", "4",
+                       "--bandwidth-c", "30"]),
 )
 
 
