@@ -7,7 +7,9 @@ the simulation study.
 On grids, rho and gamma are integrals of the copula itself (a bilinear cell
 rule and diagonal trapezoids), tau is a Stieltjes sum against the grid's
 cell masses, and beta is a node read.  There are two ways to the same
-functionals, and the estimate picks one (``bootstrap._finish``):
+functionals from the atoms that ``copula.rank_atoms`` places.  The
+estimate picks one (``bootstrap._finish``), and the point and every
+replicate take it in one step (``bootstrap._pair_measures``):
 
 * ``measures_from_cell_pair`` evaluates them from the actual and
   counterfactual atom histograms of the point estimate or of a bootstrap

@@ -3,8 +3,8 @@
 ``estimates`` runs the estimator for every value of a scenario family:
 the bandwidth at the covariate scale of the sample gives h, one
 kernel pass gives the kernel-ratio weights of all values, and each value
-gets the atom histograms of the actual and counterfactual copulas, their
-grids and association measures, and the policy effect.  ``estimate`` is
+gets the grids of the actual and counterfactual copulas, their
+association measures, and the policy effect.  ``estimate`` is
 ``estimates`` with the sample's own xstar as the one value.
 ``run_bootstrap(est, config)`` takes the point reports, weights, kernel,
 bandwidth constant, grid size and margin ranks from the ``Estimate``, so
@@ -17,12 +17,14 @@ observation i by M_i, the counterfactual replicate by M_i W_i, and the same
 multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate is a
-copula at (1, 1) just like the point estimate.  A replicate builds no
-grid: it takes its measures from its atoms and the estimate's sign matrix
-when the estimate does (n <= 2m, an order-2 kernel and nonnegative
-weights), else from its two atom histograms.  Kernel weights
-W are NOT recomputed per replicate by default.  An opt-in mode rebuilds
-them for every resample, with the bandwidth at the covariate scale of
+copula at (1, 1) just like the point estimate, which is the replicate of
+unit counts.  The point and every replicate place their atoms with
+``copula.rank_atoms`` and take their measures in one step
+(``_pair_measures``): from the atoms and the estimate's sign matrix when
+the estimate has one (n <= 2m, an order-2 kernel and nonnegative
+weights), else from the two atom histograms.  A replicate builds no
+grid.  Kernel weights W are NOT recomputed per replicate by default.  An
+opt-in mode rebuilds them for every resample, with the bandwidth at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on the estimate's kernel plan with the counts as
 multiplicities, and folded back onto the original rows.  Both modes place
@@ -46,7 +48,8 @@ replications, and a bootstrap run inside a block runs in-process.
 Confidence intervals are symmetric around the point estimate with half-width
 Q/sqrt(n), where Q is the level-quantile of the centered absolute deviations
 |sqrt(n)(theta_b - theta_hat) - mean_b sqrt(n)(theta_b - theta_hat)| taken at
-the ceiling-index order statistic.
+the order statistic of index ceil(level * B), for the decimal the level
+prints as.
 """
 
 from __future__ import annotations
@@ -66,13 +69,13 @@ from .copula import (
     BandwidthTooSmallError,
     KernelPlan,
     ObservationSample,
-    _point,
+    _histogram,
     kernel_plan,
     kernel_weights,
     margin_ranks,
     rank_atoms,
+    rank_grids,
     support_violations,
-    weighted_rank_atoms,
 )
 from .kernels import KernelSpec, bandwidth, validate_order
 
@@ -142,7 +145,12 @@ def centered_quantile(replicates, point, n, level):
         raise ValueError("need at least 2 replicates")
     dev = math.sqrt(n) * (replicates - point)
     centered = np.abs(dev - dev.mean())
-    k = math.ceil(level * B)
+    # ceil(level * B) on the decimal the level prints as, in integers: the
+    # float product 0.55 * 100 is 55.00000000000001
+    digits, _, exponent = repr(float(level)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    scale = 10 ** (len(fraction) - int(exponent or 0))
+    k = -(-int(whole + fraction) * B // scale)
     return float(np.sort(centered)[k - 1])
 
 
@@ -163,7 +171,7 @@ def _is_degenerate(counts):
 
 
 # a batch holds max(1, _BATCH // 2n) replicates of one run, and a pass over
-# its 2R histogram rows at most _BATCH multipliers (one row at n = 3895)
+# its 2R rows at most _BATCH multipliers (one row at n = 3895)
 _BATCH = 4096
 _MAX_RETRIES = 10
 
@@ -235,20 +243,47 @@ def _recompute(est, counts, rngs, redraws, v):
     return len(counts), None
 
 
+def _pair_measures(ranks, signs, v, m, work):
+    """The actual and then the counterfactual measures of each pair of
+    rows of multipliers ``v``, shape (pairs, 8); row 2j is pair j's actual
+    side and row 2j+1 its counterfactual side, each of total mass n.
+
+    ``rank_atoms`` places the atoms in passes of at most
+    max(1, _BATCH // n) rows, so at n = 3895 a pair spans two passes.
+    With the sign matrix ``signs`` the values come from the atoms
+    (``association.measures_from_atoms``); without it from each pair's two
+    histograms, which share their prefix sums in the buffers of ``work``
+    (``association.measures_from_cell_pair``).
+    """
+    (r1, r2), n = ranks, v.shape[1]
+    step, values = max(1, _BATCH // n), []
+    for lo in range(0, len(v), step):
+        rows = v[lo:lo + step]
+        a, b = rank_atoms(r1, r2, rows, m)
+        if signs is not None:
+            values.extend(association.measures_from_atoms(
+                rows, a, b, signs, (r1.order, r2.order), m).ravel())
+            continue
+        for i, row in enumerate(zip(a, b, rows), lo):
+            cells = _histogram(*row, m)
+            if i % 2 == 0:
+                actual = cells
+            else:
+                values.extend(association.measures_from_cell_pair(
+                    actual, cells, m, n, work))
+    return np.reshape(values, (-1, 2 * len(MEASURES)))
+
+
 def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
     """Stats rows and redraws of replicates b0..b1-1 of one run.
 
     Each replicate draws from its own generator, seeded by (seed, b), so its
     row does not depend on the batch.  The frozen multipliers are one
-    product, the resample bandwidths one ``std``, and the pseudo-observations
-    and atom indices of the actual and counterfactual rows one pass.  When
-    the estimate keeps a sign matrix (``Estimate.signs``), one
-    ``association.measures_from_atoms`` call takes the measures of all 2R
-    rows from their atoms, each row's values from that row alone;
-    otherwise each row's histogram is built in turn, and a replicate's two
-    histograms share their prefix sums, in the buffers of ``work``
-    (``association.measures_from_cell_pair``).  An error stops the batch
-    at its replicate: the first failure decides.
+    product, and the resample bandwidths one ``std``.  The 2R actual and
+    counterfactual rows take their measures in one ``_pair_measures`` step
+    with the estimate's sign matrix (``Estimate.signs``), in the buffers
+    of ``work``.  An error stops the batch at its replicate: the first
+    failure decides.
     """
     n = est.sample.n
     # row 2j of the pass holds the counts of replicate j, row 2j+1 its
@@ -285,29 +320,9 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
     if error is not None:
         raise error
     v[:, 1] *= (n / mass)[:, None]
-    v = v.reshape(2 * R, n)
-    (r1, r2), m = est.ranks, est.grids["actual"].m
     k = len(MEASURES)
-    if est.signs is not None:
-        # the atoms of all 2R rows from one pass, and one measures call
-        stats[:, :2 * k] = association.measures_from_atoms(
-            v, *rank_atoms(r1, r2, v, m), est.signs, (r1.order, r2.order), m
-        ).reshape(R, 2 * k)
-    else:
-        step, i = max(1, _BATCH // n), 0
-        for lo in range(0, 2 * R, step):
-            rows = v[lo:lo + step]
-            for cells in weighted_rank_atoms(r1.pseudo_obs(rows), r2.pseudo_obs(rows),
-                                             rows, m):
-                # row 2j is replicate j's actual copula, row 2j+1 its
-                # counterfactual; at a step of one row they come from two
-                # passes
-                if i % 2 == 0:
-                    actual = cells
-                else:
-                    stats[i // 2, :2 * k] = association.measures_from_cell_pair(
-                        actual, cells, m, n, work)
-                i += 1
+    stats[:, :2 * k] = _pair_measures(est.ranks, est.signs, v.reshape(2 * R, n),
+                                      est.grids["actual"].m, work)
     # the effect is counterfactual minus actual, measure by measure
     stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
 
@@ -535,32 +550,28 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures,
     effect and the weights' health record.
 
-    Each copula's grid comes from one atom histogram.  The measures path
-    follows from what the estimate sees: for n <= 2m, an order-2 kernel
-    and nonnegative weights, every replicate's multipliers are
-    nonnegative too, and the two copulas' measures come from their atoms
-    (``association.measures_from_atoms``) with the sign matrix of the
-    ranks, which ``make_signs()`` returns and the estimate keeps as
-    ``signs``; otherwise they come from the two histograms in one pair
-    call, and ``signs`` is None.  Either way a bootstrap replicate's
-    measures take the same path.  ``ranks`` are the margin ranks of the
-    sample's outcomes.  Every command and the study read the weights'
-    facts from ``health``.
+    The point is the replicate of unit counts: its rows are all ones and
+    the weights pinned to mass exactly n, so each grid is a copula at
+    (1, 1).  Both grids come from one ``rank_atoms`` pass over the two
+    rows, and the measures from the ``_pair_measures`` step of every
+    replicate.  For n <= 2m, an order-2 kernel and nonnegative weights,
+    every replicate's multipliers are nonnegative too, and the measures
+    come from the atoms with the sign matrix of the ranks, which
+    ``make_signs()`` returns and the estimate keeps as ``signs``;
+    otherwise from the histograms, and ``signs`` is None.  ``ranks`` are
+    the margin ranks of the sample's outcomes.  Every command and the
+    study read the weights' facts from ``health``.
     """
     n = sample.n
-    pinned, cells, grids = {}, {}, {}
-    for target, v in (("actual", np.ones(n)), ("counterfactual", w)):
-        pinned[target], cells[target], grids[target] = _point(*ranks, v, m)
+    total = w.sum()
+    if not total > 0.0:
+        raise ValueError(f"total weight mass must be positive, got {total}")
+    v = np.stack((np.ones(n), w * (n / total)))
+    grids = dict(zip(("actual", "counterfactual"), rank_grids(*ranks, v, m)))
     signs = None
     if n <= 2 * m and kernel.order == 2 and not (w < 0).any():
         signs = make_signs()
-        v = np.stack((pinned["actual"], pinned["counterfactual"]))
-        values = association.measures_from_atoms(
-            v, *rank_atoms(*ranks, v, m), signs, (ranks[0].order, ranks[1].order), m
-        ).ravel().tolist()
-    else:
-        values = association.measures_from_cell_pair(
-            cells["actual"], cells["counterfactual"], m, n, {})
+    values = _pair_measures(ranks, signs, v, m, {})[0].tolist()
     k = len(MEASURES)
     reports = {"actual": dict(zip(MEASURES, values[:k])),
                "counterfactual": dict(zip(MEASURES, values[k:]))}

@@ -8,15 +8,15 @@ the same rank construction with weighted marginal CDFs.
 The weights come from ``kernel_weights`` on a ``kernel_plan``: the
 distinct rows of the covariates and their exact-match cells over the
 discrete coordinates, evaluated with row multiplicities.  Both estimators
-share one weighted path (``weighted_rank_atoms`` on the pseudo-observations
-of ``MarginRanks``) from ranks and rows of multipliers to atom histograms
-on the m-grid, so the unweighted case is literally the weighted case with
-unit weights.  The point estimate passes one row and builds the copula
-grid from its histogram by a prefix sum (``_point``); bootstrap replicates
-pass the rows of a batch and take their measures from the histograms
-without a grid, or, where the estimate takes its measures from the atoms,
-from the atom indices of ``rank_atoms``.  Both run the same path, which
-makes the "multipliers all one" reduction exact at the bit level.
+share one weighted path from ranks and rows of multipliers to atoms on the
+m-grid: ``rank_atoms`` places the atoms of the pseudo-observations of
+``MarginRanks`` under every row of a pass, so the unweighted case is
+literally the weighted case with unit weights.  A grid is the prefix sum
+of a row's atom histogram (``_histogram``, ``rank_grids``).  The point
+estimate and every bootstrap replicate take their atoms from
+``rank_atoms`` and their measures from one step
+(``bootstrap._pair_measures``), which makes the "multipliers all one"
+reduction exact at the bit level.
 """
 
 from __future__ import annotations
@@ -443,43 +443,29 @@ def _atom_indices(u, m):
 def rank_atoms(ranks1, ranks2, v, m):
     """Atom indices (a, b) of the rank pseudo-observations under each row of
     multipliers ``v``, two arrays shaped like ``v``, from one pass over both
-    margins (``association.measures_from_atoms`` takes them)."""
+    margins and every row, for the point estimate and every replicate.
+
+    Index m+1 marks an atom above 1 + 1e-9 (possible only under negative
+    weights).  ``association.measures_from_atoms`` takes the indices, and
+    ``_histogram`` a row's histogram.
+    """
     atoms = _atom_indices(np.concatenate(
         (ranks1.pseudo_obs(v), ranks2.pseudo_obs(v)), axis=None), m)
     return atoms.reshape((2,) + np.shape(v))
 
 
-def weighted_rank_atoms(u1, u2, v, m):
-    """Histogram of the atoms (u1_i, u2_i) with weights v_i on the m-grid,
-    for each row of u1, u2 and v, one row at a time.
+def _histogram(a, b, v, m):
+    """The (m+2) x (m+2) histogram of one row's atoms: entry [a, b] the
+    weight v_i of the atoms with indices (a_i, b_i).
 
-    Entry [a, b] of an (m+2) x (m+2) histogram is the weight of the atoms
-    whose first node at or above them is (a/m, b/m); index m+1 holds the
-    atoms above 1 + 1e-9 (possible only under negative weights).  Its
-    prefix sum over indices 0..m is n times the copula grid, and it gives
-    the four measures directly (``association.measures_from_cell_pair``,
-    which takes a replicate's actual and counterfactual histograms
-    together).  The atom indices of all rows and both margins come from one
-    pass; each histogram is built when it is taken, so a caller that pairs
-    consecutive rows holds two at a time.
+    Its prefix sum over indices 0..m is n times the copula grid
+    (``_atom_grid``), and it gives the four measures directly
+    (``association.measures_from_cell_pair``).  ``bincount`` adds each
+    cell's weights in input order, as an unbuffered scatter-add would, so
+    the cells are the same doubles.
     """
-    # one flat pass over both margins and every row: per-call overhead is
-    # most of the cost at small n
-    k, n = np.shape(u1)
-    atoms = _atom_indices(np.concatenate((u1, u2), axis=None), m)
-    del u1, u2
-    cells = atoms[:k * n] * (m + 2) + atoms[k * n:]
-    del atoms
-    for j in range(k):
-        # bincount adds each cell's weights in input order, as an
-        # unbuffered scatter-add would, so the cells are the same doubles
-        hist = np.bincount(cells[j * n:(j + 1) * n], weights=v[j],
-                           minlength=(m + 2) ** 2)
-        if j == k - 1:
-            # freed before the caller measures the last histogram: held,
-            # they made those measures about 5% slower at n = 3895
-            del cells, v
-        yield hist.reshape(m + 2, m + 2)
+    return np.bincount(a * (m + 2) + b, weights=v,
+                       minlength=(m + 2) ** 2).reshape(m + 2, m + 2)
 
 
 def _atom_grid(cells, m, n):
@@ -500,22 +486,13 @@ class CopulaGrid:
 
 # --- grid estimators ---------------------------------------------------------
 
-def _point(ranks1, ranks2, v, m):
-    """Pinned weights, atom histogram and copula grid of the point estimate
-    under weights v.
-
-    The mass is pinned to exactly n, so the grid is a copula at (1, 1);
-    bootstrap rows take the same path, so unit multipliers reproduce it.
-    """
-    n = ranks1.n
-    total = v.sum()
-    if not total > 0.0:
-        raise ValueError(f"total weight mass must be positive, got {total}")
-    pinned = (v * (n / total))[None]
-    cells = next(weighted_rank_atoms(
-        ranks1.pseudo_obs(pinned), ranks2.pseudo_obs(pinned), pinned, m
-    ))
-    return pinned[0], cells, CopulaGrid(m=m, values=_atom_grid(cells, m, n))
+def rank_grids(ranks1, ranks2, v, m):
+    """The ``CopulaGrid`` of each row of multipliers ``v``, from one
+    ``rank_atoms`` pass over all rows.  A row of total mass exactly n
+    gives a copula at (1, 1)."""
+    a, b = rank_atoms(ranks1, ranks2, v, m)
+    return [CopulaGrid(m=m, values=_atom_grid(_histogram(*row, m), m, ranks1.n))
+            for row in zip(a, b, v)]
 
 
 def empirical_copula(sample, m=100):
@@ -525,4 +502,4 @@ def empirical_copula(sample, m=100):
     marginal CDFs evaluated at the data points (rank pseudo-observations).
     """
     ranks = margin_ranks(sample.y1), margin_ranks(sample.y2)
-    return _point(*ranks, np.ones(sample.n), m)[2]
+    return rank_grids(*ranks, np.ones((1, sample.n)), m)[0]

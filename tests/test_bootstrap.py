@@ -20,7 +20,7 @@ from oracles import (
     measures_from_grid,
     measures_report_from_cells,
 )
-from test_copula import _add_at_atoms, _mixed_covariates
+from test_copula import _mixed_covariates, _searchsorted_atoms
 
 from cfcopula import bootstrap, copula
 from cfcopula.bootstrap import (
@@ -39,10 +39,11 @@ from cfcopula.copula import (
     BandwidthTooSmallError,
     ObservationSample,
     _atom_grid,
+    _histogram,
     empirical_copula,
     kernel_plan,
     margin_ranks,
-    weighted_rank_atoms,
+    rank_atoms,
 )
 from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
 from cfcopula.kernels import DegenerateCovariateError, KernelSpec
@@ -92,6 +93,17 @@ def test_centered_quantile_recentres_biased_replicates():
 def test_centered_quantile_needs_two_replicates():
     with pytest.raises(ValueError):
         centered_quantile(np.array([0.5]), 0.5, 4, 0.95)
+
+
+@pytest.mark.parametrize("level, B", [(0.55, 100), (0.55, 180), (0.68, 75), (0.9, 40)])
+def test_centered_quantile_takes_the_ceiling_of_the_decimal_level(level, B):
+    """The deviations 1..B-1 and one that cancels their sum center at zero,
+    so the k-th order statistic is k.  The float product 0.55 * 100 is
+    55.00000000000001, whose ceiling would pick the 56th."""
+    reps = np.arange(1.0, B)
+    reps = np.append(reps, -reps.sum())
+    k = round(level * B)
+    assert centered_quantile(reps, 0.0, 1, level) == k
 
 
 def test_multinomial_counts_conserve_n():
@@ -157,6 +169,20 @@ def test_zero_counterfactual_mass_raises():
     counts[1] = 2
     with pytest.raises(DegenerateReplicateError):
         _reports(r1, r2, counts, counts * w, 4)
+
+
+@pytest.mark.parametrize("m", [10, 20], ids=["histograms", "atoms"])
+def test_the_point_pins_the_counterfactual_mass_to_n(m):
+    """The point's counterfactual row is its weights pinned to mass n, as a
+    replicate's is: scaled weights give a copula at (1, 1) and the same
+    measures."""
+    sample = _sample(40, 9)
+    w = counterfactual_weights(sample.x, sample.xstar, h=1.5)
+    base, scaled = (estimate_under(sample, c * w, m) for c in (1.0, 1.3))
+    assert (scaled.signs is None) == (m == 10)
+    assert scaled.grids["counterfactual"].values[m, m] == pytest.approx(1.0, abs=1e-12)
+    for measure, value in base.reports["counterfactual"].items():
+        assert scaled.reports["counterfactual"][measure] == pytest.approx(value, abs=1e-12)
 
 
 def test_bootstrap_config_validation():
@@ -465,18 +491,24 @@ def test_bootstrap_runs_are_bitwise_those_of_the_add_at_grid(monkeypatch):
     new = runs()
     for a, b in zip(forked, new):
         _assert_bitwise_equal(a, b)
-    calls = []
+    rows = []
 
-    def oracle(u1, u2, v, m):
-        for row in zip(u1, u2, v):
-            calls.append(1)
-            yield _add_at_atoms(*row, m)
+    def oracle_atoms(ranks1, ranks2, v, m):
+        rows.append(len(v))
+        return np.stack([_searchsorted_atoms(r.pseudo_obs(v), m) for r in (ranks1, ranks2)])
 
-    monkeypatch.setattr(copula, "weighted_rank_atoms", oracle)
-    monkeypatch.setattr(bootstrap, "weighted_rank_atoms", oracle)
+    def oracle_histogram(a, b, v, m):
+        cells = np.zeros((m + 2, m + 2))
+        np.add.at(cells, (a, b), v)
+        return cells
+
+    for module in (copula, bootstrap):
+        monkeypatch.setattr(module, "rank_atoms", oracle_atoms)
+        monkeypatch.setattr(module, "_histogram", oracle_histogram)
     old = runs()
-    # two histograms for the point and for each replicate, in both modes
-    assert len(calls) == 2 * 2 * (1 + 30)
+    # the point's two rows for its grids and again for its measures, and
+    # each replicate's two, in both modes
+    assert sum(rows) == 2 * (2 * 2 + 2 * 30)
     for a, b in zip(new, old):
         _assert_bitwise_equal(a, b)
 
@@ -599,20 +631,19 @@ def test_the_threaded_fork_warning_is_ignored_and_no_other(monkeypatch):
 
 @pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
 def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
-    """The points are the estimate's reports: a run builds the two
-    histogram rows of each replicate and none for the point."""
+    """The points are the estimate's reports: a run places the atoms of
+    the two rows of each replicate and none for the point."""
     est = estimate(_sample(50, 53), KernelSpec(), 8.0, 10)
-    calls = []
+    rows = []
 
-    def counting(*args):
-        for cells in weighted_rank_atoms(*args):
-            calls.append(1)
-            yield cells
+    def counting(ranks1, ranks2, v, m):
+        rows.append(len(v))
+        return rank_atoms(ranks1, ranks2, v, m)
 
-    monkeypatch.setattr(bootstrap, "weighted_rank_atoms", counting)
+    monkeypatch.setattr(bootstrap, "rank_atoms", counting)
     _pin_workers(monkeypatch, 1)
     run_bootstrap(est, BootstrapConfig(B=9, seed=4, recompute_weights=recompute))
-    assert len(calls) == 2 * 9
+    assert sum(rows) == 2 * 9
 
 
 def _histogram_rows(monkeypatch, est, recompute):
@@ -620,12 +651,11 @@ def _histogram_rows(monkeypatch, est, recompute):
     calls = []
 
     def counting(*args):
-        for cells in weighted_rank_atoms(*args):
-            calls.append(1)
-            yield cells
+        calls.append(1)
+        return _histogram(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(bootstrap, "weighted_rank_atoms", counting)
+        patch.setattr(bootstrap, "_histogram", counting)
         _pin_workers(patch, 1)
         run_bootstrap(est, BootstrapConfig(B=9, seed=4, recompute_weights=recompute))
     return len(calls)

@@ -18,14 +18,15 @@ from cfcopula.copula import (
     BLOCK,
     BandwidthTooSmallError,
     ObservationSample,
-    _atom_grid,
     _atom_indices,
+    _histogram,
     empirical_copula,
     kernel_plan,
     kernel_weights,
     margin_ranks,
+    rank_atoms,
+    rank_grids,
     support_violations,
-    weighted_rank_atoms,
 )
 from cfcopula.data import SynthConfig, build_sample, default_synth_roles, synth_table
 from cfcopula.kernels import KernelSpec, bandwidth, kernel_1d
@@ -812,7 +813,7 @@ def test_atom_indices_match_binary_search_near_any_node(m, offsets, floats):
     assert np.array_equal(_atom_indices(u, m), _searchsorted_atoms(u, m))
 
 
-def _higher_order_pseudo_obs(seed, n=120):
+def _higher_order_ranks(seed, n=120):
     # order-4 kernel weights leak negative mass, which pushes weighted
     # pseudo-observations below 0 and above 1; y2 carries ties
     rng = np.random.default_rng(seed)
@@ -822,7 +823,12 @@ def _higher_order_pseudo_obs(seed, n=120):
     w = counterfactual_weights(
         x, x + 0.5, kernel=KernelSpec(family="higher_order", order=4), h=0.65
     )
-    return margin_ranks(y1).pseudo_obs(w), margin_ranks(y2).pseudo_obs(w), w
+    return margin_ranks(y1), margin_ranks(y2), w
+
+
+def _higher_order_pseudo_obs(seed):
+    r1, r2, w = _higher_order_ranks(seed)
+    return r1.pseudo_obs(w), r2.pseudo_obs(w), w
 
 
 def adversarial_atoms(m, seed):
@@ -839,43 +845,71 @@ def adversarial_atoms(m, seed):
     return cases
 
 
-def _one_row(u1, u2, w, m):
-    return next(weighted_rank_atoms(u1[None], u2[None], w[None], m))
+def adversarial_ranks(m, seed):
+    """(ranks1, ranks2, weights) cases: tied outcomes under unit weights at
+    n = 3m, whose atoms lie on the nodes; weights whose atoms leave the
+    grid at both ends of both margins; and tied outcomes under the
+    negative weights of an order-4 kernel.  Raw pseudo-observations that
+    no prefix sum gives are the ``_atom_indices`` tests' cases."""
+    rng = np.random.default_rng(seed)
+    n = 3 * m
+    cases = [(margin_ranks(rng.integers(0, m, n)), margin_ranks(rng.normal(size=n)),
+              np.ones(n))]
+    r1, r2 = margin_ranks(rng.normal(size=60)), margin_ranks(rng.normal(size=60))
+    w = rng.normal(size=60) + 1.0
+    # each margin's first atom below 0, and its last at 1.2 (total 72)
+    w[[r1.order[0], r2.order[0]]] = -5.0
+    w *= 72.0 / w.sum()
+    cases.append((r1, r2, w))
+    return cases + [_higher_order_ranks(seed) for seed in (13, 14)]
+
+
+def _one_row(ranks1, ranks2, w, m):
+    a, b = rank_atoms(ranks1, ranks2, w[None], m)
+    return _histogram(a[0], b[0], w, m)
+
+
+def _add_at_row(ranks1, ranks2, w, m):
+    return _add_at_atoms(ranks1.pseudo_obs(w), ranks2.pseudo_obs(w), w, m)
 
 
 @pytest.mark.parametrize("m", _ORACLE_M)
 def test_atoms_match_add_at_oracle_bitwise(m):
-    cases = adversarial_atoms(m, 200 + m)
-    for a1, a2, w in cases:
-        got = _one_row(a1, a2, w, m)
-        want = _add_at_atoms(a1, a2, w, m)
+    cases = adversarial_ranks(m, 200 + m)
+    for case in cases:
+        got = _one_row(*case, m)
+        want = _add_at_row(*case, m)
         assert got.shape == want.shape == (m + 2, m + 2)
         assert got.tobytes() == want.tobytes()
+    # unit weights at n = 3m put atoms exactly on nodes in both margins
+    r1, r2, w = cases[0]
+    nodes = np.arange(m + 1) / m
+    assert np.isin(r1.pseudo_obs(w), nodes).any() and np.isin(r2.pseudo_obs(w), nodes).any()
     # the off-grid atoms land at index 0 and m+1 in both margins
-    cells = _one_row(*cases[0], m)
+    cells = _one_row(*cases[1], m)
     assert cells[0].any() and cells[:, 0].any()
     assert cells[m + 1].any() and cells[:, m + 1].any()
 
 
 @pytest.mark.parametrize("m", _ORACLE_M)
 def test_rows_of_one_pass_are_their_own_histograms_bitwise(m):
-    """A pass over several rows gives each row the histogram of that row
-    alone, in row order."""
+    """A ``rank_atoms`` pass over several rows gives each row the
+    histogram of that row alone, in row order."""
     rng = np.random.default_rng(300 + m)
-    a1, a2, w = adversarial_atoms(m, 300 + m)[0]
-    rows = [(a1, a2, w), (a2, a1, -w), (rng.permutation(a1), a2, w * w)]
-    u1, u2, v = (np.stack(parts) for parts in zip(*rows))
-    got = list(weighted_rank_atoms(u1, u2, v, m))
-    assert len(got) == 3
-    for cells, row in zip(got, rows):
-        assert cells.tobytes() == _add_at_atoms(*row, m).tobytes()
+    r1, r2, w = adversarial_ranks(m, 300 + m)[1]
+    v = np.stack((w, -w, w * w, rng.permutation(w)))
+    a, b = rank_atoms(r1, r2, v, m)
+    assert a.shape == b.shape == v.shape
+    for row in range(len(v)):
+        got = _histogram(a[row], b[row], v[row], m)
+        assert got.tobytes() == _add_at_row(r1, r2, v[row], m).tobytes()
 
 
 @pytest.mark.parametrize("m", _ORACLE_M)
 def test_grid_matches_add_at_oracle_bitwise(m):
-    for a1, a2, w in adversarial_atoms(m, 100 + m):
-        got = _atom_grid(_one_row(a1, a2, w, m), m, w.size)
-        want = _add_at_grid_values(a1, a2, w, m, w.size)
+    for r1, r2, w in adversarial_ranks(m, 100 + m):
+        got = rank_grids(r1, r2, w[None], m)[0].values
+        want = _add_at_grid_values(r1.pseudo_obs(w), r2.pseudo_obs(w), w, m, r1.n)
         assert got.shape == want.shape == (m + 1, m + 1)
         assert got.tobytes() == want.tobytes()
 
