@@ -4,8 +4,8 @@ Each command runs through ``cfcopula.cli.main`` in one working directory,
 with relative paths, so the recorded text holds no directory of the
 machine that made it.  A command's golden files sit in ``outputs/<name>/``:
 ``console.txt`` with its exit code, stdout and stderr, and every file it
-wrote.  The synthetic CSV the later commands read is kept as its SHA-256
-only.
+wrote, if it made its out-dir.  The synthetic CSV the later commands read
+is kept as its SHA-256 only.
 
     PYTHONPATH=src python tests/golden/record_golden.py [--out DIR]
 
@@ -55,6 +55,14 @@ COMMANDS = (
     ("sweep_s_atoms", ["sweep", *_INPUT, "--param", "s", "--from", "15", "--to", "16",
                        "--grid-m", "400", "--boot-b", "20", "--seed", "4",
                        "--bandwidth-c", "30"]),
+    # one failure per exit code; none of them creates its out-dir
+    ("fail_usage", ["estimate", *_INPUT, "--scenario", "max_with(cedu, 16)",
+                    "--grid-m", "7"]),
+    ("fail_data", ["estimate", *_INPUT, "--y1", "pincome", "--y2", "wage", "--x", "cedu",
+                   "--scenario", "max_with(cedu, 16)"]),
+    ("fail_numeric", ["estimate", *_INPUT, "--y1", "pincome", "--y2", "cincome",
+                      "--x", "cedu", "--scenario", "max_with(cedu, 20)",
+                      "--bandwidth-c", "0.5", "--grid-m", "20"]),
 )
 
 
@@ -71,7 +79,7 @@ def outputs(workdir):
             texts[f"{name}/console.txt"] = (
                 f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
             )
-            for path in sorted(Path(name).iterdir()):
+            for path in sorted(Path(name).iterdir()) if Path(name).is_dir() else ():
                 data = path.read_bytes()
                 if path.name == "synth.csv":
                     texts[f"{name}/synth.csv.sha256"] = hashlib.sha256(data).hexdigest() + "\n"
