@@ -18,12 +18,13 @@ multipliers enter the weighted marginal CDFs used for the ranks.  Replicate
 weight vectors are rescaled to total mass n (a no-op on the actual side,
 where the counts sum to n by construction), so every replicate is a
 copula at (1, 1) just like the point estimate, which is the replicate of
-unit counts.  The point and every replicate place their atoms with
-``copula.rank_atoms`` and take their measures in one step
-(``_pair_measures``): from the atoms and the estimate's sign matrix when
+unit counts.  One step, ``_pair_measures``, takes the point's pair of
+rows and every replicate's to their twelve values: it checks and pins
+the counterfactual mass, places the atoms with ``copula.rank_atoms``,
+takes the measures from the atoms and the estimate's sign matrix when
 the estimate has one (n <= 2m, an order-2 kernel and nonnegative
-weights), else from the two atom histograms.  A replicate builds no
-grid.  Kernel weights W are NOT recomputed per replicate by default.  An
+weights), else from the two atom histograms, and differences them into
+the effect.  A replicate builds no grid.  Kernel weights W are NOT recomputed per replicate by default.  An
 opt-in mode rebuilds them for every resample, with the bandwidth at the covariate scale of
 the resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on the estimate's kernel plan with the counts as
@@ -244,18 +245,33 @@ def _recompute(est, counts, rngs, redraws, v):
 
 
 def _pair_measures(ranks, signs, v, m, work):
-    """The actual and then the counterfactual measures of each pair of
-    rows of multipliers ``v``, shape (pairs, 8); row 2j is pair j's actual
-    side and row 2j+1 its counterfactual side, each of total mass n.
+    """The twelve values of each pair of multiplier rows ``v``, shape
+    (pairs, 2, n), in ``_target_keys()`` order: shape (pairs, 12).
 
-    ``rank_atoms`` places the atoms in passes of at most
-    max(1, _BATCH // n) rows, so at n = 3895 a pair spans two passes.
-    With the sign matrix ``signs`` the values come from the atoms
-    (``association.measures_from_atoms``); without it from each pair's two
-    histograms, which share their prefix sums in the buffers of ``work``
-    (``association.measures_from_cell_pair``).
+    Row 0 of a pair is its actual side, of mass n (unit or multinomial
+    counts), and row 1 its counterfactual side.  The step is the estimator
+    of the point and of every replicate: it checks that each counterfactual
+    row has positive mass, pins it to mass n in place, so that each side is
+    a copula at (1, 1), places the atoms and takes the measures, and
+    differences them into the effect.  ``rank_atoms`` places the atoms in
+    passes of at most max(1, _BATCH // n) rows, so at n = 3895 a pair
+    spans two passes.  With the sign matrix ``signs`` the measures come
+    from the atoms (``association.measures_from_atoms``); without it from
+    each pair's two histograms, which share their prefix sums in the
+    buffers of ``work`` (``association.measures_from_cell_pair``).
     """
-    (r1, r2), n = ranks, v.shape[1]
+    n = v.shape[2]
+    # A resampled counterfactual mass is not n: left unnormalized it
+    # fluctuates with sd of order sqrt(mean(w^2) - 1) / sqrt(n), a noise
+    # component the point estimator (whose weights sum to n) does not have
+    mass = v[:, 1].sum(axis=1)
+    if not (mass > 0.0).all():
+        raise DegenerateReplicateError(
+            "resampled counterfactual mass is zero: every positive-count row "
+            "has zero weight"
+        )
+    v[:, 1] *= (n / mass)[:, None]
+    (r1, r2), v = ranks, v.reshape(-1, n)
     step, values = max(1, _BATCH // n), []
     for lo in range(0, len(v), step):
         rows = v[lo:lo + step]
@@ -271,7 +287,10 @@ def _pair_measures(ranks, signs, v, m, work):
             else:
                 values.extend(association.measures_from_cell_pair(
                     actual, cells, m, n, work))
-    return np.reshape(values, (-1, 2 * len(MEASURES)))
+    k = len(MEASURES)
+    both = np.reshape(values, (-1, 2 * k))
+    # the effect is counterfactual minus actual, measure by measure
+    return np.concatenate((both, both[:, k:] - both[:, :k]), axis=1)
 
 
 def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
@@ -279,15 +298,14 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
 
     Each replicate draws from its own generator, seeded by (seed, b), so its
     row does not depend on the batch.  The frozen multipliers are one
-    product, and the resample bandwidths one ``std``.  The 2R actual and
-    counterfactual rows take their measures in one ``_pair_measures`` step
+    product, and the resample bandwidths one ``std``.  The R pairs drawn
+    and weighted take their twelve values in one ``_pair_measures`` step
     with the estimate's sign matrix (``Estimate.signs``), in the buffers
-    of ``work``.  An error stops the batch at its replicate: the first
-    failure decides.
+    of ``work``.  An error stops the batch at its replicate, and is raised
+    after the step on the pairs before it: the first failure decides.
     """
     n = est.sample.n
-    # row 2j of the pass holds the counts of replicate j, row 2j+1 its
-    # counterfactual multipliers
+    # pair j holds the counts of replicate j and its counterfactual multipliers
     v = np.empty((b1 - b0, 2, n))
     rngs, counts, error = [], [], None
     try:
@@ -305,26 +323,9 @@ def _batch(seed, est, recompute, b0, b1, stats, redraws, work):
             error = failed
     else:
         np.multiply(v[:R, 0], est.w, out=v[:R, 1])
-    v = v[:R]
-    # The actual-side mass is exactly n, but the resampled counterfactual
-    # mass is not: left unnormalized it fluctuates with sd of order
-    # sqrt(mean(w^2) - 1) / sqrt(n), a noise component the point estimator
-    # (whose weights sum to n by construction) does not have.  Pinning it
-    # to n makes every replicate a copula.
-    mass = v[:, 1].sum(axis=1)
-    if not (mass > 0.0).all():
-        raise DegenerateReplicateError(
-            "resampled counterfactual mass is zero: every positive-count row "
-            "has zero weight"
-        )
+    stats[:R] = _pair_measures(est.ranks, est.signs, v[:R], est.grids["actual"].m, work)
     if error is not None:
         raise error
-    v[:, 1] *= (n / mass)[:, None]
-    k = len(MEASURES)
-    stats[:, :2 * k] = _pair_measures(est.ranks, est.signs, v.reshape(2 * R, n),
-                                      est.grids["actual"].m, work)
-    # the effect is counterfactual minus actual, measure by measure
-    stats[:, 2 * k:] = stats[:, k:2 * k] - stats[:, :k]
 
 
 def _replicate_block(lo, hi, *, runs, starts):
@@ -550,11 +551,11 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
     """The ``Estimate`` of ``sample`` under its weights: grids, measures,
     effect and the weights' health record.
 
-    The point is the replicate of unit counts: its rows are all ones and
-    the weights pinned to mass exactly n, so each grid is a copula at
-    (1, 1).  Both grids come from one ``rank_atoms`` pass over the two
-    rows, and the measures from the ``_pair_measures`` step of every
-    replicate.  For n <= 2m, an order-2 kernel and nonnegative weights,
+    The point is the replicate of unit counts: its reports are row 0 of
+    the ``_pair_measures`` step of every replicate, run on the one pair
+    (ones, w), which the step pins to mass exactly n.  Both grids come
+    from one ``rank_atoms`` pass over the two pinned rows, so each is a
+    copula at (1, 1).  For n <= 2m, an order-2 kernel and nonnegative weights,
     every replicate's multipliers are nonnegative too, and the measures
     come from the atoms with the sign matrix of the ranks, which
     ``make_signs()`` returns and the estimate keeps as ``signs``;
@@ -563,20 +564,14 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
     study read the weights' facts from ``health``.
     """
     n = sample.n
-    total = w.sum()
-    if not total > 0.0:
-        raise ValueError(f"total weight mass must be positive, got {total}")
-    v = np.stack((np.ones(n), w * (n / total)))
-    grids = dict(zip(("actual", "counterfactual"), rank_grids(*ranks, v, m)))
+    v = np.stack((np.ones(n), w))[None]
     signs = None
     if n <= 2 * m and kernel.order == 2 and not (w < 0).any():
         signs = make_signs()
-    values = _pair_measures(ranks, signs, v, m, {})[0].tolist()
-    k = len(MEASURES)
-    reports = {"actual": dict(zip(MEASURES, values[:k])),
-               "counterfactual": dict(zip(MEASURES, values[k:]))}
-    reports["effect"] = {measure: reports["counterfactual"][measure]
-                         - reports["actual"][measure] for measure in MEASURES}
+    values = _pair_measures(ranks, signs, v, m, {}).reshape(len(TARGETS), -1)
+    grids = dict(zip(("actual", "counterfactual"), rank_grids(*ranks, v[0], m)))
+    reports = {target: dict(zip(MEASURES, row))
+               for target, row in zip(TARGETS, values.tolist())}
     health = {
         "affected_fraction": float(np.any(sample.xstar != sample.x, axis=1).mean()),
         "weight_sum": float(w.sum()), "weight_min": float(w.min()),

@@ -646,6 +646,34 @@ def test_a_bootstrap_computes_no_second_point_estimate(monkeypatch, recompute):
     assert sum(rows) == 2 * 9
 
 
+@pytest.mark.parametrize("recompute", [False, True], ids=["frozen", "recompute"])
+def test_the_point_and_every_replicate_are_pairs_of_one_step(monkeypatch, recompute):
+    """``_pair_measures`` is the estimator: ``estimate`` runs it once, on
+    the one pair whose actual row is all ones, and a B-replicate run on B
+    pairs in all, here in two batches of n = 50."""
+    step, calls = bootstrap._pair_measures, []
+
+    def recording(ranks, signs, v, m, work):
+        calls.append((v.shape, bool((v[:, 0] == 1.0).all())))
+        return step(ranks, signs, v, m, work)
+
+    monkeypatch.setattr(bootstrap, "_pair_measures", recording)
+    _pin_workers(monkeypatch, 1)
+    est = estimate(_sample(50, 53), KernelSpec(), 8.0, 10)
+    assert calls == [((1, 2, 50), True)]
+    calls.clear()
+    run_bootstrap(est, BootstrapConfig(B=45, seed=4, recompute_weights=recompute))
+    assert [shape[1:] for shape, _ in calls] == [(2, 50)] * 2
+    assert sum(shape[0] for shape, _ in calls) == 45
+
+
+def test_the_point_checks_its_counterfactual_mass_in_the_step():
+    """A point whose weights have no mass fails as a replicate does."""
+    sample = _sample(8, 3)
+    with pytest.raises(DegenerateReplicateError, match="counterfactual mass is zero"):
+        estimate_under(sample, np.zeros(8), 4)
+
+
 def _histogram_rows(monkeypatch, est, recompute):
     """The histogram rows a 9-replicate run of ``est`` builds."""
     calls = []
