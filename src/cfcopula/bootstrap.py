@@ -584,11 +584,21 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
                     health=health, signs=signs)
 
 
+# The largest grid size.  The grids, histograms and prefix sums are
+# (m+2)^2 arrays: at m = 1000 and n = 3895 a bootstrap process peaks at
+# about 106 MB and writes 60 MB of grid files, at m = 2000 at 400 MB and
+# 250 MB, and an unbounded m fails in its first allocation.
+GRID_M_MAX = 1000
+
+
 def check_grid_and_bandwidth(m, bandwidth_c):
-    """Raise ValueError unless grid size m is even and >= 2 and the bandwidth
-    constant is positive and finite; every configuration checks both."""
+    """Raise ValueError unless grid size m is even and in [2, GRID_M_MAX]
+    and the bandwidth constant is positive and finite; every configuration
+    checks both."""
     if m < 2 or m % 2:
         raise ValueError(f"grid m must be even and >= 2, got {m}")
+    if m > GRID_M_MAX:
+        raise ValueError(f"grid m must be at most {GRID_M_MAX}, got {m}")
     if not (bandwidth_c > 0 and math.isfinite(bandwidth_c)):
         raise ValueError(
             f"bandwidth constant must be positive and finite, got {bandwidth_c}")
@@ -630,9 +640,9 @@ def estimates(sample, xstars, kernel, bandwidth_c, m):
     DegenerateCovariateError
         If a smoothed covariate of the sample is constant.
     ValueError
-        If m is not even and >= 2, or the bandwidth constant is not positive
-        and finite (checked before any weight is computed), or if some
-        weight of some value is not finite.
+        If m is not even and in [2, GRID_M_MAX], or the bandwidth constant
+        is not positive and finite (checked before any weight is computed),
+        or if some weight of some value is not finite.
     """
     check_grid_and_bandwidth(m, bandwidth_c)
     h = bandwidth(bandwidth_c, sample.x, sample.discrete_mask)

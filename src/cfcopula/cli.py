@@ -161,7 +161,7 @@ def read_config(path):
         return entries
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -399,8 +399,6 @@ def cmd_sweep(given):
                for index in range(len(values))]
 
     table = ingest(cfg.input, roles=cfg.roles)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kind, rest = ("max_with", ()) if param == "s" else ("conditional_max", (trigger, floor))
     specs = [ScenarioSpec((Transform(kind, column, float(value), *rest),))
              for value in values]
@@ -413,6 +411,9 @@ def cmd_sweep(given):
     pairs = list(zip(family, configs))
     # the replicates of every value on one set of workers
     results = run_bootstraps(pairs)
+    # made once the scenarios applied and every value ran
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, (est, _), result in zip(values, pairs, results):
         frac = est.health["affected_fraction"]

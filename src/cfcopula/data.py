@@ -99,15 +99,17 @@ def ingest(path, roles=None):
     a leading byte-order mark is skipped.
 
     With ``roles`` the header is checked for all required columns up front.
-    Raises DataError for a missing column, a non-numeric or non-finite cell
-    (reported as data row and column name) or fewer than two data rows.
+    Raises DataError for bytes that are not UTF-8, a row the csv module
+    cannot parse (reported as data row), a missing column, a non-numeric or
+    non-finite cell (reported as data row and column name) or fewer than
+    two data rows.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -151,6 +153,21 @@ def ingest(path, roles=None):
             f"non-finite value {float(values[j, k])!r} at (row {row}, {header[j]})"
         )
     return Table(names=tuple(header), columns=dict(zip(header, values)))
+
+
+def _rows(fh, path):
+    """The rows of the CSV file ``fh``, header first.  Bytes that are not
+    UTF-8, or a row the csv module cannot parse (such as one with a field
+    over its field size limit, named by data row), fail as a DataError."""
+    row = -1
+    try:
+        for row, cells in enumerate(csv.reader(fh)):
+            yield cells
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        where = "the header" if row < 0 else f"row {row + 1}"
+        raise DataError(f"cannot parse {where} of {path}: {exc}") from None
 
 
 def build_sample(table, roles, xstar_columns=None):

@@ -916,13 +916,24 @@ def test_estimates_refuse_non_finite_weights(monkeypatch):
                   5.5, 10)
 
 
+def test_the_grid_size_is_bounded_above():
+    """The bound holds the (m+2)^2 arrays to a size a process can hold; it
+    admits the largest grid in use (m = 400) and the bound itself."""
+    top = bootstrap.GRID_M_MAX
+    assert top >= 400
+    bootstrap.check_grid_and_bandwidth(top, 5.5)
+    with pytest.raises(ValueError, match=f"grid m must be at most {top}, got {top + 2}"):
+        bootstrap.check_grid_and_bandwidth(top + 2, 5.5)
+
+
 @pytest.mark.parametrize("m, constant, message", [
     (0, 5.5, "grid m must be even and >= 2"),
     (-2, 5.5, "grid m must be even and >= 2"),
     (7, 5.5, "grid m must be even and >= 2"),
     (10, 0.0, "bandwidth constant must be positive and finite"),
     (10, float("nan"), "bandwidth constant must be positive and finite"),
-], ids=["m=0", "m=-2", "m=7", "c=0", "c=nan"])
+    (1002, 5.5, "grid m must be at most 1000, got 1002"),
+], ids=["m=0", "m=-2", "m=7", "c=0", "c=nan", "m=1002"])
 def test_estimate_checks_grid_and_bandwidth_before_any_weight(monkeypatch, m,
                                                               constant, message):
     """Unchecked, m = 0 gives infinite measures, m = -2 a numpy error, and

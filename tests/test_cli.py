@@ -957,6 +957,73 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert "column 'x' appears twice in the header" in capsys.readouterr().err
 
 
+def test_bytes_that_are_not_utf8_are_a_data_or_usage_error(tmp_path, capsys):
+    """Once a UnicodeDecodeError traceback: a CSV input that is not UTF-8
+    exits 2, a config file that is not UTF-8 exits 1."""
+    fresh = tmp_path / "never"
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"wage,spend,x,xs\n1,2,3,4\n5,6,7,caf\xe9\n")
+    assert main(["estimate", "--input", str(latin1), "--y1", "wage", "--y2", "spend",
+                 "--x", "x", "--xstar", "xs", "--out-dir", str(fresh)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {latin1} is not UTF-8 text: invalid continuation byte\n")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"input = caf\xe9.csv\n")
+    assert main(["estimate", "--config", str(cfg), "--out-dir", str(fresh)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec"), err
+    assert not fresh.exists()
+
+
+def test_a_field_over_the_csv_size_limit_names_its_row(tmp_path, capsys):
+    """Once a _csv.Error traceback: the row is named, header or data row."""
+    limit = csv.field_size_limit()
+    long = tmp_path / "long.csv"
+    long.write_text(f"wage,spend,x,xs\n1,2,3,4\n5,{'6' * (limit + 1)},7,8\n",
+                    encoding="utf-8")
+    header = tmp_path / "header.csv"
+    header.write_text(f"wage,{'s' * (limit + 1)}\n1,2\n", encoding="utf-8")
+    for path, where in ((long, "row 2"), (header, "the header")):
+        assert main(["estimate", "--input", str(path), "--y1", "wage", "--y2", "spend",
+                     "--x", "x", "--xstar", "xs", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot parse {where} of {path}: "
+            f"field larger than field limit ({limit})\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_size_above_the_bound_fails_before_any_work(tmp_path, capsys):
+    """Once a MemoryError: the first (m+2)^2 allocation at m = 1e9 asks
+    for 6.94 EiB.  Every command with a grid exits 1 before it reads its
+    input or makes its out-dir."""
+    fresh = tmp_path / "never"
+    missing = str(tmp_path / "missing.csv")
+    for argv in (
+        ["estimate", "--input", missing, "--scenario", "max_with(cedu, 16)"],
+        ["bootstrap", "--input", missing, "--scenario", "max_with(cedu, 16)"],
+        ["sweep", "--input", missing, "--param", "s", "--from", "15", "--to", "16"],
+        ["simulate", "--sizes", "20", "--replications", "1"],
+    ):
+        assert main([*argv, "--grid-m", "1000000000", "--out-dir", str(fresh)]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid m must be at most 1000, got 1000000000\n"), argv[0]
+    assert not fresh.exists()
+
+
+def test_a_sweep_column_missing_from_the_input_makes_no_out_dir(dataset, tmp_path,
+                                                               capsys):
+    """Found by the fuzz: the sweep made its out-dir before it applied its
+    scenarios, so a column missing from the input (the default cedu
+    here) exited 1 with the directory left behind."""
+    path, _ = dataset
+    fresh = tmp_path / "never"
+    assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
+                 "--to", "1", "--out-dir", str(fresh)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario touches 'cedu', which is not a covariate"), err
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("constant", ["nan", "inf"])
 def test_a_bandwidth_constant_not_finite_is_a_usage_error(dataset, tmp_path, capsys,
                                                           constant):
