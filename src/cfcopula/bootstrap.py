@@ -24,9 +24,10 @@ the counterfactual mass, places the atoms with ``copula.rank_atoms``,
 takes the measures from the atoms and the estimate's sign matrix when
 the estimate has one (n <= 2m, an order-2 kernel and nonnegative
 weights), else from the two atom histograms, and differences them into
-the effect.  A replicate builds no grid.  Kernel weights W are NOT recomputed per replicate by default.  An
-opt-in mode rebuilds them for every resample, with the bandwidth at the covariate scale of
-the resampled rows: the resample is its counts on the original rows, so its
+the effect.  A replicate builds no grid.  Kernel weights W are NOT
+recomputed per replicate by default.  An opt-in mode rebuilds them for
+every resample, with the bandwidth at the covariate scale of the
+resampled rows: the resample is its counts on the original rows, so its
 weights are evaluated on the estimate's kernel plan with the counts as
 multiplicities, and folded back onto the original rows.  Both modes place
 every replicate's atoms by the ranks of the original sample.
@@ -555,9 +556,9 @@ def _finish(sample, kernel, bandwidth_c, h, w, m, plan, ranks, make_signs):
     the ``_pair_measures`` step of every replicate, run on the one pair
     (ones, w), which the step pins to mass exactly n.  Both grids come
     from one ``rank_atoms`` pass over the two pinned rows, so each is a
-    copula at (1, 1).  For n <= 2m, an order-2 kernel and nonnegative weights,
-    every replicate's multipliers are nonnegative too, and the measures
-    come from the atoms with the sign matrix of the ranks, which
+    copula at (1, 1).  For n <= 2m, an order-2 kernel and nonnegative
+    weights, every replicate's multipliers are nonnegative too, and the
+    measures come from the atoms with the sign matrix of the ranks, which
     ``make_signs()`` returns and the estimate keeps as ``signs``;
     otherwise from the histograms, and ``signs`` is None.  ``ranks`` are
     the margin ranks of the sample's outcomes.  Every command and the

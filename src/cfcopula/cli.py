@@ -411,7 +411,7 @@ def cmd_sweep(given):
     pairs = list(zip(family, configs))
     # the replicates of every value on one set of workers
     results = run_bootstraps(pairs)
-    # made once the scenarios applied and every value ran
+    # made once every value ran, so a failing sweep leaves no directory
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

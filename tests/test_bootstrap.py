@@ -169,6 +169,9 @@ def test_zero_counterfactual_mass_raises():
     counts[1] = 2
     with pytest.raises(DegenerateReplicateError):
         _reports(r1, r2, counts, counts * w, 4)
+    # the point checks its mass in the step of every replicate
+    with pytest.raises(DegenerateReplicateError, match="counterfactual mass is zero"):
+        estimate_under(sample, np.zeros(8), 4)
 
 
 @pytest.mark.parametrize("m", [10, 20], ids=["histograms", "atoms"])
@@ -665,13 +668,6 @@ def test_the_point_and_every_replicate_are_pairs_of_one_step(monkeypatch, recomp
     run_bootstrap(est, BootstrapConfig(B=45, seed=4, recompute_weights=recompute))
     assert [shape[1:] for shape, _ in calls] == [(2, 50)] * 2
     assert sum(shape[0] for shape, _ in calls) == 45
-
-
-def test_the_point_checks_its_counterfactual_mass_in_the_step():
-    """A point whose weights have no mass fails as a replicate does."""
-    sample = _sample(8, 3)
-    with pytest.raises(DegenerateReplicateError, match="counterfactual mass is zero"):
-        estimate_under(sample, np.zeros(8), 4)
 
 
 def _histogram_rows(monkeypatch, est, recompute):
