@@ -958,8 +958,8 @@ def test_data_errors_exit_two(tmp_path, capsys):
 
 
 def test_bytes_that_are_not_utf8_are_a_data_or_usage_error(tmp_path, capsys):
-    """Once a UnicodeDecodeError traceback: a CSV input that is not UTF-8
-    exits 2, a config file that is not UTF-8 exits 1."""
+    """A CSV input that is not UTF-8 exits 2 and a config file that is not
+    UTF-8 exits 1, each with its message, not a UnicodeDecodeError."""
     fresh = tmp_path / "never"
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"wage,spend,x,xs\n1,2,3,4\n5,6,7,caf\xe9\n")
@@ -976,7 +976,8 @@ def test_bytes_that_are_not_utf8_are_a_data_or_usage_error(tmp_path, capsys):
 
 
 def test_a_field_over_the_csv_size_limit_names_its_row(tmp_path, capsys):
-    """Once a _csv.Error traceback: the row is named, header or data row."""
+    """A field over the csv module's size limit is a data error naming its
+    row, the header or a data row, not a _csv.Error."""
     limit = csv.field_size_limit()
     long = tmp_path / "long.csv"
     long.write_text(f"wage,spend,x,xs\n1,2,3,4\n5,{'6' * (limit + 1)},7,8\n",
@@ -993,9 +994,9 @@ def test_a_field_over_the_csv_size_limit_names_its_row(tmp_path, capsys):
 
 
 def test_a_grid_size_above_the_bound_fails_before_any_work(tmp_path, capsys):
-    """Once a MemoryError: the first (m+2)^2 allocation at m = 1e9 asks
-    for 6.94 EiB.  Every command with a grid exits 1 before it reads its
-    input or makes its out-dir."""
+    """Every command with a grid exits 1 before it reads its input or makes
+    its out-dir; at m = 1e9 the first (m+2)^2 allocation would ask for
+    6.94 EiB."""
     fresh = tmp_path / "never"
     missing = str(tmp_path / "missing.csv")
     for argv in (
@@ -1012,9 +1013,9 @@ def test_a_grid_size_above_the_bound_fails_before_any_work(tmp_path, capsys):
 
 def test_a_sweep_column_missing_from_the_input_makes_no_out_dir(dataset, tmp_path,
                                                                capsys):
-    """Found by the fuzz: the sweep made its out-dir before it applied its
-    scenarios, so a column missing from the input (the default cedu
-    here) exited 1 with the directory left behind."""
+    """A sweep makes its out-dir once its values ran, so a usage error from
+    its scenarios, here the default column cedu missing from the input,
+    leaves no directory behind."""
     path, _ = dataset
     fresh = tmp_path / "never"
     assert main(["sweep", *_roles_args(path), "--param", "s", "--from", "0",
