@@ -369,9 +369,10 @@ def cmd_bootstrap(given):
 
 def cmd_simulate(given):
     study = _build(SimStudyConfig, given, _STUDY_FIELDS)
+    report = run_study(study)
+    # made once the study ran, so a failing study leaves no directory
     out = Path(given.get("out_dir", _OUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
-    report = run_study(study)
     report.write_csv(out / "simulation.csv")
     report.write_manifest(out / "manifest.txt")
     sys.stdout.write(
@@ -441,10 +442,11 @@ def cmd_sweep(given):
 
 def cmd_synth_data(given):
     synth = _build(SynthConfig, given)
+    table = synth_table(synth)
     out = Path(given.get("out_dir", _OUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
-    write_table(synth_table(synth), path)
+    write_table(table, path)
     sys.stdout.write(f"synthetic dataset: n={synth.n} -> {path}\n")
     return 0
 
@@ -497,6 +499,9 @@ def main(argv=None):
                           file=sys.stderr)
     except (UsageError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -137,27 +137,34 @@ def support_violations(sample):
 # --- counterfactual weights -------------------------------------------------
 
 def _row_keys(a):
-    # one opaque byte string per row, so np.unique groups equal rows without
-    # the cost of its axis=0 path; +0.0 maps -0.0 onto 0.0 first
+    # one opaque byte string per row, so rows group without the cost of
+    # np.unique's axis=0 path; +0.0 maps -0.0 onto 0.0 first
     a = np.ascontiguousarray(a + 0.0)
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
 def _distinct_rows(a):
-    """Distinct rows of a, the index of each row's distinct row, and counts."""
-    _, first, inverse, counts = np.unique(
-        _row_keys(a), return_index=True, return_inverse=True, return_counts=True
-    )
-    return a[first], inverse.ravel(), counts.astype(float)
+    """Distinct rows of a in byte-key order, the index of each row's distinct
+    row, and counts: np.unique's sort pass on the row keys, without its
+    flattened copy of the keys or its copy of the distinct ones."""
+    keys = _row_keys(a)
+    perm = keys.argsort(kind="stable")  # np.unique's order with return_index
+    first = np.ones(keys.size, dtype=bool)
+    s = keys[perm]
+    first[1:] = s[1:] != s[:-1]  # void arrays have no not_equal with out=
+    del s
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[perm] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return a[perm[starts]], inverse, np.diff(starts, append=keys.size).astype(float)
 
 
 def _cell_ids(src, tgt):
     """Exact-match cell of every source and target row over the given columns."""
     if src.shape[1] == 0:
         return np.zeros(src.shape[0], dtype=np.intp), np.zeros(tgt.shape[0], dtype=np.intp)
-    _, ids = np.unique(_row_keys(np.concatenate([src, tgt])), return_inverse=True)
-    ids = ids.ravel()
-    src_ids, tgt_ids = ids[: src.shape[0]], ids[src.shape[0]:].copy()
+    _, ids, _ = _distinct_rows(np.concatenate([src, tgt]))
+    src_ids, tgt_ids = ids[: src.shape[0]], ids[src.shape[0]:]
     # NaN never equals itself, so a target with a NaN in a discrete
     # coordinate has no donor
     tgt_ids[np.isnan(tgt).any(axis=1)] = -1

@@ -122,7 +122,8 @@ def ingest(path, roles=None):
             missing = [c for c in roles.required_columns() if c not in header]
             if missing:
                 raise DataError(f"missing required columns {missing} in {path}")
-        raw = [[] for _ in header]
+        from array import array  # here, so only commands that read a CSV load it
+        raw = [array("d") for _ in header]  # 8 bytes a cell, not a float object
         blank = []  # data row numbers of skipped blank lines
         for i, cells in enumerate(reader, start=1):
             if not cells or (len(cells) == 1 and not cells[0].strip()):

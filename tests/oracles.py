@@ -1,7 +1,8 @@
 """Reference code the tests check the package against.
 
 These are the textbook forms the estimator replaces: the bandwidth rule,
-kernel-ratio weights of a sample against its own manipulation, a kernel plan's weights with
+kernel-ratio weights of a sample against its own manipulation, the distinct
+rows of a matrix through ``np.unique``, a kernel plan's weights with
 every kernel entry evaluated directly, the counterfactual grid under
 given weights, rank pseudo-observations and the four measures as weighted
 sums over them, the measures of an atom histogram set up per call and of
@@ -24,6 +25,7 @@ from cfcopula.copula import (
     BandwidthTooSmallError,
     CopulaGrid,
     _atom_indices,
+    _row_keys,
     kernel_plan,
     kernel_weights,
     margin_ranks,
@@ -40,6 +42,16 @@ def counterfactual_weights(x, xstar, kernel=None, h=1.0, discrete_mask=None,
                        np.bincount(plan.tgt_inv, minlength=plan.tgt.shape[0])
                        .astype(float)[:, None], block)
     return w[plan.src_inv, 0]
+
+
+def unique_distinct_rows(a):
+    """``copula._distinct_rows`` through ``np.unique`` on the row keys: the
+    distinct rows in key order, the index of each row's distinct row, and
+    counts."""
+    _, first, inverse, counts = np.unique(
+        _row_keys(a), return_index=True, return_inverse=True, return_counts=True
+    )
+    return a[first], inverse.ravel(), counts.astype(float)
 
 
 def direct_kernel_weights(plan, kernel, h, src_counts, tgt_counts, block=BLOCK,

@@ -1011,6 +1011,43 @@ def test_a_grid_size_above_the_bound_fails_before_any_work(tmp_path, capsys):
     assert not fresh.exists()
 
 
+
+_UNALLOCATABLE = {
+    "synth-data": ["--n", "1000000000000"],
+    "bootstrap": ["--scenario", "max_with(cedu, 16)", "--bandwidth-c", "30",
+                  "--boot-b", "1000000000000000"],
+    "simulate": ["--sizes", "1000000000000"],
+}
+
+
+@pytest.mark.parametrize("command", list(_UNALLOCATABLE))
+def test_a_size_that_cannot_be_allocated_exits_one_with_no_out_dir(tmp_path, command):
+    """A size with no upper bound that the run cannot allocate (7.28 TiB of
+    synthetic rows, 85.3 PiB of replicate statistics over all blocks,
+    21.8 TiB of study draws) exits 1 with one error line, no traceback and
+    no out-dir.  The command runs in a subprocess under a 4 GB
+    address-space limit, so the allocation fails at once instead of being
+    attempted."""
+    argv = [command, *_UNALLOCATABLE[command], "--out-dir", str(tmp_path / "never")]
+    if command == "bootstrap":
+        write_table(synth_table(SynthConfig(n=400, seed=8)), tmp_path / "synth.csv")
+        argv += ["--input", str(tmp_path / "synth.csv")]
+    code = ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard))\n"
+            "from cfcopula.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(
+        "error: out of memory: Unable to allocate"), proc.stderr
+    assert not (tmp_path / "never").exists()
+
 def test_a_sweep_column_missing_from_the_input_makes_no_out_dir(dataset, tmp_path,
                                                                capsys):
     """A sweep makes its out-dir once its values ran, so a usage error from
@@ -1152,6 +1189,15 @@ def test_cli_import_leaves_scipy_special_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
 
+
+
+def test_cli_import_leaves_the_array_module_unloaded():
+    """Only ``ingest`` loads the array module, whose shared library would
+    otherwise add to the resident memory of a command that reads no CSV."""
+    code = "import sys, cfcopula.cli; assert 'array' not in sys.modules"
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 def test_simulate_runs_without_scipy(tmp_path):
     code = (

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,14 +13,18 @@ from oracles import (
     frechet_hoeffding_violation,
     pseudo_observations,
     two_increasing,
+    unique_distinct_rows,
 )
 
+from cfcopula import copula
 from cfcopula.bootstrap import multinomial_counts
 from cfcopula.copula import (
     BLOCK,
     BandwidthTooSmallError,
+    KernelPlan,
     ObservationSample,
     _atom_indices,
+    _distinct_rows,
     _histogram,
     empirical_copula,
     kernel_plan,
@@ -637,6 +643,99 @@ def test_a_wide_cell_gives_the_weights_of_blocks_of_512_targets():
     ref = direct_kernel_weights(plan, KernelSpec(), 1.0, plan.src_counts, counts,
                                 targets=512)
     assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# --- row grouping --------------------------------------------------------------
+
+@functools.cache
+def _sweep_rows():
+    """The covariates of the 3,895-row synthetic file, the sweep's stacked
+    max_with(cedu, s) manipulations for s = 13..16 and the discrete mask."""
+    table = synth_table(SynthConfig(n=3895))
+    roles = default_synth_roles()
+    samples = [
+        build_sample(table, roles, xstar_columns=apply_scenario(
+            table, roles, parse_scenario(f"max_with(cedu, {s})")))
+        for s in range(13, 17)
+    ]
+    return samples[0].x, np.concatenate([s.xstar for s in samples]), samples[0].discrete_mask
+
+
+def _integer_coded_rows():
+    rng = np.random.default_rng(61)
+    return np.column_stack([rng.integers(0, 3, 300), rng.integers(0, 2, 300),
+                            rng.normal(size=300).round(1)]).astype(float)
+
+
+_GROUPING_CASES = {
+    "signed-zeros": lambda: np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]),
+    "nan": lambda: np.array([[np.nan, 1.0], [1.0, np.nan], [np.nan, 1.0],
+                             [-np.nan, 1.0], [1.0, 2.0], [np.nan, np.nan]]),
+    "one-row": lambda: np.array([[3.0, -1.0]]),
+    "no-rows": lambda: np.empty((0, 2)),
+    "all-equal": lambda: np.full((7, 3), 2.5),
+    "integer-coded": _integer_coded_rows,
+    "one-column": lambda: _integer_coded_rows()[:, 2:],
+    "synthetic-x": lambda: _sweep_rows()[0],
+    "synthetic-stacked": lambda: _sweep_rows()[1],
+}
+
+
+def _assert_bitwise(got, ref):
+    """Equal trees of tuples, None and arrays; arrays to dtype, shape and bytes."""
+    if isinstance(ref, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+    elif isinstance(ref, tuple):
+        assert isinstance(got, tuple) and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_bitwise(g, r)
+    else:
+        assert got is None and ref is None
+
+
+@pytest.mark.parametrize("case", list(_GROUPING_CASES))
+def test_distinct_rows_are_those_of_np_unique_bitwise(case):
+    """Distinct rows, each row's distinct row and counts, with their dtypes,
+    are np.unique's on the row keys: -0.0 groups with 0.0 and a NaN row
+    with rows of the same bytes."""
+    a = _GROUPING_CASES[case]()
+    _assert_bitwise(_distinct_rows(a), unique_distinct_rows(a))
+
+
+def _study_plan_args():
+    sample = dgp_draw(200, np.random.default_rng(200))[0]
+    return sample.x, sample.xstar, sample.discrete_mask
+
+
+@pytest.mark.parametrize("args", [_sweep_rows, _study_plan_args],
+                         ids=["synthetic-stacked", "study"])
+def test_kernel_plan_is_that_of_np_unique_grouping_bitwise(args, monkeypatch):
+    """Every field of the plan, cells and kernel tables included, is the
+    plan's when every row grouping, the cells' too, goes through np.unique."""
+    got = kernel_plan(*args())
+    monkeypatch.setattr(copula, "_distinct_rows", unique_distinct_rows)
+    ref = kernel_plan(*args())
+    if args is _sweep_rows:  # so tables are compared, not only None
+        assert any(t is not None for tables in ref.tables for t in tables)
+    for field in dataclasses.fields(KernelPlan):
+        _assert_bitwise(getattr(got, field.name), getattr(ref, field.name))
+
+
+def test_distinct_rows_hold_no_copy_of_the_keys_beyond_one_sorted_copy():
+    """On the sweep's 15,580 stacked rows the grouping's traced peak is at
+    least one key array below np.unique's, which also flattens the keys."""
+    a = _sweep_rows()[1]
+    peaks = []
+    for group in (_distinct_rows, unique_distinct_rows):
+        tracemalloc.start()
+        try:
+            group(a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] - a.nbytes
 
 
 def test_support_violation_indices():

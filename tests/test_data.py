@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -111,6 +112,33 @@ def test_table_round_trip_preserves_values(tmp_path):
     np.testing.assert_array_equal(back.column("u"), table.columns["u"])
     np.testing.assert_array_equal(back.column("v"), table.columns["v"])
 
+
+
+def _list_form_columns(path):
+    """The (columns x rows) array of per-column lists of float(cell)."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        header, *rows = [cells for cells in csv.reader(fh) if cells]
+    return np.array([[float(row[j]) for row in rows] for j in range(len(header))],
+                    dtype=float)
+
+
+@pytest.mark.parametrize("case", ["synthetic", "odd-cells"])
+def test_ingest_columns_are_those_of_per_column_float_lists_bitwise(tmp_path, case):
+    """The float buffers hold what float(cell) returned: underscores, blanks
+    around a number, a plus sign, -0 and the smallest subnormal included."""
+    path = tmp_path / "data.csv"
+    if case == "synthetic":
+        write_table(synth_table(SynthConfig()), path)
+    else:
+        _write(tmp_path, "a,b,c\n1_0, 2 ,+3\n-0,4.9e-324,-4.9e-324\n"
+                         ".5,5.,1e-400\n-1e-400,2.5E+3,1.7976931348623157e308\n\n")
+    table = ingest(path)
+    ref = _list_form_columns(path)
+    assert len(table.names) == ref.shape[0]
+    for name, want in zip(table.names, ref):
+        got = table.column(name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 def test_column_roles_validation():
     with pytest.raises(DataError, match="not covariate"):
